@@ -1,10 +1,14 @@
 """Exact integer and rational linear algebra on dense matrices.
 
 Everything here works with Python's arbitrary-precision integers; there is
-no floating point anywhere.  Determinants use fraction-free single-step
-Bareiss elimination, pivoting on the first nonzero entry, so intermediate
-values stay polynomially bounded.  Enumerating operations (subdeterminant
-scans) take an explicit budget and refuse up front rather than truncate.
+no floating point anywhere.  All exact elimination goes through one
+fraction-free pivot (Bareiss 1968, in the pivot form of Edmonds 1967):
+every intermediate entry is a minor of the input, so values stay
+polynomially bounded.  Determinants, rank and the greedy invertible row set
+use forward elimination; adjugates and inverses use one reduced
+elimination of [B | I], and the polyhedral verifiers reuse the same pivot.
+Enumerating operations (subdeterminant scans) take an explicit budget and
+refuse up front rather than truncate.
 """
 
 from __future__ import annotations
@@ -129,9 +133,6 @@ class ScaledInverse:
     def size(self) -> int:
         return self.numerator.rows
 
-    def column_fraction(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(Fraction(x, self.denominator) for x in self.numerator.column(j))
-
 
 def _require_square(m: IntMatrix) -> int:
     if not m.is_square():
@@ -139,64 +140,84 @@ def _require_square(m: IntMatrix) -> int:
     return m.rows
 
 
+def _pivot(work: list[list[int]], r: int, c: int, prev: int, first: int) -> None:
+    """One integer-preserving pivot on work[r][c] (Bareiss 1968, Edmonds 1967).
+
+    Every row i >= first other than r becomes (p*row - f*pivot_row) // prev,
+    with p the pivot, f = row[c] and prev the previous pivot (1 before the
+    first).  Sylvester's identity makes the division exact: every entry stays
+    a minor of the input.  A row with f == 0 is left alone when p == prev,
+    because its update would change nothing.
+    """
+    pivot_row = work[r]
+    p = pivot_row[c]
+    for i in range(first, len(work)):
+        row = work[i]
+        f = row[c]
+        if i == r or (f == 0 and p == prev):
+            continue
+        work[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
+
+
+def _eliminate(work: list[list[int]], ncols: int, reduce: bool) -> tuple[list[int], int]:
+    """Fraction-free elimination of work in place, pivoting in the first ncols
+    columns on the first nonzero entry at or below the next pivot row.
+
+    Returns the pivot columns (pivot k sits in row k) and the signed
+    determinant of the pivot rows and columns, which is det(work) when work
+    is square with full rank.  With reduce=True the rows above each pivot
+    are cleared too, so every pivot row ends with the last pivot at its
+    pivot column and zeros at the other pivot columns.
+    """
+    pivots: list[int] = []
+    sign = prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(work):
+            break
+        i = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if i is None:
+            continue
+        if i != r:
+            work[r], work[i] = work[i], work[r]
+            sign = -sign
+        _pivot(work, r, c, prev, 0 if reduce else r + 1)
+        prev = work[r][c]
+        pivots.append(c)
+    return pivots, sign * prev
+
+
 def det(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free single-step Bareiss elimination."""
+    """Exact determinant by fraction-free forward elimination."""
     n = _require_square(m)
-    a = [list(row) for row in m.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            factor = a[i][k]
-            row_i = a[i]
-            row_k = a[k]
-            for j in range(k + 1, n):
-                # Exact division: the Bareiss identity guarantees divisibility.
-                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+    pivots, d = _eliminate([list(row) for row in m.entries], n, reduce=False)
+    return d if len(pivots) == n else 0
 
 
-def _adjugate_cofactor(m: IntMatrix) -> IntMatrix:
-    n = m.rows
-    adj = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            keep_rows = [r for r in range(n) if r != j]
-            keep_cols = [c for c in range(n) if c != i]
-            minor = det(m.submatrix(keep_rows, keep_cols))
-            row.append(-minor if (i + j) % 2 else minor)
-        adj.append(tuple(row))
-    return IntMatrix(tuple(adj))
-
-
-def _inverse_fraction(m: IntMatrix) -> list[list[Fraction]]:
-    n = m.rows
-    work = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(n)]
-            for i, row in enumerate(m.entries)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError("matrix is singular")
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        pivot = work[col][col]
-        work[col] = [x / pivot for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    return [row[n:] for row in work]
+def _adjugate_det(m: IntMatrix) -> tuple[IntMatrix, int]:
+    """(adj(m), det(m)) from one reduced elimination of [m | I]."""
+    n = _require_square(m)
+    work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m.entries)]
+    pivots, d = _eliminate(work, n, reduce=True)
+    p = work[0][pivots[0]] if pivots else 1  # every pivot row ends with the last pivot
+    sign = d // p  # parity of the row swaps
+    if len(pivots) == n:
+        # work is [p*I | p*m^-1] and det(m) = sign*p, so adj(m) = sign * right block
+        return IntMatrix(tuple(tuple(sign * x for x in row[n:]) for row in work)), d
+    if len(pivots) < n - 1:
+        return IntMatrix(tuple((0,) * n for _ in range(n))), 0
+    # Rank n-1: adj(m) = x y^T with m x = 0 and y^T m = 0.  Column q is the
+    # one without a pivot; x (p at q, -work[r][q] at the pivot column of row
+    # r) spans the kernel, and the zero row's right block holds row q of
+    # adj(m) up to the sign of the row swaps and of moving column q last.
+    q = next(j for j in range(n) if j not in pivots)
+    x = [0] * n
+    x[q] = p
+    for r, c in enumerate(pivots):
+        x[c] = -work[r][q]
+    scale = sign * (-1) ** (n - 1 - q)
+    row_q = [scale * w for w in work[n - 1][n:]]
+    return IntMatrix(tuple(tuple(xi * a // p for a in row_q) for xi in x)), 0
 
 
 def adjugate(m: IntMatrix) -> IntMatrix:
@@ -204,32 +225,15 @@ def adjugate(m: IntMatrix) -> IntMatrix:
 
     Singular input is allowed (the product is then the zero matrix).
     """
-    n = _require_square(m)
-    if n == 1:
-        return IntMatrix(((1,),))
-    d = det(m)
-    if d == 0:
-        return _adjugate_cofactor(m)
-    inv = _inverse_fraction(m)
-    adj = []
-    for row in inv:
-        out = []
-        for x in row:
-            scaled = x * d
-            if scaled.denominator != 1:
-                raise InvariantError("adjugate entries must be integral")
-            out.append(scaled.numerator)
-        adj.append(tuple(out))
-    return IntMatrix(tuple(adj))
+    return _adjugate_det(m)[0]
 
 
 def scaled_inverse(b: IntMatrix) -> ScaledInverse:
     """Exact inverse of b as (adjugate, determinant); b must be nonsingular."""
     n = _require_square(b)
-    d = det(b)
+    num, d = _adjugate_det(b)
     if d == 0:
         raise SingularMatrixError("cannot invert a singular matrix")
-    num = adjugate(b)
     product = b.matmul(num)
     for i in range(n):
         for j in range(n):
@@ -238,49 +242,9 @@ def scaled_inverse(b: IntMatrix) -> ScaledInverse:
     return ScaledInverse(num, d)
 
 
-class _RowSpan:
-    """Incremental exact row span over the rationals, integer arithmetic only.
-
-    Rows are reduced against previously accepted rows in insertion order;
-    each accepted row already has zeros at all earlier pivot columns, so the
-    sequential reduction below is a faithful membership test.
-    """
-
-    def __init__(self, width: int) -> None:
-        self.width = width
-        self._basis: list[tuple[int, list[int]]] = []  # (pivot column, reduced row)
-
-    def __len__(self) -> int:
-        return len(self._basis)
-
-    def add(self, row: Sequence[int]) -> bool:
-        """Add a row; returns True iff it enlarged the span."""
-        r = [int(x) for x in row]
-        for pivot_col, base in self._basis:
-            if r[pivot_col] != 0:
-                p = base[pivot_col]
-                f = r[pivot_col]
-                r = [ri * p - bi * f for ri, bi in zip(r, base)]
-                g = 0
-                for x in r:
-                    g = math.gcd(g, x)
-                if g > 1:
-                    r = [x // g for x in r]
-        pivot_col = next((j for j, x in enumerate(r) if x != 0), None)
-        if pivot_col is None:
-            return False
-        if r[pivot_col] < 0:
-            r = [-x for x in r]
-        self._basis.append((pivot_col, r))
-        return True
-
-
 def rank(a: IntMatrix) -> int:
     """Exact rank over the rationals."""
-    span = _RowSpan(a.cols)
-    for row in a.entries:
-        span.add(row)
-    return len(span)
+    return len(_eliminate([list(row) for row in a.entries], a.cols, reduce=False)[0])
 
 
 def find_invertible_rows(a: IntMatrix) -> tuple[int, ...]:
@@ -288,16 +252,13 @@ def find_invertible_rows(a: IntMatrix) -> tuple[int, ...]:
 
     Rows are scanned in ascending index order; a row is kept iff it strictly
     increases the rank of the rows kept so far.  The result has exactly
-    cols(a) indices with det(a[rows]) != 0.
+    cols(a) indices with det(a[rows]) != 0.  Those rows are the pivot
+    columns of the forward elimination of the transpose.
     """
-    span = _RowSpan(a.cols)
-    kept: list[int] = []
-    for i, row in enumerate(a.entries):
-        if span.add(row):
-            kept.append(i)
-            if len(kept) == a.cols:
-                return tuple(kept)
-    raise RankError(f"matrix has rank {len(kept)} < {a.cols} columns")
+    pivots, _ = _eliminate([list(col) for col in zip(*a.entries)], a.rows, reduce=False)
+    if len(pivots) < a.cols:
+        raise RankError(f"matrix has rank {len(pivots)} < {a.cols} columns")
+    return tuple(pivots)
 
 
 def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -445,14 +406,14 @@ def subdet_ratio_check(
         raise DimensionError("row selection out of range or repeated")
 
     b = a.submatrix_rows(base_rows)
-    d = det(b)
+    adj, d = _adjugate_det(b)
     if d == 0:
         raise SingularMatrixError("selected base rows are singular")
     k = len(i_rows)
     if k == 0:
         return True  # degenerate: both sides are |det B| / |det B|
 
-    numerators = a.matmul(adjugate(b))
+    numerators = a.matmul(adj)
     lhs = Fraction(abs(det(numerators.submatrix(i_rows, j_cols))), abs(d) ** k)
 
     j_set = set(j_cols)

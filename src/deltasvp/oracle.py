@@ -15,8 +15,6 @@ from itertools import product
 from .errors import BudgetExceededError, DomainError, RankError
 from .linalg import (
     IntMatrix,
-    adjugate,
-    det,
     find_invertible_rows,
     max_abs_full_rank_subdet,
     rank,
@@ -46,10 +44,9 @@ def enum_bound(a: IntMatrix) -> int:
     if rank(a) < a.cols:
         raise RankError("full column rank required")
     u = min(max(abs(x) for x in a.column(j)) for j in range(a.cols))
-    basis = a.submatrix_rows(find_invertible_rows(a))
-    adj = adjugate(basis)
-    d = abs(det(basis))
-    k = max(sum(abs(x) for x in row) * u // d for row in adj.entries)
+    inv = scaled_inverse(a.submatrix_rows(find_invertible_rows(a)))
+    d = abs(inv.denominator)
+    k = max(sum(abs(x) for x in row) * u // d for row in inv.numerator.entries)
     return max(k, 1)
 
 

@@ -3,9 +3,11 @@
 Verifies, on explicit bounded instances, the structural consequences of the
 norm-1 threshold: integer-hull vertices sit on low-dimensional faces, and
 standard-form integer programs admit optimal solutions of small support.
-Everything runs on exact rationals; vertex candidates come from row-subset
-enumeration, hull membership from a phase-1 simplex with Bland's rule, and
-kernel lattice bases from the Hermite normal form.
+Everything is exact integer arithmetic on the fraction-free pivot of
+``linalg``, with rationals only as output: vertex candidates come from one
+reduced elimination per row subset, hull membership from a phase-1 simplex
+with Bland's rule on an integer tableau, and kernel lattice bases from the
+Hermite normal form.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from .generators import sparsity_instance
 from .linalg import (
     DEFAULT_MINOR_BUDGET,
     IntMatrix,
+    _eliminate,
+    _pivot,
     det,
     gcd_full_rank_subdets,
     hnf,
@@ -88,24 +92,16 @@ class StandardFormILP:
 def _basic_solutions(a: IntMatrix, b: Sequence[int]) -> list[RationalPoint]:
     """All solutions of A_I x = b_I over invertible n-row subsets I.
 
-    Cramer's rule over Bareiss determinants: pure integer arithmetic until
-    the final division.
+    One reduced fraction-free elimination of [A_I | b_I] per subset: pure
+    integer arithmetic until the final division by the last pivot.
     """
     m, n = a.rows, a.cols
     points = []
     for rows in combinations(range(m), n):
-        sub = [a.entries[i] for i in rows]
-        d = det(IntMatrix(tuple(sub)))
-        if d == 0:
-            continue
-        rhs = [b[i] for i in rows]
-        point = []
-        for j in range(n):
-            replaced = tuple(
-                row[:j] + (rhs[i],) + row[j + 1 :] for i, row in enumerate(sub)
-            )
-            point.append(Fraction(det(IntMatrix(replaced)), d))
-        points.append(tuple(point))
+        work = [list(a.entries[i]) + [b[i]] for i in rows]
+        pivots, _ = _eliminate(work, n, reduce=True)
+        if len(pivots) == n:
+            points.append(tuple(Fraction(row[n], row[j]) for j, row in enumerate(work)))
     return points
 
 
@@ -173,33 +169,35 @@ def integer_points(p: PolyhedronH, budget: int = DEFAULT_POINT_BUDGET) -> list[t
     return [point for point in product(*ranges) if p.contains(point)]
 
 
-def _has_nonneg_combination(
-    columns: list[tuple[Fraction, ...]], rhs: list[Fraction]
-) -> bool:
+def _has_nonneg_combination(columns: list[tuple[int, ...]], rhs: list[int]) -> bool:
     """Exact feasibility of {M lambda = rhs, lambda >= 0}.
 
-    Phase-1 simplex over Fractions with Bland's rule on both the entering
-    and the leaving choice, which guarantees termination.
+    Phase-1 simplex with Bland's rule on both the entering and the leaving
+    choice, which guarantees termination.  The tableau is kept as integers
+    times 1/d, with d the last pivot: every pivot is fraction-free, and d
+    stays positive because each pivot entry is, so reduced costs keep their
+    signs and the ratio test compares cross products.
     """
     r = len(rhs)
     v = len(columns)
     if v == 0:
         return not any(rhs)
-    tableau: list[list[Fraction]] = []
+    tableau: list[list[int]] = []
     for i in range(r):
         row = [columns[j][i] for j in range(v)]
-        row.extend(Fraction(int(i == t)) for t in range(r))
+        row.extend(int(i == t) for t in range(r))
         row.append(rhs[i])
         if rhs[i] < 0:
             row = [-x for x in row]
         tableau.append(row)
     basis = [v + i for i in range(r)]
     width = v + r
+    d = 1
 
     while True:
         entering = None
         for j in range(width):
-            reduced = (1 if j >= v else 0) - sum(
+            reduced = (d if j >= v else 0) - sum(
                 tableau[i][j] for i in range(r) if basis[i] >= v
             )
             if reduced < 0:
@@ -208,28 +206,21 @@ def _has_nonneg_combination(
         if entering is None:
             break
         leaving = None
-        best_ratio = None
         for i in range(r):
             coeff = tableau[i][entering]
             if coeff > 0:
-                ratio = tableau[i][-1] / coeff
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leaving])
-                ):
-                    best_ratio = ratio
+                if leaving is None:
+                    leaving = i
+                    continue
+                # ratio_i < ratio_leaving, both denominators positive
+                here = tableau[i][-1] * tableau[leaving][entering]
+                best = tableau[leaving][-1] * coeff
+                if here < best or (here == best and basis[i] < basis[leaving]):
                     leaving = i
         if leaving is None:
             raise InvariantError("phase-1 objective cannot be unbounded")
-        pivot = tableau[leaving][entering]
-        tableau[leaving] = [x / pivot for x in tableau[leaving]]
-        for i in range(r):
-            if i != leaving and tableau[i][entering] != 0:
-                factor = tableau[i][entering]
-                tableau[i] = [
-                    x - factor * y for x, y in zip(tableau[i], tableau[leaving])
-                ]
+        _pivot(tableau, leaving, entering, d, 0)
+        d = tableau[leaving][entering]
         basis[leaving] = entering
 
     infeasibility = sum(tableau[i][-1] for i in range(r) if basis[i] >= v)
@@ -248,9 +239,7 @@ def integer_hull_vertices(
     hull = []
     for v in points:
         others = [q for q in points if q != v]
-        columns = [tuple(Fraction(x) for x in q) + (Fraction(1),) for q in others]
-        rhs = [Fraction(x) for x in v] + [Fraction(1)]
-        if not _has_nonneg_combination(columns, rhs):
+        if not _has_nonneg_combination([q + (1,) for q in others], list(v) + [1]):
             hull.append(v)
     return hull
 

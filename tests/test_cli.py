@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -180,6 +181,37 @@ class TestMatrixUtilities:
         u = parse_matrix(u_text)
         original = parse_matrix(WORKED_TEXT)
         assert original.matmul(u) == h
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Runs a test under the interpreter's default int/str digit limit, if any."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+class TestHugeIntegers:
+    # X = 10^9999 + 1 has 10,000 digits, far past the default limit of 4300.
+    X = "1" + "0" * 9998 + "1"
+
+    def test_det_ten_thousand_digits(self, capsys, tmp_path, default_digit_limit):
+        path = tmp_path / "m.txt"
+        path.write_text(f"2 2\n{self.X} 1\n-1 {self.X}\n")
+        code, out, _ = run(capsys, "matrix", "det", str(path))
+        # X^2 + 1 = 10^19998 + 2 * 10^9999 + 2
+        assert code == 0
+        assert out == "1" + "0" * 9998 + "2" + "0" * 9998 + "2\n"
+
+    def test_rank_ten_thousand_digits(self, capsys, tmp_path, default_digit_limit):
+        path = tmp_path / "m.txt"
+        path.write_text(f"3 2\n{self.X} -{self.X}\n-{self.X} {self.X}\n0 0\n")
+        code, out, _ = run(capsys, "matrix", "rank", str(path))
+        assert code == 0 and out == "1\n"
 
 
 class TestExitCodes:

@@ -116,6 +116,17 @@ class TestAdjugate:
             n = rng.randint(1, 4)
             m = M([[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)])
             assert adjugate(m).entries == cofactor_adjugate(m.entries)
+        # Random draws are almost never singular: build rank n-1 and rank
+        # <= n-2 inputs as products of n x k and k x n integer factors.
+        for n in range(1, 6):
+            singular = [M([[0] * n for _ in range(n)])]
+            for k in range(1, n):
+                for _ in range(12):
+                    left = M([[rng.randint(-4, 4) for _ in range(k)] for _ in range(n)])
+                    right = M([[rng.randint(-4, 4) for _ in range(n)] for _ in range(k)])
+                    singular.append(left.matmul(right))
+            for m in singular:
+                assert adjugate(m).entries == cofactor_adjugate(m.entries)
 
     @settings(max_examples=80, deadline=None)
     @given(matrices(max_rows=5, square=True))
@@ -154,12 +165,6 @@ class TestScaledInverse:
         with pytest.raises(SingularMatrixError):
             scaled_inverse(M([[1, 2], [2, 4]]))
 
-    def test_column_fraction(self):
-        inv = scaled_inverse(M([[1, 0], [1, 2]]))
-        from fractions import Fraction
-
-        assert inv.column_fraction(0) == (Fraction(1), Fraction(-1, 2))
-
 
 class TestFindInvertibleRows:
     def test_identity_prefix(self):
@@ -178,6 +183,39 @@ class TestFindInvertibleRows:
     def test_rank_deficient_rejected(self):
         with pytest.raises(RankError):
             find_invertible_rows(M([[1, 2], [2, 4]]))
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_matches_greedy_rank_scan(self, data):
+        """Keep row i iff the rank of the kept rows rises, checked by the
+        Fraction rank oracle on random, rank-deficient-first and
+        unit-rows-first matrices."""
+        cols = data.draw(st.integers(1, 4))
+        rows = data.draw(st.integers(cols, 8))
+        entry = st.integers(-3, 3)
+        random_row = st.lists(entry, min_size=cols, max_size=cols)
+        entries = [data.draw(random_row) for _ in range(rows)]
+        kind = data.draw(st.sampled_from(["random", "deficient_first", "unit_first"]))
+        if kind == "deficient_first":
+            # the first `head` rows are combinations of k < cols vectors
+            k = data.draw(st.integers(0, cols - 1))
+            head = data.draw(st.integers(0, rows))
+            basis = [data.draw(random_row) for _ in range(k)]
+            for i in range(head):
+                coeffs = data.draw(st.lists(entry, min_size=k, max_size=k))
+                entries[i] = [sum(f * b[j] for f, b in zip(coeffs, basis)) for j in range(cols)]
+        elif kind == "unit_first":
+            units = data.draw(st.integers(1, cols))
+            entries[:units] = [[int(i == j) for j in range(cols)] for i in range(units)]
+        kept: list[int] = []
+        for i in range(rows):
+            if fraction_rank([entries[t] for t in kept + [i]]) > len(kept):
+                kept.append(i)
+        if len(kept) < cols:
+            with pytest.raises(RankError):
+                find_invertible_rows(M(entries))
+        else:
+            assert find_invertible_rows(M(entries)) == tuple(kept)
 
 
 class TestHnf:
