@@ -6,7 +6,9 @@ fraction-free pivot (Bareiss 1968, in the pivot form of Edmonds 1967):
 every intermediate entry is a minor of the input, so values stay
 polynomially bounded.  Determinants, rank and the greedy invertible row set
 use forward elimination; adjugates and inverses use one reduced
-elimination of [B | I], and the polyhedral verifiers reuse the same pivot.
+elimination of [B | I]; the solver's tableau (basis rows, adj(B), det(B)
+and A*adj(B) at once) is one reduced elimination of [A^T | I]; and the
+polyhedral verifiers reuse the same pivot.
 Enumerating operations (subdeterminant scans) take an explicit budget and
 refuse up front rather than truncate.
 """
@@ -159,9 +161,12 @@ def _pivot(work: list[list[int]], r: int, c: int, prev: int, first: int) -> None
         work[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
 
 
-def _eliminate(work: list[list[int]], ncols: int, reduce: bool) -> tuple[list[int], int]:
-    """Fraction-free elimination of work in place, pivoting in the first ncols
-    columns on the first nonzero entry at or below the next pivot row.
+def _eliminate(
+    work: list[list[int]], columns: Iterable[int], reduce: bool
+) -> tuple[list[int], int]:
+    """Fraction-free elimination of work in place, trying the given columns
+    in order and pivoting on the first nonzero entry at or below the next
+    pivot row; a column without one is skipped.
 
     Returns the pivot columns (pivot k sits in row k) and the signed
     determinant of the pivot rows and columns, which is det(work) when work
@@ -171,7 +176,7 @@ def _eliminate(work: list[list[int]], ncols: int, reduce: bool) -> tuple[list[in
     """
     pivots: list[int] = []
     sign = prev = 1
-    for c in range(ncols):
+    for c in columns:
         r = len(pivots)
         if r == len(work):
             break
@@ -190,7 +195,7 @@ def _eliminate(work: list[list[int]], ncols: int, reduce: bool) -> tuple[list[in
 def det(m: IntMatrix) -> int:
     """Exact determinant by fraction-free forward elimination."""
     n = _require_square(m)
-    pivots, d = _eliminate([list(row) for row in m.entries], n, reduce=False)
+    pivots, d = _eliminate([list(row) for row in m.entries], range(n), reduce=False)
     return d if len(pivots) == n else 0
 
 
@@ -198,7 +203,7 @@ def _adjugate_det(m: IntMatrix) -> tuple[IntMatrix, int]:
     """(adj(m), det(m)) from one reduced elimination of [m | I]."""
     n = _require_square(m)
     work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m.entries)]
-    pivots, d = _eliminate(work, n, reduce=True)
+    pivots, d = _eliminate(work, range(n), reduce=True)
     p = work[0][pivots[0]] if pivots else 1  # every pivot row ends with the last pivot
     sign = d // p  # parity of the row swaps
     if len(pivots) == n:
@@ -230,21 +235,65 @@ def adjugate(m: IntMatrix) -> IntMatrix:
 
 def scaled_inverse(b: IntMatrix) -> ScaledInverse:
     """Exact inverse of b as (adjugate, determinant); b must be nonsingular."""
-    n = _require_square(b)
     num, d = _adjugate_det(b)
     if d == 0:
         raise SingularMatrixError("cannot invert a singular matrix")
+    return _checked_inverse(b, num, d)
+
+
+def _checked_inverse(b: IntMatrix, num: IntMatrix, d: int) -> ScaledInverse:
+    """ScaledInverse(num, d) after checking B * num == d * I in full."""
     product = b.matmul(num)
-    for i in range(n):
-        for j in range(n):
+    for i in range(b.rows):
+        for j in range(b.rows):
             if product.entries[i][j] != (d if i == j else 0):
                 raise InvariantError("B * adjugate(B) != det(B) * I")
     return ScaledInverse(num, d)
 
 
+@dataclass(frozen=True)
+class Tableau:
+    """A seen through the basis B = A[rows]: B^-1 as adj(B) / det(B) and the
+    numerators N = A * adj(B) of A * B^-1, both over det(B)."""
+
+    rows: tuple[int, ...]
+    inverse: ScaledInverse
+    numerators: IntMatrix
+
+
+def tableau(a: IntMatrix, rows: Sequence[int] | None = None) -> Tableau:
+    """Basis, adj(B), det(B) and A * adj(B) for an m x n matrix A, from one
+    reduced elimination of the n x (m+n) matrix [A^T | I].
+
+    With rows=None the pivot columns are the greedy invertible row set,
+    exactly find_invertible_rows(a), and RankError is raised below full
+    column rank.  Otherwise step k pivots on column rows[k], so B = a[rows]
+    keeps that row order, and SingularMatrixError is raised when it is
+    singular.  The eliminated pivot columns hold p * I with p = +-det(B)
+    the last pivot, so the work matrix is L * [A^T | I] with
+    L = p * (B^T)^-1 = s * adj(B)^T for s = det(B) / p: its right block is
+    s * adj(B)^T and its left block s * N^T.  B * adj(B) = det(B) * I is
+    checked in full.
+    """
+    m, n = a.rows, a.cols
+    if rows is not None and (len(rows) != n or any(not 0 <= i < m for i in rows)):
+        raise DimensionError(f"basis needs {n} row indices in range({m})")
+    work = [list(col) + [int(i == j) for j in range(n)] for i, col in enumerate(zip(*a.entries))]
+    pivots, d = _eliminate(work, range(m) if rows is None else rows, reduce=True)
+    if len(pivots) < n:
+        if rows is None:
+            raise RankError(f"matrix has rank {len(pivots)} < {n} columns")
+        raise SingularMatrixError("selected basis rows are singular")
+    sign = d // work[0][pivots[0]]
+    adj = IntMatrix(tuple(zip(*([sign * x for x in row[m:]] for row in work))))
+    numerators = IntMatrix(tuple(zip(*([sign * x for x in row[:m]] for row in work))))
+    inverse = _checked_inverse(a.submatrix_rows(pivots), adj, d)
+    return Tableau(tuple(pivots), inverse, numerators)
+
+
 def rank(a: IntMatrix) -> int:
     """Exact rank over the rationals."""
-    return len(_eliminate([list(row) for row in a.entries], a.cols, reduce=False)[0])
+    return len(_eliminate([list(row) for row in a.entries], range(a.cols), reduce=False)[0])
 
 
 def find_invertible_rows(a: IntMatrix) -> tuple[int, ...]:
@@ -255,7 +304,7 @@ def find_invertible_rows(a: IntMatrix) -> tuple[int, ...]:
     cols(a) indices with det(a[rows]) != 0.  Those rows are the pivot
     columns of the forward elimination of the transpose.
     """
-    pivots, _ = _eliminate([list(col) for col in zip(*a.entries)], a.rows, reduce=False)
+    pivots, _ = _eliminate([list(col) for col in zip(*a.entries)], range(a.rows), reduce=False)
     if len(pivots) < a.cols:
         raise RankError(f"matrix has rank {len(pivots)} < {a.cols} columns")
     return tuple(pivots)

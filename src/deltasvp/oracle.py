@@ -13,13 +13,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import BudgetExceededError, DomainError, RankError
-from .linalg import (
-    IntMatrix,
-    find_invertible_rows,
-    max_abs_full_rank_subdet,
-    rank,
-    scaled_inverse,
-)
+from .linalg import IntMatrix, ScaledInverse, max_abs_full_rank_subdet, rank, tableau
 
 DEFAULT_BOX_BUDGET = 10_000_000
 DEFAULT_PREIMAGE_BUDGET = 3**13
@@ -34,6 +28,14 @@ class OracleResult:
     norm: int
 
 
+def _greedy_inverse(a: IntMatrix) -> ScaledInverse:
+    """adj(B) / det(B) for the greedy invertible row set B of A."""
+    try:
+        return tableau(a).inverse
+    except RankError:
+        raise RankError("full column rank required") from None
+
+
 def enum_bound(a: IntMatrix) -> int:
     """Box radius K certain to contain a global minimizer of ||A z||_inf.
 
@@ -41,10 +43,8 @@ def enum_bound(a: IntMatrix) -> int:
     that good satisfies B z in [-U, U]^n for an invertible row set B, so
     |z_i| <= (1-norm of adjugate row i) * U / |det B|.
     """
-    if rank(a) < a.cols:
-        raise RankError("full column rank required")
+    inv = _greedy_inverse(a)
     u = min(max(abs(x) for x in a.column(j)) for j in range(a.cols))
-    inv = scaled_inverse(a.submatrix_rows(find_invertible_rows(a)))
     d = abs(inv.denominator)
     k = max(sum(abs(x) for x in row) * u // d for row in inv.numerator.entries)
     return max(k, 1)
@@ -95,12 +95,10 @@ def shortest_is_at_least_2(
     B^-1 v and keeping the integral ones that stay short decides the
     question.  Returns (True, None) or (False, witness z).
     """
-    if rank(a) < a.cols:
-        raise RankError("full column rank required")
+    inv = _greedy_inverse(a)
     n = a.cols
     if 3**n > budget:
         raise BudgetExceededError(f"preimage scan of size {3 ** n} exceeds budget {budget}")
-    inv = scaled_inverse(a.submatrix_rows(find_invertible_rows(a)))
     d_signed = inv.denominator
     for v in product((-1, 0, 1), repeat=n):
         if not any(v):

@@ -99,7 +99,7 @@ def _basic_solutions(a: IntMatrix, b: Sequence[int]) -> list[RationalPoint]:
     points = []
     for rows in combinations(range(m), n):
         work = [list(a.entries[i]) + [b[i]] for i in rows]
-        pivots, _ = _eliminate(work, n, reduce=True)
+        pivots, _ = _eliminate(work, range(n), reduce=True)
         if len(pivots) == n:
             points.append(tuple(Fraction(row[n], row[j]) for j, row in enumerate(work)))
     return points

@@ -16,6 +16,11 @@ disproving the caller's delta.  Termination needs the column count to
 exceed a threshold depending only on delta, since only then does the
 pigeonhole over residue classes always produce enough same-class columns.
 
+Each pass reads B^-1 and A*B^-1 from one integer tableau: a single
+fraction-free elimination of [A^T | I] (``linalg.tableau``) yields adj(B),
+det(B) and the numerators A*adj(B) together, and the dispatcher's first
+tableau also chooses the starting basis.
+
 All replacements are certified at runtime: the new determinant is recomputed
 from scratch and must exceed the old one, or InvariantError is raised.
 
@@ -28,10 +33,10 @@ which equals d whenever the solver itself calls it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .errors import DomainError, InvariantError, ThresholdError, ZeroLatticeError
-from .linalg import IntMatrix, ScaledInverse, det, find_invertible_rows, hnf, rank, scaled_inverse
+from .errors import DomainError, InvariantError, RankError, ThresholdError, ZeroLatticeError
+from .linalg import IntMatrix, ScaledInverse, Tableau, det, hnf, rank, tableau
 from .oracle import OracleResult, brute_force_svp, enum_bound
 
 #: Tags for the three determinant-growing replacement paths.
@@ -83,11 +88,14 @@ class ThresholdState:
 
     ``base_rows[k]`` is the A-row index sitting at row k of the basis, so
     positions matter; ``det_abs`` caches |det| of that submatrix.
+    ``tableau``, when present, is the tableau of A at ``base_rows`` and
+    spares the next pass its elimination; it takes no part in equality.
     """
 
     base_rows: tuple[int, ...]
     iteration: int
     det_abs: int
+    tableau: Tableau | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.det_abs < 1:
@@ -243,8 +251,20 @@ class Done:
 
 def initial_state(a: IntMatrix) -> ThresholdState:
     """Greedy invertible row set of A as the starting basis."""
-    rows = find_invertible_rows(a)
-    return ThresholdState(rows, 0, abs(det(a.submatrix_rows(rows))))
+    return _start(tableau(a))
+
+
+def _start(tab: Tableau) -> ThresholdState:
+    return ThresholdState(tab.rows, 0, abs(tab.inverse.denominator), tab)
+
+
+def _check_dimensions(a: IntMatrix, delta: int) -> None:
+    if delta < 1:
+        raise DomainError("delta must be >= 1")
+    if a.cols < dimension_threshold(delta) + 1:
+        raise ThresholdError(
+            f"need more than {dimension_threshold(delta)} columns for delta={delta}"
+        )
 
 
 def _short_vector(a: IntMatrix, z: tuple[int, ...]) -> ShortVector:
@@ -292,14 +312,8 @@ def threshold_step(a: IntMatrix, delta: int, state: ThresholdState) -> Continue 
     exceeds delta, or a norm-1 vector) or performs exactly one
     determinant-growing row replacement and continues.
     """
-    if delta < 1:
-        raise DomainError("delta must be >= 1")
+    _check_dimensions(a, delta)
     m, n = a.rows, a.cols
-    if n < dimension_threshold(delta) + 1:
-        raise ThresholdError(
-            f"need more than {dimension_threshold(delta)} columns for delta={delta}"
-        )
-
     if state.det_abs > delta:
         rows = tuple(sorted(state.base_rows))
         value = det(a.submatrix_rows(rows))
@@ -307,15 +321,17 @@ def threshold_step(a: IntMatrix, delta: int, state: ThresholdState) -> Continue 
             raise InvariantError("cached determinant does not match the cited rows")
         return Done(Certificate(rows, value))
 
-    basis = a.submatrix_rows(state.base_rows)
-    inv = scaled_inverse(basis)
+    tab = state.tableau
+    if tab is None or tab.rows != state.base_rows:
+        tab = tableau(a, state.base_rows)
+    inv = tab.inverse
     d_signed = inv.denominator
     d = abs(d_signed)
     if d != state.det_abs:
         raise InvariantError("cached determinant is stale")
 
     # entry scan: numerators of A*B^-1, row-major; any |entry| > d grows det
-    numerators = a.matmul(inv.numerator)
+    numerators = tab.numerators
     for k in range(m):
         row = numerators.row(k)
         for j in range(n):
@@ -387,13 +403,13 @@ def solve_threshold_trace(
     a: IntMatrix, delta: int
 ) -> tuple[SvpOutcome, tuple[Transition, ...]]:
     """Runs the solver to completion and returns the replacement trace."""
-    if delta < 1:
-        raise DomainError("delta must be >= 1")
-    if a.cols < dimension_threshold(delta) + 1:
-        raise ThresholdError(
-            f"need more than {dimension_threshold(delta)} columns for delta={delta}"
-        )
-    state = initial_state(a)
+    _check_dimensions(a, delta)
+    return _run(a, delta, initial_state(a))
+
+
+def _run(
+    a: IntMatrix, delta: int, state: ThresholdState
+) -> tuple[SvpOutcome, tuple[Transition, ...]]:
     transitions: list[Transition] = []
     for _ in range(delta + 2):
         result = threshold_step(a, delta, state)
@@ -433,7 +449,14 @@ def solve_svp(
     if not any(x for row in a.entries for x in row):
         raise ZeroLatticeError("zero matrix generates the trivial lattice")
 
-    if rank(a) == a.cols:
+    above = a.cols > dimension_threshold(delta)
+    try:
+        # above the threshold the first tableau doubles as the rank test
+        start = tableau(a) if above else None
+        full_rank = above or rank(a) == a.cols
+    except RankError:
+        start, full_rank = None, False
+    if full_rank:
         work = a
         coordinate_map = None
     else:
@@ -442,8 +465,9 @@ def solve_svp(
         work = h.submatrix(range(a.rows), nonzero)
         coordinate_map = u.submatrix(range(a.cols), nonzero)
 
-    if work.cols >= dimension_threshold(delta) + 1:
-        outcome = solve_threshold(work, delta)
+    if work.cols > dimension_threshold(delta):
+        state = _start(start) if start is not None else initial_state(work)
+        outcome = _run(work, delta, state)[0]
         if isinstance(outcome, ShortVector) and coordinate_map is not None:
             outcome = ShortVector(coordinate_map.matvec(outcome.z), outcome.y, outcome.norm)
         return outcome

@@ -241,3 +241,46 @@ class TestExitCodes:
     def test_domain_error(self, capsys, worked_file):
         code, _, _ = run(capsys, "svp", "solve", "--delta", "0", worked_file)
         assert code == 2
+
+
+def _certificate_json(det, rows):
+    listed = ",\n".join(f"    {r}" for r in rows)
+    return f'{{\n  "det": "{det}",\n  "kind": "certificate",\n  "rows": [\n{listed}\n  ]\n}}\n'
+
+
+def _short_vector_json(y, z):
+    def listed(values):
+        return ",\n".join(f'    "{v}"' for v in values)
+
+    return (f'{{\n  "kind": "short_vector",\n  "norm": 1,\n  "y": [\n{listed(y)}\n  ],\n'
+            f'  "z": [\n{listed(z)}\n  ]\n}}\n')
+
+
+class TestSolveGolden:
+    """Exact `svp solve --json` stdout, pinned byte for byte.  The first
+    three inputs are the entry, pair and block PATH_EXERCISERS of the
+    acceptance suite; then a two-replacement walk ending in a short vector,
+    a certificate at the starting basis and a rank-deficient input solved
+    on its Hermite normal form."""
+
+    @pytest.mark.parametrize(
+        "delta,rows,expected",
+        [
+            (1, [[1, 0], [0, 1], [3, 1]], _certificate_json(-3, [1, 2])),
+            (3, [[1, 0, 0], [0, 1, 0], [1, 1, 3], [0, 2, 3], [2, 0, 3], [0, 0, 3]],
+             _certificate_json(6, [1, 3, 4])),
+            (2, [[1, 0], [1, 2], [0, -2], [2, 2]], _certificate_json(4, [2, 3])),
+            (3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 1, -2], [1, 2, -1]],
+             _short_vector_json([1, 0, 1, 0, 0], [1, 0, 1])),
+            (1, [[1, 0], [1, 2], [2, 2]], _certificate_json(2, [0, 1])),
+            (1, [[1, 0, 1], [0, 1, 1], [1, 1, 2]], _short_vector_json([1, 0, 1], [1, 0, 0])),
+        ],
+        ids=["entry_swap", "pair_swap", "block_swap", "walk_to_short_vector",
+             "certificate_at_start", "rank_deficient"],
+    )
+    def test_json_bytes(self, capsys, tmp_path, delta, rows, expected):
+        path = tmp_path / "a.txt"
+        path.write_text(f"{len(rows)} {len(rows[0])}\n"
+                        + "".join(" ".join(map(str, r)) + "\n" for r in rows))
+        code, out, err = run(capsys, "svp", "solve", "--delta", str(delta), "--json", str(path))
+        assert (code, out, err) == (0, expected, "")

@@ -22,6 +22,7 @@ from deltasvp.linalg import (
     rank,
     scaled_inverse,
     subdet_ratio_check,
+    tableau,
 )
 
 from oracles import (
@@ -216,6 +217,112 @@ class TestFindInvertibleRows:
                 find_invertible_rows(M(entries))
         else:
             assert find_invertible_rows(M(entries)) == tuple(kept)
+
+
+class TestTableau:
+    """tableau(a, rows) against the oracles: the greedy rows, cofactor
+    adjugate and determinant of A[rows], and the plain-loop A * adj."""
+
+    @staticmethod
+    def check(a_entries, rows, tab):
+        basis = [a_entries[i] for i in rows]
+        adj = cofactor_adjugate(basis)
+        n = len(basis)
+        assert tab.rows == tuple(rows)
+        assert tab.inverse.numerator.entries == adj
+        assert tab.inverse.denominator == cofactor_det(basis)
+        plain = tuple(
+            tuple(sum(row[t] * adj[t][j] for t in range(n)) for j in range(n))
+            for row in a_entries
+        )
+        assert tab.numerators.entries == plain
+
+    @staticmethod
+    def draw_entries(data, zero_first=False):
+        cols = data.draw(st.integers(1, 4))
+        rows = data.draw(st.integers(cols, 7))
+        entry = st.integers(-3, 3)
+        entries = [
+            data.draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)
+        ]
+        if data.draw(st.booleans()):
+            units = data.draw(st.integers(1, cols))
+            entries[:units] = [[int(i == j) for j in range(cols)] for i in range(units)]
+        return entries
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_greedy_rows_match_oracles(self, data):
+        entries = self.draw_entries(data)
+        cols = len(entries[0])
+        kept: list[int] = []
+        for i in range(len(entries)):
+            if fraction_rank([entries[t] for t in kept + [i]]) > len(kept):
+                kept.append(i)
+        if len(kept) < cols:
+            with pytest.raises(RankError):
+                tableau(M(entries))
+        else:
+            self.check(entries, kept, tableau(M(entries)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_prescribed_rows_match_oracles(self, data):
+        """Any order of any row set; the first basis row often has a zero
+        leading entry, so its pivot needs a row swap."""
+        entries = self.draw_entries(data)
+        m, cols = len(entries), len(entries[0])
+        rows = data.draw(st.permutations(range(m)))[:cols]
+        if cols > 1 and data.draw(st.booleans()):
+            entries[rows[0]][0] = 0
+        if cofactor_det([entries[i] for i in rows]) == 0:
+            with pytest.raises(SingularMatrixError):
+                tableau(M(entries), rows)
+        else:
+            self.check(entries, rows, tableau(M(entries), rows))
+
+    @pytest.mark.parametrize(
+        "entries,rows",
+        [
+            ([[0, 1], [1, 0], [1, 1]], (0, 1)),  # det -1: one swap
+            ([[1, 1], [0, 2], [3, 0]], (1, 2)),  # det -6: one swap
+            ([[0, 0, 1], [0, 1, 0], [1, 0, 0], [2, 2, 2]], (0, 1, 2)),  # two zero pivots
+            ([[1, 2], [3, 4], [0, 1]], (2, 0)),  # first basis row starts with 0
+        ],
+    )
+    def test_prescribed_rows_needing_swaps(self, entries, rows):
+        self.check(entries, rows, tableau(M(entries), rows))
+
+    def test_rank_deficient_rejected(self):
+        with pytest.raises(RankError):
+            tableau(M([[1, 2], [2, 4], [3, 6]]))
+
+    def test_singular_rows_rejected(self):
+        with pytest.raises(SingularMatrixError):
+            tableau(M([[1, 2], [2, 4], [0, 1]]), (0, 1))
+
+    def test_solve_svp_runs_one_tableau_per_pass(self, monkeypatch):
+        """Full rank above the threshold: the dispatcher's rank test is the
+        first pass's tableau, every later pass makes one, no rank call."""
+        from deltasvp import threshold
+
+        a = M([[1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 1, -2], [1, 2, -1]])
+        outcome, transitions = threshold.solve_threshold_trace(a, 3)
+        assert isinstance(outcome, threshold.ShortVector)
+        assert len(transitions) == 2
+        calls = {"tableau": 0, "rank": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(threshold, "tableau", counted("tableau", threshold.tableau))
+        monkeypatch.setattr(threshold, "rank", counted("rank", threshold.rank))
+        assert threshold.solve_svp(a, 3) == outcome
+        assert calls == {"tableau": len(transitions) + 1, "rank": 0}
 
 
 class TestHnf:
