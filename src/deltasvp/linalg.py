@@ -10,7 +10,10 @@ elimination of [B | I]; the solver's tableau (basis rows, adj(B), det(B)
 and A*adj(B) at once) is one reduced elimination of [A^T | I]; and the
 polyhedral verifiers reuse the same pivot.
 Enumerating operations (subdeterminant scans) take an explicit budget and
-refuse up front rather than truncate.
+refuse up front rather than truncate.  Every box scan (the oracles, lattice
+points, standard-form programs) goes through ``box_images``, which splits
+the box into two halves and caches the images of the trailing one, so each
+point costs one vector addition instead of a full product A x.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterable, Sequence
+from itertools import combinations, product
+from operator import add
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BudgetExceededError,
@@ -289,6 +293,61 @@ def tableau(a: IntMatrix, rows: Sequence[int] | None = None) -> Tableau:
     numerators = IntMatrix(tuple(zip(*([sign * x for x in row[:m]] for row in work))))
     inverse = _checked_inverse(a.submatrix_rows(pivots), adj, d)
     return Tableau(tuple(pivots), inverse, numerators)
+
+
+_Scan = Iterator[tuple[tuple[int, ...], tuple[int, ...]]]
+
+
+def _images(columns: Sequence[Sequence[int]], ranges: Sequence[Sequence[int]], m: int) -> _Scan:
+    """(x, sum of x[j] * columns[j]) for x over the product of ranges, in
+    lexicographic order, lazily; the image of the empty product is zero."""
+    multiples = [[(v, tuple(v * c for c in col)) for v in r] for col, r in zip(columns, ranges)]
+    zero = (0,) * m
+    for combo in product(*multiples):
+        yield tuple(v for v, _ in combo), tuple(map(sum, zip(zero, *(y for _, y in combo))))
+
+
+def _box_halves(
+    a: IntMatrix, ranges: Sequence[Sequence[int]]
+) -> tuple[_Scan, list[tuple[tuple[int, ...], tuple[int, ...]]]]:
+    """The box ranges[0] x ... x ranges[n-1] split into two halves, every
+    point with its image under A (Horowitz and Sahni 1974).
+
+    Returns (heads, tails).  tails is a list of (x, A x) over the trailing
+    coordinates, the longest suffix with at most sqrt(box size) points
+    (the last floor(n/2) for equal ranges), with A x in those coordinates
+    alone; heads yields the same over the leading coordinates, lazily.
+    Both are in lexicographic order, and every box point is head + tail
+    with image head_image + tail_image.
+    """
+    n = a.cols
+    if len(ranges) != n:
+        raise DimensionError(f"box needs {n} ranges, got {len(ranges)}")
+    columns = tuple(zip(*a.entries))
+    size = math.prod(len(r) for r in ranges)
+    split, count = n, 1
+    while split > 0 and (count * len(ranges[split - 1])) ** 2 <= size:
+        split -= 1
+        count *= len(ranges[split])
+    tails = list(_images(columns[split:], ranges[split:], a.rows))
+    return _images(columns[:split], ranges[:split], a.rows), tails
+
+
+def box_images(a: IntMatrix, ranges: Sequence[Sequence[int]]) -> _Scan:
+    """Every point x of the box ranges[0] x ... x ranges[n-1] with its
+    image A x, in lexicographic order, lazily.
+
+    The images of the trailing half of the coordinates are computed once
+    and cached (at most sqrt(box size) of them), so each point costs one
+    vector addition instead of a full product A x.  The cache is built on
+    this call: check any budget before making it.
+    """
+    heads, tails = _box_halves(a, ranges)
+    return (
+        (head + tail, tuple(map(add, head_image, tail_image)))
+        for head, head_image in heads
+        for tail, tail_image in tails
+    )
 
 
 def rank(a: IntMatrix) -> int:

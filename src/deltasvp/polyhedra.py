@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
+from operator import le
 from typing import Sequence
 
 from .errors import (
@@ -34,6 +35,7 @@ from .linalg import (
     IntMatrix,
     _eliminate,
     _pivot,
+    box_images,
     det,
     gcd_full_rank_subdets,
     hnf,
@@ -166,7 +168,7 @@ def integer_points(p: PolyhedronH, budget: int = DEFAULT_POINT_BUDGET) -> list[t
     size = math.prod(len(r) for r in ranges)
     if size > budget:
         raise BudgetExceededError(f"box scan of size {size} exceeds budget {budget}")
-    return [point for point in product(*ranges) if p.contains(point)]
+    return [point for point, image in box_images(p.a, ranges) if all(map(le, image, p.b))]
 
 
 def _has_nonneg_combination(columns: list[tuple[int, ...]], rhs: list[int]) -> bool:
@@ -362,8 +364,8 @@ def solve_standard_form_ilp(
         raise BudgetExceededError(f"ILP scan of size {size} exceeds budget {budget}")
     best_value: int | None = None
     best: list[tuple[int, ...]] = []
-    for x in product(*(range(b + 1) for b in box)):
-        if ilp.a.matvec(x) != ilp.b:
+    for x, image in box_images(ilp.a, [range(b + 1) for b in box]):
+        if image != ilp.b:
             continue
         value = sum(ci * xi for ci, xi in zip(ilp.c, x))
         if best_value is None or value > best_value:

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import DomainError, InvariantError, RankError, ThresholdError, ZeroLatticeError
-from .linalg import IntMatrix, ScaledInverse, Tableau, det, hnf, rank, tableau
+from .linalg import IntMatrix, ScaledInverse, Tableau, det, hnf, tableau
 from .oracle import OracleResult, brute_force_svp, enum_bound
 
 #: Tags for the three determinant-growing replacement paths.
@@ -449,17 +449,16 @@ def solve_svp(
     if not any(x for row in a.entries for x in row):
         raise ZeroLatticeError("zero matrix generates the trivial lattice")
 
-    above = a.cols > dimension_threshold(delta)
+    start = bound = None
+    work, coordinate_map = a, None
     try:
-        # above the threshold the first tableau doubles as the rank test
-        start = tableau(a) if above else None
-        full_rank = above or rank(a) == a.cols
+        # the first tableau (above the threshold) or the box radius (below
+        # it) doubles as the rank test
+        if a.cols > dimension_threshold(delta):
+            start = tableau(a)
+        else:
+            bound = enum_bound(a)
     except RankError:
-        start, full_rank = None, False
-    if full_rank:
-        work = a
-        coordinate_map = None
-    else:
         h, u = hnf(a)
         nonzero = [j for j in range(a.cols) if any(h.column(j))]
         work = h.submatrix(range(a.rows), nonzero)
@@ -473,7 +472,7 @@ def solve_svp(
         return outcome
 
     kwargs = {} if box_budget is None else {"budget": box_budget}
-    result = brute_force_svp(work, enum_bound(work), **kwargs)
+    result = brute_force_svp(work, enum_bound(work) if bound is None else bound, **kwargs)
     if coordinate_map is not None:
         result = OracleResult(coordinate_map.matvec(result.z), result.y, result.norm)
     return result

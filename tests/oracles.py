@@ -1,8 +1,9 @@
 """Independent oracles for the test suite.
 
 Deliberately separate implementations: cofactor expansion for determinants
-and adjugates, Fraction-based elimination for rank, and a plain full box
-scan for minimum norms.  Nothing here may call the implementation paths it
+and adjugates, Fraction-based elimination for rank and inverses, and plain
+full scans (no split, no caching) for minimum norms, preimage witnesses,
+lattice points and integer-program optima.  Nothing here may call the implementation paths it
 is used to check.
 """
 
@@ -85,6 +86,101 @@ def box_min_norm(entries, k: int) -> int:
             best = norm
     assert best is not None
     return best
+
+
+def _image(rows, x) -> tuple[int, ...]:
+    return tuple(sum(a * b for a, b in zip(row, x)) for row in rows)
+
+
+def box_first_minimizer(entries, k: int):
+    """(z, A z, norm) for the lexicographically first minimizer of
+    ||A z||_inf over nonzero z in [-k, k]^n: a plain scan in order that
+    stops at the first norm-1 point."""
+    rows = [tuple(r) for r in entries]
+    best = None
+    for z in product(range(-k, k + 1), repeat=len(rows[0])):
+        if not any(z):
+            continue
+        y = _image(rows, z)
+        norm = max(abs(x) for x in y)
+        if best is None or norm < best[2]:
+            best = (z, y, norm)
+            if norm == 1:
+                break
+    assert best is not None
+    return best
+
+
+def greedy_rows(entries) -> list[tuple[int, ...]]:
+    """Rows kept in order iff they raise the Fraction rank of those kept."""
+    kept: list[tuple[int, ...]] = []
+    for row in entries:
+        if fraction_rank(kept + [tuple(row)]) > len(kept):
+            kept.append(tuple(row))
+    return kept
+
+
+def _fraction_inverse(rows) -> list[list[Fraction]]:
+    n = len(rows)
+    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(rows)]
+    for c in range(n):
+        pivot = next(i for i in range(c, n) if work[i][c] != 0)
+        work[c], work[pivot] = work[pivot], work[c]
+        lead = work[c][c]
+        work[c] = [x / lead for x in work[c]]
+        for i in range(n):
+            if i != c and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
+    return [row[n:] for row in work]
+
+
+def preimage_first_witness(entries):
+    """The 3^n preimage scan written out: B the greedy rows, z = B^-1 v in
+    Fractions for nonzero v over {-1, 0, 1}^n in lexicographic order; the
+    first integral z with ||A z||_inf <= 1, or None."""
+    rows = [tuple(r) for r in entries]
+    basis = greedy_rows(rows)
+    n = len(rows[0])
+    assert len(basis) == n, "full column rank required"
+    inverse = _fraction_inverse(basis)
+    for v in product((-1, 0, 1), repeat=n):
+        if not any(v):
+            continue
+        z = [sum(a * b for a, b in zip(row, v)) for row in inverse]
+        if any(x.denominator != 1 for x in z):
+            continue
+        z = tuple(int(x) for x in z)
+        if max(abs(x) for x in _image(rows, z)) <= 1:
+            return z
+    return None
+
+
+def ilp_optimizers(entries, b, c, box) -> list[tuple[int, ...]]:
+    """All maximizers of c x over A x = b, 0 <= x <= box, in lexicographic
+    order, by a plain scan of the box."""
+    rows = [tuple(r) for r in entries]
+    best_value, best = None, []
+    for x in product(*(range(u + 1) for u in box)):
+        if list(_image(rows, x)) != list(b):
+            continue
+        value = sum(ci * xi for ci, xi in zip(c, x))
+        if best_value is None or value > best_value:
+            best_value, best = value, [x]
+        elif value == best_value:
+            best.append(x)
+    return best
+
+
+def polytope_points(entries, b, radius: int) -> list[tuple[int, ...]]:
+    """Lattice points x of [-radius, radius]^n with A x <= b, sorted."""
+    rows = [tuple(r) for r in entries]
+    return [
+        x
+        for x in product(range(-radius, radius + 1), repeat=len(rows[0]))
+        if all(y <= bound for y, bound in zip(_image(rows, x), b))
+    ]
 
 
 def convex_hull_2d(points) -> list[tuple[int, int]]:

@@ -1,5 +1,6 @@
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -284,3 +285,34 @@ class TestSolveGolden:
                         + "".join(" ".join(map(str, r)) + "\n" for r in rows))
         code, out, err = run(capsys, "svp", "solve", "--delta", str(delta), "--json", str(path))
         assert (code, out, err) == (0, expected, "")
+
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+
+class TestEnumerationGolden:
+    """Exact `--json` stdout of the complete enumerations, pinned byte for
+    byte in tests/fixtures (input file, expected stdout).  The witness
+    instance has |det B| = 96 on its greedy basis, so its atleast2 witness
+    comes through the residue join; lower_bound_5 has no witness."""
+
+    @pytest.mark.parametrize(
+        "argv,source,expected",
+        [
+            (["svp", "oracle"], "lower_bound_4.txt", "oracle_lower_bound_4.json"),
+            (["svp", "atleast2"], "atleast2_witness.txt", "atleast2_witness.json"),
+            (["svp", "atleast2"], "lower_bound_5.txt", "atleast2_lower_bound_5.json"),
+            (["verify", "support", "--delta", "2"], "sparsity_2.txt",
+             "support_sparsity_2.json"),
+            (["verify", "support", "--delta", "2", "--box", "4"], "ilp_five_optima.txt",
+             "support_ilp_five_optima.json"),
+            (["svp", "solve", "--delta", "4"], "lower_bound_4.txt", "solve_lower_bound_4.json"),
+            (["svp", "solve", "--delta", "96"], "atleast2_witness.txt",
+             "solve_atleast2_witness.json"),
+        ],
+        ids=["oracle", "atleast2_witness", "atleast2_none", "support_derived_box",
+             "support_five_optima", "solve_below_threshold", "solve_early_exit"],
+    )
+    def test_json_bytes(self, capsys, argv, source, expected):
+        code, out, err = run(capsys, *argv, "--json", str(FIXTURES / source))
+        assert (code, out, err) == (0, (FIXTURES / expected).read_text(), "")

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from deltasvp.errors import (
 from deltasvp.linalg import (
     IntMatrix,
     adjugate,
+    box_images,
     det,
     find_invertible_rows,
     gcd_full_rank_subdets,
@@ -301,6 +303,28 @@ class TestTableau:
         with pytest.raises(SingularMatrixError):
             tableau(M([[1, 2], [2, 4], [0, 1]]), (0, 1))
 
+    @staticmethod
+    def _count_eliminations(monkeypatch):
+        """Counts the tableau and rank calls (the eliminations of the whole
+        input) that the dispatcher and the oracle make."""
+        from collections import Counter
+
+        from deltasvp import oracle, threshold
+
+        calls = Counter()
+        for module in (threshold, oracle):
+            for name in ("tableau", "rank"):
+                fn = getattr(module, name, None)
+                if fn is None:
+                    continue
+
+                def wrapper(*args, _name=name, _fn=fn, **kwargs):
+                    calls[_name] += 1
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, wrapper)
+        return calls
+
     def test_solve_svp_runs_one_tableau_per_pass(self, monkeypatch):
         """Full rank above the threshold: the dispatcher's rank test is the
         first pass's tableau, every later pass makes one, no rank call."""
@@ -310,19 +334,51 @@ class TestTableau:
         outcome, transitions = threshold.solve_threshold_trace(a, 3)
         assert isinstance(outcome, threshold.ShortVector)
         assert len(transitions) == 2
-        calls = {"tableau": 0, "rank": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        monkeypatch.setattr(threshold, "tableau", counted("tableau", threshold.tableau))
-        monkeypatch.setattr(threshold, "rank", counted("rank", threshold.rank))
+        calls = self._count_eliminations(monkeypatch)
         assert threshold.solve_svp(a, 3) == outcome
-        assert calls == {"tableau": len(transitions) + 1, "rank": 0}
+        assert calls == {"tableau": len(transitions) + 1}
+
+    def test_solve_svp_below_threshold_eliminates_twice(self, monkeypatch):
+        """Full rank below the threshold: the box radius's tableau is the
+        rank test, and brute_force_svp's own rank guard the only other
+        elimination."""
+        from deltasvp import threshold
+
+        a = M([[1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 1, -2], [1, 2, -1]])
+        expected = threshold.solve_svp(a, 5)
+        assert expected.norm == 1
+        calls = self._count_eliminations(monkeypatch)
+        assert threshold.solve_svp(a, 5) == expected
+        assert calls == {"tableau": 1, "rank": 1}
+
+
+class TestBoxImages:
+    @settings(max_examples=150, deadline=None)
+    @given(matrices(max_rows=4, max_cols=5, bound=5), st.data())
+    def test_matches_product_scan(self, a, data):
+        """Points in lexicographic order with their images, on boxes of
+        unequal, single-point and empty ranges."""
+        ranges = []
+        for _ in range(a.cols):
+            low = data.draw(st.integers(-3, 3))
+            ranges.append(range(low, low + data.draw(st.integers(0 if ranges else 1, 4))))
+        expected = [
+            (x, tuple(sum(r * v for r, v in zip(row, x)) for row in a.entries))
+            for x in product(*ranges)
+        ]
+        assert list(box_images(a, ranges)) == expected
+
+    def test_tail_table_is_at_most_the_square_root(self):
+        from deltasvp.linalg import _box_halves
+
+        heads, tails = _box_halves(IntMatrix.identity(5), [range(3)] * 5)
+        assert len(tails) == 3**2 and len(list(heads)) == 3**3
+        heads, tails = _box_halves(M([[1, 2, 3]]), [range(2), range(9), range(2)])
+        assert len(tails) == 2 and len(list(heads)) == 18
+
+    def test_wrong_range_count_rejected(self):
+        with pytest.raises(DimensionError):
+            box_images(M([[1, 2]]), [range(2)])
 
 
 class TestHnf:

@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from deltasvp.errors import BudgetExceededError, DomainError, RankError
+from deltasvp import oracle
+from deltasvp.errors import BudgetExceededError, DomainError, InvariantError, RankError
 from deltasvp.generators import lower_bound_instance, random_full_column_rank
-from deltasvp.linalg import IntMatrix
+from deltasvp.linalg import IntMatrix, Tableau
 from deltasvp.oracle import (
     brute_force_svp,
     certifies_lower_bound,
@@ -12,11 +15,47 @@ from deltasvp.oracle import (
     shortest_is_at_least_2,
 )
 
-from oracles import box_min_norm
+from oracles import (
+    box_first_minimizer,
+    box_min_norm,
+    cofactor_det,
+    fraction_rank,
+    greedy_rows,
+    preimage_first_witness,
+)
 
 M = IntMatrix.from_rows
 
 WORKED = M([[1, 0], [1, 2], [2, 2]])
+
+
+@st.composite
+def full_rank_entries(draw, max_cols=4, bound=4):
+    n = draw(st.integers(1, max_cols))
+    m = draw(st.integers(n, n + 3))
+    row = st.lists(st.integers(-bound, bound), min_size=n, max_size=n)
+    entries = draw(st.lists(row, min_size=m, max_size=m))
+    assume(fraction_rank(entries) == n)
+    return entries
+
+
+def with_short_vector(rng, n, m, bound=3):
+    """Random rows r with r . z0 in {-1, 0, 1} for a random z0 that has a
+    unit entry, so the lattice has a vector of norm <= 1."""
+    z0 = [rng.randint(-2, 2) for _ in range(n)]
+    p = rng.randrange(n)
+    z0[p] = rng.choice((-1, 1))
+    rows = []
+    for _ in range(m):
+        r = [rng.randint(-bound, bound) for _ in range(n)]
+        r[p] = 0
+        r[p] = (rng.choice((-1, 0, 1)) - sum(a * b for a, b in zip(r, z0))) * z0[p]
+        rows.append(r)
+    return rows
+
+
+def no_table(*args, **kwargs):
+    raise AssertionError("the scan was started")
 
 
 class TestEnumBound:
@@ -62,6 +101,18 @@ class TestBruteForceSvp:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             brute_force_svp(WORKED, 100, budget=1000)
+
+    def test_budget_refuses_before_the_scan(self, monkeypatch):
+        monkeypatch.setattr(oracle, "box_images", no_table)
+        with pytest.raises(BudgetExceededError):
+            brute_force_svp(IntMatrix.identity(40), 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(full_rank_entries(), st.integers(1, 2))
+    def test_matches_plain_scan(self, entries, k):
+        """Whole result (z, y, norm) against the plain lexicographic scan."""
+        result = brute_force_svp(M(entries), k)
+        assert (result.z, result.y, result.norm) == box_first_minimizer(entries, k)
 
     def test_agrees_with_independent_scan(self):
         rng = random.Random(31)
@@ -118,6 +169,45 @@ class TestShortestIsAtLeast2:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             shortest_is_at_least_2(WORKED, budget=8)
+
+    def test_budget_refuses_before_the_scan(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_box_halves", no_table)
+        a = lower_bound_instance(5)
+        with pytest.raises(BudgetExceededError):
+            shortest_is_at_least_2(a, budget=3**a.cols - 1)
+
+    def test_witness_is_rechecked(self, monkeypatch):
+        """A tableau whose N = A adj(B) is wrong lets the join keep a v whose
+        z is long; the full recomputation of A z refuses it."""
+        a = M([[1, 0], [0, 1], [3, 3]])
+        real = oracle.tableau(a)
+        zero = M([[0, 0]] * a.rows)
+        monkeypatch.setattr(oracle, "tableau", lambda _: Tableau(real.rows, real.inverse, zero))
+        with pytest.raises(InvariantError):
+            shortest_is_at_least_2(a)
+
+    @settings(max_examples=150, deadline=None)
+    @given(full_rank_entries())
+    def test_matches_plain_scan(self, entries):
+        """Decision and witness against the written-out Fraction scan."""
+        witness = preimage_first_witness(entries)
+        assert shortest_is_at_least_2(M(entries)) == (witness is None, witness)
+
+    def test_residue_join_hits(self):
+        """Instances with a short vector and |det B| > 1, where the witness
+        comes through the residue join, against the written-out scan."""
+        rng = random.Random(23)
+        hits = 0
+        for _ in range(200):
+            n = rng.randint(2, 5)
+            entries = with_short_vector(rng, n, rng.randint(n, n + 3))
+            if fraction_rank(entries) < n:
+                continue
+            witness = preimage_first_witness(entries)
+            assert witness is not None
+            assert shortest_is_at_least_2(M(entries)) == (False, witness)
+            hits += abs(cofactor_det(greedy_rows(entries))) > 1
+        assert hits >= 100
 
 
 class TestCertifiesLowerBound:

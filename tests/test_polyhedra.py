@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from deltasvp.errors import (
     BudgetExceededError,
@@ -34,6 +36,8 @@ from deltasvp.polyhedra import (
     verify_support_bound,
     vertices_of_polyhedron,
 )
+
+from oracles import fraction_rank, ilp_optimizers, polytope_points
 
 M = IntMatrix.from_rows
 
@@ -98,6 +102,23 @@ class TestIntegerPoints:
     def test_small_simplex(self):
         p = PolyhedronH(M([[2, 2], [-1, 0], [0, -1]]), (3, 0, 0))
         assert integer_points(p) == [(0, 0), (0, 1), (1, 0)]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_plain_scan(self, data):
+        """A box [-r, r]^n cut by random half-spaces through or beyond the
+        origin: the sorted point list against a plain scan of the box."""
+        n = data.draw(st.integers(1, 3))
+        radius = data.draw(st.integers(1, 3))
+        box = box_polyhedron(n, radius)
+        row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+        cuts = data.draw(st.lists(row, max_size=3))
+        bounds = data.draw(st.lists(st.integers(0, 6), min_size=len(cuts), max_size=len(cuts)))
+        entries = [list(r) for r in box.a.entries] + cuts
+        b = list(box.b) + bounds
+        assert integer_points(PolyhedronH(M(entries), tuple(b))) == polytope_points(
+            entries, b, radius
+        )
 
     def test_no_interior_integer_point_in_certified_instance(self):
         a = lower_bound_instance(3)
@@ -261,6 +282,23 @@ class TestStandardFormIlp:
     def test_all_optimizers_returned(self):
         ilp = StandardFormILP(M([[1, 1]]), (2,), (1, 1))
         assert solve_standard_form_ilp(ilp, (2, 2)) == [(0, 2), (1, 1), (2, 0)]
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_matches_plain_scan(self, data):
+        """The whole optimizer list against a plain scan of the box, on
+        programs made feasible by a point of the box."""
+        m = data.draw(st.integers(1, 2))
+        n = data.draw(st.integers(m, 4))
+        row = st.lists(st.integers(-2, 3), min_size=n, max_size=n)
+        entries = data.draw(st.lists(row, min_size=m, max_size=m))
+        assume(fraction_rank(entries) == m)
+        box = tuple(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+        x0 = [data.draw(st.integers(0, u)) for u in box]
+        b = tuple(sum(a * x for a, x in zip(r, x0)) for r in entries)
+        c = tuple(data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+        optimizers = solve_standard_form_ilp(StandardFormILP(M(entries), b, c), box)
+        assert optimizers == ilp_optimizers(entries, b, c, box)
 
     def test_infeasible_empty(self):
         ilp = StandardFormILP(M([[2, 2]]), (3,), (1, 0))
