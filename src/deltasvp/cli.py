@@ -16,6 +16,7 @@ exceeded; 4 a verification found a counterexample.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -352,7 +353,10 @@ def _add_budget(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget", type=int, default=None, help="enumeration budget override")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The whole argument tree, built on first use and shared by every
+    later ``main`` call in the process (parsing does not change it)."""
     parser = _Parser(prog="deltasvp", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 from operator import add
 from typing import Iterable, Iterator, Sequence
@@ -501,7 +500,7 @@ def subdet_ratio_check(
 
     With B = a[base_rows] invertible and |I| = |J|, compares
     |det (A B^-1)_{I,J}| against |det(rows of A indexed by I stacked with the
-    rows of B not indexed by J)| / |det B|, both as exact rationals.
+    rows of B not indexed by J)| / |det B|, cross-multiplied in integers.
     """
     n = a.cols
     if len(base_rows) != n:
@@ -522,10 +521,10 @@ def subdet_ratio_check(
         return True  # degenerate: both sides are |det B| / |det B|
 
     numerators = a.matmul(adj)
-    lhs = Fraction(abs(det(numerators.submatrix(i_rows, j_cols))), abs(d) ** k)
+    lhs = abs(det(numerators.submatrix(i_rows, j_cols)))
 
     j_set = set(j_cols)
     mixed = [a.row(i) for i in i_rows]
     mixed.extend(b.row(p) for p in range(n) if p not in j_set)
-    rhs = Fraction(abs(det(IntMatrix.from_rows(mixed))), abs(d))
-    return lhs == rhs
+    rhs = abs(det(IntMatrix.from_rows(mixed)))
+    return lhs == rhs * abs(d) ** (k - 1)  # lhs / |d|^k == rhs / |d|

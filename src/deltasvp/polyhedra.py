@@ -4,10 +4,12 @@ Verifies, on explicit bounded instances, the structural consequences of the
 norm-1 threshold: integer-hull vertices sit on low-dimensional faces, and
 standard-form integer programs admit optimal solutions of small support.
 Everything is exact integer arithmetic on the fraction-free pivot of
-``linalg``, with rationals only as output: vertex candidates come from one
-reduced elimination per row subset, hull membership from a phase-1 simplex
-with Bland's rule on an integer tableau, and kernel lattice bases from the
-Hermite normal form.
+``linalg``; rationals appear only in the returned vertices.  Boundedness is
+decided by n + 1 phase-1 programs (the rows of A must positively span R^n),
+each vertex candidate comes from one reduced elimination per row subset and
+is tested against A x <= b over the common denominator, hull membership is
+the same phase-1 simplex (Bland's rule on an integer tableau), and kernel
+lattice bases come from the Hermite normal form.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from operator import le
+from operator import le, mul
 from typing import Sequence
 
 from .errors import (
@@ -91,49 +93,19 @@ class StandardFormILP:
             raise RankError("constraint matrix must have full row rank")
 
 
-def _basic_solutions(a: IntMatrix, b: Sequence[int]) -> list[RationalPoint]:
-    """All solutions of A_I x = b_I over invertible n-row subsets I.
-
-    One reduced fraction-free elimination of [A_I | b_I] per subset: pure
-    integer arithmetic until the final division by the last pivot.
-    """
-    m, n = a.rows, a.cols
-    points = []
-    for rows in combinations(range(m), n):
-        work = [list(a.entries[i]) + [b[i]] for i in rows]
-        pivots, _ = _eliminate(work, range(n), reduce=True)
-        if len(pivots) == n:
-            points.append(tuple(Fraction(row[n], row[j]) for j, row in enumerate(work)))
-    return points
-
-
-def _assert_bounded(p: PolyhedronH, budget: int) -> None:
+def _assert_bounded(p: PolyhedronH) -> None:
     """Raises unless the recession cone {A x <= 0} is trivial.
 
-    The cone is trivial iff its intersection with the unit box is {0};
-    that intersection is a polytope, so it suffices to look at its vertices.
+    By Farkas' lemma the cone is {0} iff the rows of A positively span
+    R^n, that is iff e_1, ..., e_n and -(e_1 + ... + e_n) are nonnegative
+    combinations of them: n + 1 phase-1 programs.
     """
     n = p.dim
     rows = list(p.a.entries)
-    for i in range(n):
-        unit = [0] * n
-        unit[i] = 1
-        rows.append(tuple(unit))
-        rows.append(tuple(-x for x in unit))
-    cone_box = IntMatrix.from_rows(rows)
-    bounds = [0] * p.a.rows + [1] * (2 * n)
-    if math.comb(cone_box.rows, n) > budget:
-        raise BudgetExceededError("boundedness check exceeds the enumeration budget")
-    for candidate in _basic_solutions(cone_box, bounds):
-        if any(candidate):
-            feasible = all(
-                sum(c * x for c, x in zip(row, candidate)) <= bound
-                for row, bound in zip(cone_box.entries, bounds)
-            )
-            if feasible:
-                raise UnboundedPolyhedronError(
-                    "polyhedron has a nonzero recession direction"
-                )
+    targets = [[int(i == j) for i in range(n)] for j in range(n)] + [[-1] * n]
+    for target in targets:
+        if not _has_nonneg_combination(rows, target):
+            raise UnboundedPolyhedronError("polyhedron has a nonzero recession direction")
 
 
 def vertices_of_polyhedron(
@@ -141,22 +113,33 @@ def vertices_of_polyhedron(
 ) -> list[RationalPoint]:
     """All vertices of a bounded nonempty polyhedron, sorted, exact.
 
-    Enumerates invertible row subsets, solves exactly, and keeps feasible
-    solutions.  Unbounded or empty input raises a typed error.
+    One reduced fraction-free elimination of [A_I | b_I] per invertible
+    n-row subset I gives the candidate x = r / d, with d the last pivot
+    made positive; it is kept when A r <= b d holds in integers.
+    Unbounded or empty input raises a typed error.
     """
-    n = p.dim
+    a, b = p.a.entries, p.b
+    m, n = p.a.rows, p.dim
     if n > MAX_VERTEX_DIMENSION:
         raise DimensionError(f"vertex enumeration supports at most {MAX_VERTEX_DIMENSION} dimensions")
-    if math.comb(p.a.rows, n) > budget:
+    if math.comb(m, n) > budget:
         raise BudgetExceededError("vertex enumeration exceeds the budget")
-    _assert_bounded(p, budget)
+    _assert_bounded(p)
     seen = set()
-    for candidate in _basic_solutions(p.a, p.b):
-        if p.contains(candidate):
-            seen.add(candidate)
+    for rows in combinations(range(m), n):
+        work = [list(a[i]) + [b[i]] for i in rows]
+        pivots, _ = _eliminate(work, range(n), reduce=True)
+        if len(pivots) < n:
+            continue
+        sign = 1 if work[0][0] > 0 else -1
+        d = sign * work[0][0]
+        r = [sign * row[n] for row in work]
+        if all(sum(map(mul, row, r)) <= bound * d for row, bound in zip(a, b)):
+            g = math.gcd(d, *r)
+            seen.add((d // g, *(x // g for x in r)))
     if not seen:
         raise EmptyPolyhedronError("polyhedron contains no points")
-    return sorted(seen)
+    return sorted(tuple(Fraction(x, d) for x in r) for d, *r in seen)
 
 
 def integer_points(p: PolyhedronH, budget: int = DEFAULT_POINT_BUDGET) -> list[tuple[int, ...]]:
@@ -339,9 +322,9 @@ def verify_kernel_identity(a: IntMatrix, budget: int = DEFAULT_MINOR_BUDGET) -> 
         raise BudgetExceededError("column subset scan exceeds budget")
     for cols in combinations(range(n), m):
         complement = [j for j in range(n) if j not in cols]
-        lhs = Fraction(abs(det(a.submatrix(range(m), cols))), g_a)
-        rhs = Fraction(abs(det(w.submatrix(complement, range(n - m)))), g_w)
-        if lhs != rhs:
+        lhs = abs(det(a.submatrix(range(m), cols)))
+        rhs = abs(det(w.submatrix(complement, range(n - m))))
+        if lhs * g_w != rhs * g_a:
             return False
     return True
 

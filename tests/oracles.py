@@ -3,14 +3,15 @@
 Deliberately separate implementations: cofactor expansion for determinants
 and adjugates, Fraction-based elimination for rank and inverses, and plain
 full scans (no split, no caching) for minimum norms, preimage witnesses,
-lattice points and integer-program optima.  Nothing here may call the implementation paths it
-is used to check.
+lattice points and integer-program optima, and Fraction solves of every
+row subset for polyhedron vertices and boundedness.  Nothing here may call
+the implementation paths it is used to check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from deltasvp.linalg import IntMatrix
 
@@ -120,12 +121,15 @@ def greedy_rows(entries) -> list[tuple[int, ...]]:
     return kept
 
 
-def _fraction_inverse(rows) -> list[list[Fraction]]:
+def _fraction_solve(rows, right) -> list[list[Fraction]] | None:
+    """B^-1 R by Fraction Gauss-Jordan on [B | R], or None when B is
+    singular."""
     n = len(rows)
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(rows)]
+    work = [[Fraction(x) for x in (*row, *extra)] for row, extra in zip(rows, right)]
     for c in range(n):
-        pivot = next(i for i in range(c, n) if work[i][c] != 0)
+        pivot = next((i for i in range(c, n) if work[i][c] != 0), None)
+        if pivot is None:
+            return None
         work[c], work[pivot] = work[pivot], work[c]
         lead = work[c][c]
         work[c] = [x / lead for x in work[c]]
@@ -144,7 +148,7 @@ def preimage_first_witness(entries):
     basis = greedy_rows(rows)
     n = len(rows[0])
     assert len(basis) == n, "full column rank required"
-    inverse = _fraction_inverse(basis)
+    inverse = _fraction_solve(basis, [[int(i == j) for j in range(n)] for i in range(n)])
     for v in product((-1, 0, 1), repeat=n):
         if not any(v):
             continue
@@ -181,6 +185,38 @@ def polytope_points(entries, b, radius: int) -> list[tuple[int, ...]]:
         for x in product(range(-radius, radius + 1), repeat=len(rows[0]))
         if all(y <= bound for y, bound in zip(_image(rows, x), b))
     ]
+
+
+def _feasible_basic_solutions(rows, b):
+    """Yields every point where n linearly independent rows are tight and
+    all of A x <= b holds (the vertices of {A x <= b}, with repeats)."""
+    n = len(rows[0])
+    for subset in combinations(range(len(rows)), n):
+        solution = _fraction_solve([rows[i] for i in subset], [[b[i]] for i in subset])
+        if solution is None:
+            continue
+        x = tuple(row[0] for row in solution)
+        if all(
+            sum(a * v for a, v in zip(row, x)) <= bound for row, bound in zip(rows, b)
+        ):
+            yield x
+
+
+def polyhedron_vertices(entries, b):
+    """Sorted vertices of {A x <= b}, or "unbounded" / "empty".
+
+    Bounded iff the recession cone {A x <= 0} cut by the box [-1, 1]^n is
+    {0}, i.e. iff the cone box [A; I; -I] <= (0, 1, 1) has no nonzero
+    vertex; that is decided first, so an empty unbounded polyhedron reads
+    "unbounded"."""
+    rows = [tuple(r) for r in entries]
+    n = len(rows[0])
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    cone_box = rows + units + [tuple(-x for x in u) for u in units]
+    if any(any(x) for x in _feasible_basic_solutions(cone_box, [0] * len(rows) + [1] * 2 * n)):
+        return "unbounded"
+    vertices = set(_feasible_basic_solutions(rows, list(b)))
+    return sorted(vertices) if vertices else "empty"
 
 
 def convex_hull_2d(points) -> list[tuple[int, int]]:

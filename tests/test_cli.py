@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from deltasvp.cli import main
+from deltasvp.cli import build_parser, main
 from deltasvp.linalg import IntMatrix
 from deltasvp.textio import format_polyhedron, parse_matrix
 
@@ -294,7 +294,9 @@ class TestEnumerationGolden:
     """Exact `--json` stdout of the complete enumerations, pinned byte for
     byte in tests/fixtures (input file, expected stdout).  The witness
     instance has |det B| = 96 on its greedy basis, so its atleast2 witness
-    comes through the residue join; lower_bound_5 has no witness."""
+    comes through the residue join; lower_bound_5 has no witness.  The
+    facedim polytope is criterion-7 style (delta 2, [A; -A] with b >= 0)
+    with four fractional LP vertices; the box is unimodular."""
 
     @pytest.mark.parametrize(
         "argv,source,expected",
@@ -309,10 +311,49 @@ class TestEnumerationGolden:
             (["svp", "solve", "--delta", "4"], "lower_bound_4.txt", "solve_lower_bound_4.json"),
             (["svp", "solve", "--delta", "96"], "atleast2_witness.txt",
              "solve_atleast2_witness.json"),
+            (["verify", "facedim", "--delta", "2"], "facedim_hull_25.txt",
+             "facedim_hull_25.json"),
+            (["verify", "facedim", "--delta", "1"], "facedim_box.txt", "facedim_box.json"),
         ],
         ids=["oracle", "atleast2_witness", "atleast2_none", "support_derived_box",
-             "support_five_optima", "solve_below_threshold", "solve_early_exit"],
+             "support_five_optima", "solve_below_threshold", "solve_early_exit",
+             "facedim_fractional_lp", "facedim_unimodular_box"],
     )
     def test_json_bytes(self, capsys, argv, source, expected):
         code, out, err = run(capsys, *argv, "--json", str(FIXTURES / source))
         assert (code, out, err) == (0, (FIXTURES / expected).read_text(), "")
+
+    @pytest.mark.parametrize(
+        "source,message",
+        [
+            ("facedim_unbounded.txt", "polyhedron has a nonzero recession direction"),
+            ("facedim_empty.txt", "polyhedron contains no points"),
+        ],
+        ids=["unbounded", "empty"],
+    )
+    def test_facedim_precondition_bytes(self, capsys, source, message):
+        code, out, err = run(capsys, "verify", "facedim", "--delta", "1", "--json",
+                             str(FIXTURES / source))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+class TestParserReuse:
+    """main builds the argument tree once per process; a reused tree must
+    answer exactly as a fresh one, whatever ran before it."""
+
+    def test_reused_parser_gives_fresh_bytes(self, capsys, worked_file):
+        cases = [
+            ["svp", "solve", worked_file],  # usage error: --delta is missing
+            ["svp", "solve", "--delta", "3", "--json", worked_file],
+            ["svp", "solve", "--delta", "3", worked_file],
+        ]
+        fresh = []
+        for argv in cases:
+            build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        build_parser.cache_clear()
+        reused = [run(capsys, *argv) for argv in cases + cases]
+        assert reused == fresh + fresh
+        assert build_parser.cache_info().misses == 1
+        assert fresh[0][0] == 1 and fresh[0][2].startswith("usage: deltasvp svp solve")
+        assert [code for code, _, _ in fresh[1:]] == [0, 0]

@@ -37,7 +37,7 @@ from deltasvp.polyhedra import (
     vertices_of_polyhedron,
 )
 
-from oracles import fraction_rank, ilp_optimizers, polytope_points
+from oracles import fraction_rank, ilp_optimizers, polyhedron_vertices, polytope_points
 
 M = IntMatrix.from_rows
 
@@ -90,6 +90,46 @@ class TestVertices:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             vertices_of_polyhedron(box_polyhedron(3), budget=5)
+
+    def test_budget_covers_the_vertex_scan_only(self):
+        """Boundedness no longer scans the C(m + 2n, n) subsets of the cone
+        box, so a budget of C(m, n) = 6 < C(8, 2) = 28 is enough."""
+        assert vertices_of_polyhedron(box_polyhedron(2), budget=6) == [
+            (Fraction(x), Fraction(y)) for x in (-1, 1) for y in (-1, 1)
+        ]
+
+    def test_matches_fraction_reference(self):
+        """Vertex list or error type against the Fraction solve of every row
+        subset, with boundedness read off the cone box [A; I; -I].  Half the
+        draws contain the rows e_1, ..., e_n, -(e_1 + ... + e_n), which
+        bound the polyhedron, so all three outcomes come up often."""
+        outcomes = set()
+
+        @settings(max_examples=100, deadline=None)
+        @given(st.data())
+        def check(data):
+            n = data.draw(st.integers(1, 4))
+            closed = data.draw(st.booleans())
+            m = data.draw(st.integers(n + 1 if closed else 1, 7))
+            row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+            entries = data.draw(st.lists(row, min_size=m, max_size=m))
+            if closed:
+                units = [[int(i == j) for i in range(n)] for j in range(n)]
+                entries[: n + 1] = units + [[-1] * n]
+                entries = data.draw(st.permutations(entries))
+            b = data.draw(st.lists(st.integers(-2, 4), min_size=m, max_size=m))
+            expected = polyhedron_vertices(entries, b)
+            try:
+                got = vertices_of_polyhedron(PolyhedronH(M(entries), tuple(b)))
+            except UnboundedPolyhedronError:
+                got = "unbounded"
+            except EmptyPolyhedronError:
+                got = "empty"
+            assert got == expected
+            outcomes.add(expected if isinstance(expected, str) else "vertices")
+
+        check()
+        assert outcomes == {"vertices", "unbounded", "empty"}
 
 
 class TestIntegerPoints:
