@@ -5,10 +5,11 @@ no floating point anywhere.  All exact elimination goes through one
 fraction-free pivot (Bareiss 1968, in the pivot form of Edmonds 1967):
 every intermediate entry is a minor of the input, so values stay
 polynomially bounded.  Determinants, rank and the greedy invertible row set
-use forward elimination; adjugates and inverses use one reduced
-elimination of [B | I]; the solver's tableau (basis rows, adj(B), det(B)
-and A*adj(B) at once) is one reduced elimination of [A^T | I]; and the
-polyhedral verifiers reuse the same pivot.
+use forward elimination.  The tableau (basis rows, adj(B), det(B) and
+N = A*adj(B) at once) is one reduced elimination of [A^T | I], and it is
+the only route to an inverse: every tableau is certified by one packed
+product, A*adj(B) == N in every entry and N == det(B)*I at the basis rows.
+The polyhedral verifiers reuse the same pivot.
 Enumerating operations (subdeterminant scans) take an explicit budget and
 refuse up front rather than truncate.  Every box scan (the oracles, lattice
 points, standard-form programs) goes through ``box_images``, which splits
@@ -20,8 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
-from operator import add
+from itertools import chain, combinations, product
+from operator import add, mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -202,58 +203,6 @@ def det(m: IntMatrix) -> int:
     return d if len(pivots) == n else 0
 
 
-def _adjugate_det(m: IntMatrix) -> tuple[IntMatrix, int]:
-    """(adj(m), det(m)) from one reduced elimination of [m | I]."""
-    n = _require_square(m)
-    work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m.entries)]
-    pivots, d = _eliminate(work, range(n), reduce=True)
-    p = work[0][pivots[0]] if pivots else 1  # every pivot row ends with the last pivot
-    sign = d // p  # parity of the row swaps
-    if len(pivots) == n:
-        # work is [p*I | p*m^-1] and det(m) = sign*p, so adj(m) = sign * right block
-        return IntMatrix(tuple(tuple(sign * x for x in row[n:]) for row in work)), d
-    if len(pivots) < n - 1:
-        return IntMatrix(tuple((0,) * n for _ in range(n))), 0
-    # Rank n-1: adj(m) = x y^T with m x = 0 and y^T m = 0.  Column q is the
-    # one without a pivot; x (p at q, -work[r][q] at the pivot column of row
-    # r) spans the kernel, and the zero row's right block holds row q of
-    # adj(m) up to the sign of the row swaps and of moving column q last.
-    q = next(j for j in range(n) if j not in pivots)
-    x = [0] * n
-    x[q] = p
-    for r, c in enumerate(pivots):
-        x[c] = -work[r][q]
-    scale = sign * (-1) ** (n - 1 - q)
-    row_q = [scale * w for w in work[n - 1][n:]]
-    return IntMatrix(tuple(tuple(xi * a // p for a in row_q) for xi in x)), 0
-
-
-def adjugate(m: IntMatrix) -> IntMatrix:
-    """Adjugate of a square matrix: M @ adjugate(M) == det(M) * I exactly.
-
-    Singular input is allowed (the product is then the zero matrix).
-    """
-    return _adjugate_det(m)[0]
-
-
-def scaled_inverse(b: IntMatrix) -> ScaledInverse:
-    """Exact inverse of b as (adjugate, determinant); b must be nonsingular."""
-    num, d = _adjugate_det(b)
-    if d == 0:
-        raise SingularMatrixError("cannot invert a singular matrix")
-    return _checked_inverse(b, num, d)
-
-
-def _checked_inverse(b: IntMatrix, num: IntMatrix, d: int) -> ScaledInverse:
-    """ScaledInverse(num, d) after checking B * num == d * I in full."""
-    product = b.matmul(num)
-    for i in range(b.rows):
-        for j in range(b.rows):
-            if product.entries[i][j] != (d if i == j else 0):
-                raise InvariantError("B * adjugate(B) != det(B) * I")
-    return ScaledInverse(num, d)
-
-
 @dataclass(frozen=True)
 class Tableau:
     """A seen through the basis B = A[rows]: B^-1 as adj(B) / det(B) and the
@@ -275,8 +224,9 @@ def tableau(a: IntMatrix, rows: Sequence[int] | None = None) -> Tableau:
     singular.  The eliminated pivot columns hold p * I with p = +-det(B)
     the last pivot, so the work matrix is L * [A^T | I] with
     L = p * (B^T)^-1 = s * adj(B)^T for s = det(B) / p: its right block is
-    s * adj(B)^T and its left block s * N^T.  B * adj(B) = det(B) * I is
-    checked in full.
+    s * adj(B)^T and its left block s * N^T.  Everything returned is
+    certified by _certify: every entry of A * adj(B) against N, and
+    N[rows] against det(B) * I.
     """
     m, n = a.rows, a.cols
     if rows is not None and (len(rows) != n or any(not 0 <= i < m for i in rows)):
@@ -290,8 +240,44 @@ def tableau(a: IntMatrix, rows: Sequence[int] | None = None) -> Tableau:
     sign = d // work[0][pivots[0]]
     adj = IntMatrix(tuple(zip(*([sign * x for x in row[m:]] for row in work))))
     numerators = IntMatrix(tuple(zip(*([sign * x for x in row[:m]] for row in work))))
-    inverse = _checked_inverse(a.submatrix_rows(pivots), adj, d)
-    return Tableau(tuple(pivots), inverse, numerators)
+    _certify(a, pivots, adj, d, numerators)
+    return Tableau(tuple(pivots), ScaledInverse(adj, d), numerators)
+
+
+def _certify(
+    a: IntMatrix, rows: Sequence[int], adj: IntMatrix, d: int, numerators: IntMatrix
+) -> None:
+    """Raises InvariantError unless A * adj == N entry by entry and
+    N[rows] == d * I, which together prove B * adj == d * I for B = A[rows].
+
+    The product is compared on packed integers (Kronecker substitution):
+    with T = 2^s > 2 * max(max |N|, n * max |A| * max |adj|), row i of
+    A * adj packs to sum_j A[i][j] * (adj row j in base T) and row i of N
+    to its own base-T integer.  Every digit on either side is below T / 2
+    in absolute value, so two rows pack to the same integer only when they
+    agree entry by entry.  That is m * n products of a packed integer in
+    place of m * n^2 multiply-adds.
+    """
+    n = a.cols
+    largest = max(map(abs, chain.from_iterable(numerators.entries)))
+    reach = max(map(abs, chain.from_iterable(a.entries))) * max(
+        map(abs, chain.from_iterable(adj.entries))
+    )
+    s = (2 * max(largest, n * reach)).bit_length()
+
+    def pack(row: Sequence[int]) -> int:
+        v = 0
+        for x in reversed(row):
+            v = (v << s) + x
+        return v
+
+    packed = [pack(row) for row in adj.entries]
+    for a_row, n_row in zip(a.entries, numerators.entries):
+        if sum(map(mul, a_row, packed)) != pack(n_row):
+            raise InvariantError("A * adj(B) != N")
+    for k, i in enumerate(rows):
+        if numerators.entries[i] != tuple(d if j == k else 0 for j in range(n)):
+            raise InvariantError("B * adj(B) != det(B) * I")
 
 
 _Scan = Iterator[tuple[tuple[int, ...], tuple[int, ...]]]
@@ -512,19 +498,16 @@ def subdet_ratio_check(
     if len(set(i_rows)) != len(i_rows) or any(not 0 <= i < a.rows for i in i_rows):
         raise DimensionError("row selection out of range or repeated")
 
-    b = a.submatrix_rows(base_rows)
-    adj, d = _adjugate_det(b)
-    if d == 0:
-        raise SingularMatrixError("selected base rows are singular")
+    tab = tableau(a, base_rows)
+    d = tab.inverse.denominator
     k = len(i_rows)
     if k == 0:
         return True  # degenerate: both sides are |det B| / |det B|
 
-    numerators = a.matmul(adj)
-    lhs = abs(det(numerators.submatrix(i_rows, j_cols)))
+    lhs = abs(det(tab.numerators.submatrix(i_rows, j_cols)))
 
     j_set = set(j_cols)
     mixed = [a.row(i) for i in i_rows]
-    mixed.extend(b.row(p) for p in range(n) if p not in j_set)
+    mixed.extend(a.row(r) for p, r in enumerate(base_rows) if p not in j_set)
     rhs = abs(det(IntMatrix.from_rows(mixed)))
     return lhs == rhs * abs(d) ** (k - 1)  # lhs / |d|^k == rhs / |d|

@@ -161,7 +161,10 @@ def _has_nonneg_combination(columns: list[tuple[int, ...]], rhs: list[int]) -> b
     choice, which guarantees termination.  The tableau is kept as integers
     times 1/d, with d the last pivot: every pivot is fraction-free, and d
     stays positive because each pivot entry is, so reduced costs keep their
-    signs and the ratio test compares cross products.
+    signs and the ratio test compares cross products.  The phase-1
+    objective is one more row (d times the reduced costs, then minus d
+    times the infeasibility), updated by the same pivots and left out of
+    the ratio test.
     """
     r = len(rhs)
     v = len(columns)
@@ -177,17 +180,12 @@ def _has_nonneg_combination(columns: list[tuple[int, ...]], rhs: list[int]) -> b
         tableau.append(row)
     basis = [v + i for i in range(r)]
     width = v + r
+    objective = [int(v <= j < width) - sum(col) for j, col in enumerate(zip(*tableau))]
+    tableau.append(objective)
     d = 1
 
     while True:
-        entering = None
-        for j in range(width):
-            reduced = (d if j >= v else 0) - sum(
-                tableau[i][j] for i in range(r) if basis[i] >= v
-            )
-            if reduced < 0:
-                entering = j
-                break
+        entering = next((j for j in range(width) if objective[j] < 0), None)
         if entering is None:
             break
         leaving = None
@@ -205,11 +203,11 @@ def _has_nonneg_combination(columns: list[tuple[int, ...]], rhs: list[int]) -> b
         if leaving is None:
             raise InvariantError("phase-1 objective cannot be unbounded")
         _pivot(tableau, leaving, entering, d, 0)
+        objective = tableau[r]
         d = tableau[leaving][entering]
         basis[leaving] = entering
 
-    infeasibility = sum(tableau[i][-1] for i in range(r) if basis[i] >= v)
-    return infeasibility == 0
+    return objective[width] == 0
 
 
 def integer_hull_vertices(

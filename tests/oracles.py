@@ -1,11 +1,12 @@
 """Independent oracles for the test suite.
 
 Deliberately separate implementations: cofactor expansion for determinants
-and adjugates, Fraction-based elimination for rank and inverses, and plain
-full scans (no split, no caching) for minimum norms, preimage witnesses,
-lattice points and integer-program optima, and Fraction solves of every
-row subset for polyhedron vertices and boundedness.  Nothing here may call
-the implementation paths it is used to check.
+and adjugates, schoolbook matrix products, Fraction-based elimination for
+rank and inverses, plain full scans (no split, no caching) for minimum
+norms, preimage witnesses, lattice points and integer-program optima, and
+Fraction solves of every row subset for polyhedron vertices and
+boundedness.  Nothing here may call the implementation paths it is used to
+check.
 """
 
 from __future__ import annotations
@@ -50,6 +51,14 @@ def cofactor_adjugate(entries) -> tuple[tuple[int, ...], ...]:
             line.append(value if (i + j) % 2 == 0 else -value)
         out.append(tuple(line))
     return tuple(out)
+
+
+def plain_product(left, right) -> tuple[tuple[int, ...], ...]:
+    """left * right by the schoolbook triple loop."""
+    columns = list(zip(*right))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in columns) for row in left
+    )
 
 
 def fraction_rank(entries) -> int:

@@ -17,7 +17,7 @@ from deltasvp.generators import (
     random_delta_modular,
     random_full_column_rank,
 )
-from deltasvp.linalg import IntMatrix, adjugate, det, max_abs_full_rank_subdet
+from deltasvp.linalg import IntMatrix, det, max_abs_full_rank_subdet
 from deltasvp.oracle import certifies_lower_bound, enum_bound, shortest_is_at_least_2
 from deltasvp.polyhedra import (
     PolyhedronH,
@@ -37,7 +37,7 @@ from deltasvp.threshold import (
     solve_threshold_trace,
 )
 
-from oracles import box_min_norm
+from oracles import box_min_norm, cofactor_adjugate, plain_product
 
 M = IntMatrix.from_rows
 
@@ -223,7 +223,8 @@ def test_criterion_6_maximizing_basis_bounds_the_inverse():
         m = rng.randint(n, n + 3)
         a = random_full_column_rank(rng, m, n, -4, 4)
         largest, witness = max_abs_full_rank_subdet(a)
-        numerators = a.matmul(adjugate(a.submatrix_rows(witness)))
+        adj = cofactor_adjugate(a.submatrix_rows(witness).entries)
+        numerators = M(plain_product(a.entries, adj))
         if any(abs(x) > largest for row in numerators.entries for x in row):
             violations.append(("entry", a.entries))
         for rows in combinations(range(m), 2):

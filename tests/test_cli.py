@@ -260,9 +260,8 @@ def _short_vector_json(y, z):
 class TestSolveGolden:
     """Exact `svp solve --json` stdout, pinned byte for byte.  The first
     three inputs are the entry, pair and block PATH_EXERCISERS of the
-    acceptance suite; then a two-replacement walk ending in a short vector,
-    a certificate at the starting basis and a rank-deficient input solved
-    on its Hermite normal form."""
+    acceptance suite; then a certificate at the starting basis and a
+    rank-deficient input solved on its Hermite normal form."""
 
     @pytest.mark.parametrize(
         "delta,rows,expected",
@@ -271,13 +270,11 @@ class TestSolveGolden:
             (3, [[1, 0, 0], [0, 1, 0], [1, 1, 3], [0, 2, 3], [2, 0, 3], [0, 0, 3]],
              _certificate_json(6, [1, 3, 4])),
             (2, [[1, 0], [1, 2], [0, -2], [2, 2]], _certificate_json(4, [2, 3])),
-            (3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 1, -2], [1, 2, -1]],
-             _short_vector_json([1, 0, 1, 0, 0], [1, 0, 1])),
             (1, [[1, 0], [1, 2], [2, 2]], _certificate_json(2, [0, 1])),
             (1, [[1, 0, 1], [0, 1, 1], [1, 1, 2]], _short_vector_json([1, 0, 1], [1, 0, 0])),
         ],
-        ids=["entry_swap", "pair_swap", "block_swap", "walk_to_short_vector",
-             "certificate_at_start", "rank_deficient"],
+        ids=["entry_swap", "pair_swap", "block_swap", "certificate_at_start",
+             "rank_deficient"],
     )
     def test_json_bytes(self, capsys, tmp_path, delta, rows, expected):
         path = tmp_path / "a.txt"
@@ -296,7 +293,10 @@ class TestEnumerationGolden:
     instance has |det B| = 96 on its greedy basis, so its atleast2 witness
     comes through the residue join; lower_bound_5 has no witness.  The
     facedim polytope is criterion-7 style (delta 2, [A; -A] with b >= 0)
-    with four fractional LP vertices; the box is unimodular."""
+    with four fractional LP vertices; the box is unimodular.  One input is
+    solved above the threshold: two replacements, then a short vector.  CI
+    diffs it, like the atleast2 witness and the facedim polytope, against
+    the installed console script."""
 
     @pytest.mark.parametrize(
         "argv,source,expected",
@@ -314,10 +314,13 @@ class TestEnumerationGolden:
             (["verify", "facedim", "--delta", "2"], "facedim_hull_25.txt",
              "facedim_hull_25.json"),
             (["verify", "facedim", "--delta", "1"], "facedim_box.txt", "facedim_box.json"),
+            (["svp", "solve", "--delta", "3"], "walk_to_short_vector.txt",
+             "solve_walk_to_short_vector.json"),
         ],
         ids=["oracle", "atleast2_witness", "atleast2_none", "support_derived_box",
              "support_five_optima", "solve_below_threshold", "solve_early_exit",
-             "facedim_fractional_lp", "facedim_unimodular_box"],
+             "facedim_fractional_lp", "facedim_unimodular_box",
+             "solve_walk_to_short_vector"],
     )
     def test_json_bytes(self, capsys, argv, source, expected):
         code, out, err = run(capsys, *argv, "--json", str(FIXTURES / source))

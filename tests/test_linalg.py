@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from deltasvp.errors import (
     BudgetExceededError,
     DimensionError,
+    InvariantError,
     RankError,
     SingularMatrixError,
 )
 from deltasvp.linalg import (
     IntMatrix,
-    adjugate,
+    _certify,
     box_images,
     det,
     find_invertible_rows,
@@ -22,7 +23,6 @@ from deltasvp.linalg import (
     is_totally_delta_modular,
     max_abs_full_rank_subdet,
     rank,
-    scaled_inverse,
     subdet_ratio_check,
     tableau,
 )
@@ -33,6 +33,7 @@ from oracles import (
     cofactor_adjugate,
     cofactor_det,
     fraction_rank,
+    plain_product,
 )
 
 M = IntMatrix.from_rows
@@ -101,24 +102,28 @@ class TestDet:
         assert det(m) == cofactor_det(m.entries)
 
 
+def inverse(m: IntMatrix):
+    """The tableau's adj(m) / det(m) for a square m, rows in order."""
+    return tableau(m, range(m.rows)).inverse
+
+
 class TestAdjugate:
     def test_identity(self):
-        assert adjugate(IntMatrix.identity(4)).entries == IntMatrix.identity(4).entries
+        assert inverse(IntMatrix.identity(4)).numerator.entries == IntMatrix.identity(4).entries
 
     def test_known_value(self):
-        assert adjugate(M([[1, 0], [2, 3]])).entries == ((3, 0), (-2, 1))
-
-    def test_singular_gives_zero_product(self):
-        m = M([[1, 2], [2, 4]])
-        product = m.matmul(adjugate(m))
-        assert all(x == 0 for row in product.entries for x in row)
+        assert inverse(M([[1, 0], [2, 3]])).numerator.entries == ((3, 0), (-2, 1))
 
     def test_matches_cofactor_oracle(self):
         rng = random.Random(7)
         for _ in range(60):
             n = rng.randint(1, 4)
             m = M([[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)])
-            assert adjugate(m).entries == cofactor_adjugate(m.entries)
+            if cofactor_det(m.entries) == 0:
+                with pytest.raises(SingularMatrixError):
+                    inverse(m)
+            else:
+                assert inverse(m).numerator.entries == cofactor_adjugate(m.entries)
         # Random draws are almost never singular: build rank n-1 and rank
         # <= n-2 inputs as products of n x k and k x n integer factors.
         for n in range(1, 6):
@@ -129,22 +134,27 @@ class TestAdjugate:
                     right = M([[rng.randint(-4, 4) for _ in range(n)] for _ in range(k)])
                     singular.append(left.matmul(right))
             for m in singular:
-                assert adjugate(m).entries == cofactor_adjugate(m.entries)
+                with pytest.raises(SingularMatrixError):
+                    inverse(m)
 
     @settings(max_examples=80, deadline=None)
     @given(matrices(max_rows=5, square=True))
     def test_defining_identity(self, m):
         d = det(m)
-        product = m.matmul(adjugate(m))
+        if d == 0:
+            with pytest.raises(SingularMatrixError):
+                inverse(m)
+            return
+        product = plain_product(m.entries, inverse(m).numerator.entries)
         expected = tuple(
             tuple(d if i == j else 0 for j in range(m.rows)) for i in range(m.rows)
         )
-        assert product.entries == expected
+        assert product == expected
 
 
 class TestScaledInverse:
     def test_identity(self):
-        inv = scaled_inverse(IntMatrix.identity(2))
+        inv = inverse(IntMatrix.identity(2))
         assert inv.numerator.entries == ((1, 0), (0, 1))
         assert inv.denominator == 1
 
@@ -156,7 +166,7 @@ class TestScaledInverse:
         ],
     )
     def test_known_values(self, matrix, numerator, denominator):
-        inv = scaled_inverse(M(matrix))
+        inv = inverse(M(matrix))
         assert inv.numerator.entries == numerator
         assert inv.denominator == denominator
         product = M(matrix).matmul(inv.numerator)
@@ -166,7 +176,7 @@ class TestScaledInverse:
 
     def test_singular_rejected(self):
         with pytest.raises(SingularMatrixError):
-            scaled_inverse(M([[1, 2], [2, 4]]))
+            inverse(M([[1, 2], [2, 4]]))
 
 
 class TestFindInvertibleRows:
@@ -229,15 +239,10 @@ class TestTableau:
     def check(a_entries, rows, tab):
         basis = [a_entries[i] for i in rows]
         adj = cofactor_adjugate(basis)
-        n = len(basis)
         assert tab.rows == tuple(rows)
         assert tab.inverse.numerator.entries == adj
         assert tab.inverse.denominator == cofactor_det(basis)
-        plain = tuple(
-            tuple(sum(row[t] * adj[t][j] for t in range(n)) for j in range(n))
-            for row in a_entries
-        )
-        assert tab.numerators.entries == plain
+        assert tab.numerators.entries == plain_product(a_entries, adj)
 
     @staticmethod
     def draw_entries(data, zero_first=False):
@@ -350,6 +355,122 @@ class TestTableau:
         calls = self._count_eliminations(monkeypatch)
         assert threshold.solve_svp(a, 5) == expected
         assert calls == {"tableau": 1, "rank": 1}
+
+
+def _bumped(matrix: IntMatrix, i: int, j: int, by: int) -> IntMatrix:
+    rows = [list(row) for row in matrix.entries]
+    rows[i][j] += by
+    return M(rows)
+
+
+def _huge_matrix() -> IntMatrix:
+    """A 3 x 2 matrix of full column rank with 10,000-digit entries of
+    both signs."""
+    rng = random.Random(10_000)
+    big = 10**9_999
+    return M([[rng.choice((-1, 1)) * (big + rng.randrange(big)) for _ in range(2)]
+              for _ in range(3)])
+
+
+class TestCertify:
+    """_certify against corrupted tableaux: one changed entry of adj, of N
+    off the basis rows, or of d, is caught, as is a change of 2^k for k
+    around the packing width (a carry into, or an alias of, the next
+    base-T digit)."""
+
+    CASES = {
+        "small": [[2, 1, 0], [1, 3, 1], [0, 1, 4], [5, -2, 7], [-3, 3, 1]],
+        "negative": [[-7, -2, -5], [-1, -8, 3], [4, -6, -9], [-9, -9, -2], [6, -1, -8]],
+        "unit_first": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 1, -2], [1, 2, -1]],
+    }
+
+    @staticmethod
+    def parts(a: IntMatrix):
+        tab = tableau(a)
+        return a, tab.rows, tab.inverse.numerator, tab.inverse.denominator, tab.numerators
+
+    @staticmethod
+    def width(a, adj, numerators) -> int:
+        """The packing width s, 2^s > 2 * max(max |N|, n * max |A| * max |adj|)."""
+        def largest(m):
+            return max(abs(x) for row in m.entries for x in row)
+
+        return (2 * max(largest(numerators), a.cols * largest(a) * largest(adj))).bit_length()
+
+    @pytest.fixture(scope="class", params=["small", "negative", "unit_first", "huge"])
+    def parts_of(self, request):
+        a = _huge_matrix() if request.param == "huge" else M(self.CASES[request.param])
+        return self.parts(a)
+
+    def test_uncorrupted_passes(self, parts_of):
+        a, rows, adj, d, numerators = parts_of
+        basis = [a.entries[i] for i in rows]
+        assert adj.entries == cofactor_adjugate(basis)
+        assert d == cofactor_det(basis)
+        assert numerators.entries == plain_product(a.entries, adj.entries)
+        _certify(a, rows, adj, d, numerators)
+
+    @pytest.mark.parametrize("by", [1, -1])
+    def test_adjugate_entry(self, parts_of, by):
+        a, rows, adj, d, numerators = parts_of
+        for i, j in product(range(a.cols), repeat=2):
+            with pytest.raises(InvariantError):
+                _certify(a, rows, _bumped(adj, i, j, by), d, numerators)
+
+    @pytest.mark.parametrize("by", [1, -1])
+    def test_off_basis_numerator_entry(self, parts_of, by):
+        """B * adj(B) alone never reads these rows."""
+        a, rows, adj, d, numerators = parts_of
+        off = [i for i in range(a.rows) if i not in rows]
+        assert off
+        for i, j in product(off, range(a.cols)):
+            with pytest.raises(InvariantError):
+                _certify(a, rows, adj, d, _bumped(numerators, i, j, by))
+
+    @pytest.mark.parametrize("by", [1, -1])
+    def test_determinant(self, parts_of, by):
+        a, rows, adj, d, numerators = parts_of
+        with pytest.raises(InvariantError):
+            _certify(a, rows, adj, d + by, numerators)
+
+    def test_powers_of_two_around_the_width(self, parts_of):
+        """2^k added to one entry, alone or with the carry taken back from
+        the next entry of its row: that pair packs to the same integer in
+        base 2^k, so a packing width of k, one too narrow for the
+        corrupted data, would miss it."""
+        a, rows, adj, d, numerators = parts_of
+        n = a.cols
+        s = self.width(a, adj, numerators)
+        off = next(i for i in range(a.rows) if i not in rows)
+        for k, sign, j in product(range(max(s - 3, 0), s + 3), (1, -1), range(n)):
+            by = sign * 2**k
+            bumped_adj = _bumped(adj, (j + 1) % n, j, by)
+            bumped_n = _bumped(numerators, off, j, by)
+            cases = [(bumped_adj, numerators), (adj, bumped_n)]
+            if j + 1 < n:
+                cases += [(_bumped(bumped_adj, (j + 1) % n, j + 1, -sign), numerators),
+                          (adj, _bumped(bumped_n, off, j + 1, -sign))]
+            for corrupt_adj, corrupt_n in cases:
+                with pytest.raises(InvariantError):
+                    _certify(a, rows, corrupt_adj, d, corrupt_n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(matrices(max_rows=6, max_cols=4, bound=50), st.data())
+    def test_random_single_corruption(self, a, data):
+        try:
+            a, rows, adj, d, numerators = self.parts(a)
+        except RankError:
+            return
+        _certify(a, rows, adj, d, numerators)
+        by = data.draw(st.sampled_from([1, -1, 2, -2, 3]))
+        if data.draw(st.booleans()):
+            i, j = data.draw(st.integers(0, a.cols - 1)), data.draw(st.integers(0, a.cols - 1))
+            adj = _bumped(adj, i, j, by)
+        else:
+            i, j = data.draw(st.integers(0, a.rows - 1)), data.draw(st.integers(0, a.cols - 1))
+            numerators = _bumped(numerators, i, j, by)
+        with pytest.raises(InvariantError):
+            _certify(a, rows, adj, d, numerators)
 
 
 class TestBoxImages:
@@ -530,6 +651,12 @@ class TestSubdetRatioCheck:
         with pytest.raises(DimensionError):
             subdet_ratio_check(a, (0, 1), (2,), (0, 1))
 
+    @pytest.mark.parametrize("base", [(0, -1), (0, 7)], ids=["negative", "past_the_end"])
+    def test_base_row_out_of_range_rejected(self, base):
+        a = M([[1, 0], [1, 2], [2, 2]])
+        with pytest.raises(DimensionError):
+            subdet_ratio_check(a, base, (1,), (0,))
+
 
 class TestBoundedInverseEntries:
     """With a maximizing basis, all entries and 2x2 minors of A*B^-1 stay
@@ -545,7 +672,8 @@ class TestBoundedInverseEntries:
             if rank(a) < n:
                 continue
             largest, witness = max_abs_full_rank_subdet(a)
-            numerators = a.matmul(adjugate(a.submatrix_rows(witness)))
+            adj = cofactor_adjugate(a.submatrix_rows(witness).entries)
+            numerators = M(plain_product(a.entries, adj))
             for row in numerators.entries:
                 assert all(abs(x) <= largest for x in row)
             from itertools import combinations

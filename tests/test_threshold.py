@@ -10,7 +10,7 @@ from deltasvp.errors import (
     ZeroLatticeError,
 )
 from deltasvp.generators import lower_bound_instance, random_delta_modular
-from deltasvp.linalg import IntMatrix, det, max_abs_full_rank_subdet, scaled_inverse
+from deltasvp.linalg import IntMatrix, det, max_abs_full_rank_subdet, tableau
 from deltasvp.oracle import OracleResult, shortest_is_at_least_2
 from deltasvp.threshold import (
     PATH_BLOCK,
@@ -63,43 +63,43 @@ class TestDimensionThreshold:
 
 class TestResidueKey:
     def test_identity_is_integral(self):
-        inv = scaled_inverse(IntMatrix.identity(2))
+        inv = tableau(IntMatrix.identity(2)).inverse
         assert residue_key(inv, 0, +1).is_zero()
 
     def test_worked_keys(self):
-        inv = scaled_inverse(M([[1, 0], [1, 2]]))
+        inv = tableau(M([[1, 0], [1, 2]])).inverse
         assert residue_key(inv, 0, +1).residues == (0, 1)
         assert residue_key(inv, 1, +1).residues == (0, 1)
 
     def test_negative_determinant(self):
-        inv = scaled_inverse(M([[0, 1], [1, 0]]))  # det -1: everything integral
+        inv = tableau(M([[0, 1], [1, 0]])).inverse  # det -1: everything integral
         assert residue_key(inv, 0, +1).is_zero()
 
     def test_negation(self):
-        inv = scaled_inverse(M([[1, 0], [1, 3]]))
+        inv = tableau(M([[1, 0], [1, 3]])).inverse
         key = residue_key(inv, 0, +1)
         assert key.residues == (0, 2)
         assert key.negated().residues == (0, 1)
         assert residue_key(inv, 0, -1).residues == (0, 1)
 
     def test_bad_sign(self):
-        inv = scaled_inverse(M([[1, 0], [1, 2]]))
+        inv = tableau(M([[1, 0], [1, 2]])).inverse
         with pytest.raises(DomainError):
             residue_key(inv, 0, 2)
 
 
 class TestSelectSameClass:
     def test_worked_selection(self):
-        inv = scaled_inverse(M([[1, 0], [1, 2]]))
+        inv = tableau(M([[1, 0], [1, 2]])).inverse
         sel = select_same_class(inv, 2)
         assert sel.members == ((0, 1), (1, 1))
 
     def test_singleton(self):
-        inv = scaled_inverse(M([[1, 0], [1, 2]]))
+        inv = tableau(M([[1, 0], [1, 2]])).inverse
         assert select_same_class(inv, 1).members == ((0, 1),)
 
     def test_opposite_classes_resolved_by_sign(self):
-        inv = scaled_inverse(M([[1, 0], [1, 3]]))
+        inv = tableau(M([[1, 0], [1, 3]])).inverse
         sel = select_same_class(inv, 2)
         assert sel.members == ((0, -1), (1, 1))
         # the signed columns differ by an integer vector
@@ -112,17 +112,17 @@ class TestSelectSameClass:
     def test_selection_capped_by_determinant(self):
         # |det| = 2 caps the selection size at 2 even when delta is larger
         b = M([[1, 0, 0], [0, 1, 0], [1, 1, 2]])
-        sel = select_same_class(scaled_inverse(b), 3)
+        sel = select_same_class(tableau(b).inverse, 3)
         assert len(sel.members) == 2
 
     def test_integral_column_rejected(self):
-        inv = scaled_inverse(M([[2, 0], [0, 1]]))
+        inv = tableau(M([[2, 0], [0, 1]])).inverse
         with pytest.raises(DomainError):
             select_same_class(inv, 2)
 
     def test_unimodular_rejected(self):
         with pytest.raises(DomainError):
-            select_same_class(scaled_inverse(IntMatrix.identity(2)), 2)
+            select_same_class(tableau(IntMatrix.identity(2)).inverse, 2)
 
     def test_distinct_columns_enforced(self):
         with pytest.raises(InvariantError):
@@ -131,7 +131,7 @@ class TestSelectSameClass:
 
 class TestBuildTestVectors:
     def test_worked_vectors(self):
-        inv = scaled_inverse(M([[1, 0], [1, 2]]))
+        inv = tableau(M([[1, 0], [1, 2]])).inverse
         sel = select_same_class(inv, 2)
         vectors = build_test_vectors(inv, sel)
         assert vectors.pairs == ((0, 1), (1, 0))
@@ -141,7 +141,7 @@ class TestBuildTestVectors:
 
     def test_count(self):
         b = M([[1, 0, 0], [0, 1, 0], [1, 1, 3]])
-        inv = scaled_inverse(b)
+        inv = tableau(b).inverse
         sel = select_same_class(inv, 3)
         vectors = build_test_vectors(inv, sel)
         size = len(sel.members)
@@ -149,13 +149,13 @@ class TestBuildTestVectors:
 
     def test_singleton_gives_only_the_sum(self):
         # a single integral signed column: no differences, total equals it
-        inv = scaled_inverse(M([[2, 0], [0, 1]]))
+        inv = tableau(M([[2, 0], [0, 1]])).inverse
         vectors = build_test_vectors(inv, SignedSelection(((1, 1),)))
         assert vectors.differences == ()
         assert vectors.total == (0, 1)
 
     def test_non_integral_candidate_is_a_bug(self):
-        inv = scaled_inverse(M([[1, 0], [1, 2]]))
+        inv = tableau(M([[1, 0], [1, 2]])).inverse
         with pytest.raises(InvariantError):
             build_test_vectors(inv, SignedSelection(((0, 1),)))
 
