@@ -59,8 +59,15 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise textio.ParseError(f"{path}: {exc}") from None
+
+
 def _read_matrix(path: str) -> IntMatrix:
-    return textio.parse_matrix(Path(path).read_text())
+    return textio.parse_matrix(_read_text(path))
 
 
 def _outcome_json(result) -> dict:
@@ -244,7 +251,7 @@ def _cmd_check_kernel(args) -> int:
 
 
 def _cmd_verify_facedim(args) -> int:
-    a, b = textio.parse_polyhedron(Path(args.file).read_text())
+    a, b = textio.parse_polyhedron(_read_text(args.file))
     kwargs = {} if args.budget is None else {"budget": args.budget}
     report = polyhedra.verify_face_dimension_bound(
         polyhedra.PolyhedronH(a, b), args.delta, **kwargs
@@ -267,7 +274,7 @@ def _cmd_verify_facedim(args) -> int:
 
 
 def _cmd_verify_support(args) -> int:
-    a, b, c = textio.parse_standard_form(Path(args.file).read_text())
+    a, b, c = textio.parse_standard_form(_read_text(args.file))
     if c is None:
         c = tuple([0] * a.cols)
     ilp = polyhedra.StandardFormILP(a, b, c)

@@ -212,6 +212,25 @@ class Tableau:
     inverse: ScaledInverse
     numerators: IntMatrix
 
+    def swapped_det(self, swaps: dict[int, int]) -> int:
+        """|det B'| for B' = B with row swaps[j] of A at position j, by the
+        determinant-ratio identity.
+
+        B' = M * B, where M is the identity except that its rows J (the keys)
+        are the rows I (the values) of A * B^-1 = N / det(B).  So det B' =
+        det(B) * det M[J, J] and |det B'| = |det N[I, J]| / |det B|^(k-1)
+        for k = |J|.  InvariantError when that division is inexact.
+        """
+        k = len(swaps)
+        minor = [[self.numerators.entries[i][j] for j in swaps] for i in swaps.values()]
+        pivots, value = _eliminate(minor, range(k), reduce=False)
+        if len(pivots) < k:
+            return 0
+        quotient, remainder = divmod(abs(value), abs(self.inverse.denominator) ** (k - 1))
+        if remainder:
+            raise InvariantError("determinant ratio is not an integer")
+        return quotient
+
 
 def tableau(a: IntMatrix, rows: Sequence[int] | None = None) -> Tableau:
     """Basis, adj(B), det(B) and A * adj(B) for an m x n matrix A, from one
@@ -484,9 +503,10 @@ def subdet_ratio_check(
 ) -> bool:
     """Exact test of the determinant-ratio identity used for solver progress.
 
-    With B = a[base_rows] invertible and |I| = |J|, compares
-    |det (A B^-1)_{I,J}| against |det(rows of A indexed by I stacked with the
-    rows of B not indexed by J)| / |det B|, cross-multiplied in integers.
+    With B = a[base_rows] invertible and |I| = |J|, compares the |det B'|
+    that Tableau.swapped_det reads off the tableau of B, for B' = B with
+    row i_rows[t] of A at position j_cols[t], against |det B'| computed
+    from scratch.
     """
     n = a.cols
     if len(base_rows) != n:
@@ -499,15 +519,8 @@ def subdet_ratio_check(
         raise DimensionError("row selection out of range or repeated")
 
     tab = tableau(a, base_rows)
-    d = tab.inverse.denominator
-    k = len(i_rows)
-    if k == 0:
-        return True  # degenerate: both sides are |det B| / |det B|
-
-    lhs = abs(det(tab.numerators.submatrix(i_rows, j_cols)))
-
-    j_set = set(j_cols)
-    mixed = [a.row(i) for i in i_rows]
-    mixed.extend(a.row(r) for p, r in enumerate(base_rows) if p not in j_set)
-    rhs = abs(det(IntMatrix.from_rows(mixed)))
-    return lhs == rhs * abs(d) ** (k - 1)  # lhs / |d|^k == rhs / |d|
+    if not i_rows:
+        return True  # degenerate: B' = B
+    swaps = dict(zip(j_cols, i_rows))
+    rows = [swaps.get(p, r) for p, r in enumerate(base_rows)]
+    return tab.swapped_det(swaps) == abs(det(a.submatrix_rows(rows)))

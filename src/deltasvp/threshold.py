@@ -21,8 +21,11 @@ fraction-free elimination of [A^T | I] (``linalg.tableau``) yields adj(B),
 det(B) and the numerators A*adj(B) together, and the dispatcher's first
 tableau also chooses the starting basis.
 
-All replacements are certified at runtime: the new determinant is recomputed
-from scratch and must exceed the old one, or InvariantError is raised.
+Every replacement's new |det B| is read off the current, certified tableau
+by the determinant-ratio identity (``Tableau.swapped_det``) and must exceed
+the old one; the next pass's tableau, or the certificate's determinant when
+the new value already exceeds delta, must reproduce it exactly.  Anything
+else raises InvariantError.
 
 A note on the selection size: the residue classes modulo 1 of the columns
 of B^-1 form a group of order d = |det B|.  A sum of d same-class columns
@@ -33,7 +36,7 @@ which equals d whenever the solver itself calls it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DomainError, InvariantError, RankError, ThresholdError, ZeroLatticeError
 from .linalg import IntMatrix, ScaledInverse, Tableau, det, hnf, tableau
@@ -83,27 +86,14 @@ SvpOutcome = ShortVector | Certificate
 
 
 @dataclass(frozen=True)
-class ThresholdState:
-    """One solver state: which rows of A currently form the working basis.
+class Transition:
+    """One determinant-growing replacement: the path taken, the new basis
+    rows in position order, and |det B| before and after."""
 
-    ``base_rows[k]`` is the A-row index sitting at row k of the basis, so
-    positions matter; ``det_abs`` caches |det| of that submatrix.
-    ``tableau``, when present, is the tableau of A at ``base_rows`` and
-    spares the next pass its elimination; it takes no part in equality.
-    """
-
-    base_rows: tuple[int, ...]
-    iteration: int
-    det_abs: int
-    tableau: Tableau | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.det_abs < 1:
-            raise InvariantError("working basis must be invertible")
-        if self.iteration < 0:
-            raise InvariantError("iteration counter must be nonnegative")
-        if len(set(self.base_rows)) != len(self.base_rows):
-            raise InvariantError("basis rows must be distinct")
+    path: str
+    rows: tuple[int, ...]
+    det_before: int
+    det_after: int
 
 
 @dataclass(frozen=True)
@@ -236,56 +226,12 @@ def build_test_vectors(inv: ScaledInverse, sel: SignedSelection) -> TestVectors:
     return TestVectors(tuple(differences), tuple(pairs), total)
 
 
-@dataclass(frozen=True)
-class Continue:
-    """One replacement happened; the determinant grew by at least 1."""
-
-    state: ThresholdState
-    path: str
-
-
-@dataclass(frozen=True)
-class Done:
-    outcome: SvpOutcome
-
-
-def initial_state(a: IntMatrix) -> ThresholdState:
-    """Greedy invertible row set of A as the starting basis."""
-    return _start(tableau(a))
-
-
-def _start(tab: Tableau) -> ThresholdState:
-    return ThresholdState(tab.rows, 0, abs(tab.inverse.denominator), tab)
-
-
-def _check_dimensions(a: IntMatrix, delta: int) -> None:
-    if delta < 1:
-        raise DomainError("delta must be >= 1")
-    if a.cols < dimension_threshold(delta) + 1:
-        raise ThresholdError(
-            f"need more than {dimension_threshold(delta)} columns for delta={delta}"
-        )
-
-
 def _short_vector(a: IntMatrix, z: tuple[int, ...]) -> ShortVector:
     y = a.matvec(z)
     norm = max(abs(x) for x in y)
     if norm != 1:
         raise InvariantError(f"claimed short vector has norm {norm}")
     return ShortVector(z, y, norm)
-
-
-def _advance(
-    a: IntMatrix, delta: int, state: ThresholdState, new_rows: list[int], path: str
-) -> Continue:
-    new_det = abs(det(a.submatrix_rows(new_rows)))
-    if new_det < state.det_abs + 1:
-        raise InvariantError(
-            f"replacement failed to grow the determinant: {state.det_abs} -> {new_det}"
-        )
-    if state.iteration + 1 > delta:
-        raise InvariantError("iteration count exceeded delta")
-    return Continue(ThresholdState(tuple(new_rows), state.iteration + 1, new_det), path)
 
 
 def _member_values(
@@ -305,30 +251,28 @@ def _member_values(
     return values
 
 
-def threshold_step(a: IntMatrix, delta: int, state: ThresholdState) -> Continue | Done:
-    """One full pass of the solver from the given state.
+def _replace(tab: Tableau, path: str, swaps: dict[int, int]) -> Transition:
+    """The replacement putting row swaps[j] of A at basis position j."""
+    rows = tuple(swaps.get(p, r) for p, r in enumerate(tab.rows))
+    before, after = abs(tab.inverse.denominator), tab.swapped_det(swaps)
+    if after <= before:
+        raise InvariantError(
+            f"replacement failed to grow the determinant: {before} -> {after}"
+        )
+    return Transition(path, rows, before, after)
 
-    Either finishes with an outcome (certificate when |det B| already
-    exceeds delta, or a norm-1 vector) or performs exactly one
-    determinant-growing row replacement and continues.
+
+def threshold_step(a: IntMatrix, delta: int, tab: Tableau) -> ShortVector | Transition:
+    """One pass of the solver on the certified tableau of a working basis
+    with |det B| <= delta.
+
+    Either finds a norm-1 vector or returns exactly one determinant-growing
+    row replacement, its new |det B| read off the tableau.
     """
-    _check_dimensions(a, delta)
     m, n = a.rows, a.cols
-    if state.det_abs > delta:
-        rows = tuple(sorted(state.base_rows))
-        value = det(a.submatrix_rows(rows))
-        if abs(value) != state.det_abs:
-            raise InvariantError("cached determinant does not match the cited rows")
-        return Done(Certificate(rows, value))
-
-    tab = state.tableau
-    if tab is None or tab.rows != state.base_rows:
-        tab = tableau(a, state.base_rows)
     inv = tab.inverse
     d_signed = inv.denominator
     d = abs(d_signed)
-    if d != state.det_abs:
-        raise InvariantError("cached determinant is stale")
 
     # entry scan: numerators of A*B^-1, row-major; any |entry| > d grows det
     numerators = tab.numerators
@@ -336,16 +280,14 @@ def threshold_step(a: IntMatrix, delta: int, state: ThresholdState) -> Continue 
         row = numerators.row(k)
         for j in range(n):
             if abs(row[j]) > d:
-                new_rows = list(state.base_rows)
-                new_rows[j] = k
-                return _advance(a, delta, state, new_rows, PATH_ENTRY)
+                return _replace(tab, PATH_ENTRY, {j: k})
 
     # integral column scan: first integral column of B^-1 is a short vector
     for j in range(n):
         col = inv.numerator.column(j)
         if all(x % d_signed == 0 for x in col):
             z = tuple(x // d_signed for x in col)
-            return Done(_short_vector(a, z))
+            return _short_vector(a, z)
 
     sel = select_same_class(inv, delta)
     vectors = build_test_vectors(inv, sel)
@@ -356,7 +298,7 @@ def threshold_step(a: IntMatrix, delta: int, state: ThresholdState) -> Continue 
     for t in vectors.scan():
         y = a.matvec(t)
         if max(abs(x) for x in y) <= 1:
-            return Done(_short_vector(a, t))
+            return _short_vector(a, t)
         collected.append(next(k for k, val in enumerate(y) if abs(val) >= 2))
 
     # pair check: each consecutive-difference row must vanish on the rest
@@ -375,56 +317,58 @@ def threshold_step(a: IntMatrix, delta: int, state: ThresholdState) -> Continue 
             u = offenders[0]
             i_pos = k if values[k] * values[u] > 0 else k + 1
             partner_idx = collected[vectors.difference_index(i_pos, u)]
-            new_rows = list(state.base_rows)
-            new_rows[sel.members[i_pos][0]] = row_idx
-            new_rows[sel.members[u][0]] = partner_idx
-            return _advance(a, delta, state, new_rows, PATH_PAIR)
+            swaps = {sel.members[i_pos][0]: row_idx, sel.members[u][0]: partner_idx}
+            return _replace(tab, PATH_PAIR, swaps)
 
     # block replacement: consecutive-difference rows plus the sum row
     # replace the whole selection; determinant ratio at least 2
-    new_rows = list(state.base_rows)
-    for k in range(size - 1):
-        new_rows[sel.members[k][0]] = collected[vectors.difference_index(k, k + 1)]
-    new_rows[sel.members[size - 1][0]] = collected[-1]
-    return _advance(a, delta, state, new_rows, PATH_BLOCK)
-
-
-@dataclass(frozen=True)
-class Transition:
-    """Record of one determinant-growing replacement, for instrumentation."""
-
-    path: str
-    iteration: int
-    det_before: int
-    det_after: int
+    swaps = {
+        sel.members[k][0]: collected[vectors.difference_index(k, k + 1)]
+        for k in range(size - 1)
+    }
+    swaps[sel.members[size - 1][0]] = collected[-1]
+    return _replace(tab, PATH_BLOCK, swaps)
 
 
 def solve_threshold_trace(
     a: IntMatrix, delta: int
 ) -> tuple[SvpOutcome, tuple[Transition, ...]]:
-    """Runs the solver to completion and returns the replacement trace."""
-    _check_dimensions(a, delta)
-    return _run(a, delta, initial_state(a))
-
-
-def _run(
-    a: IntMatrix, delta: int, state: ThresholdState
-) -> tuple[SvpOutcome, tuple[Transition, ...]]:
-    transitions: list[Transition] = []
-    for _ in range(delta + 2):
-        result = threshold_step(a, delta, state)
-        if isinstance(result, Done):
-            return result.outcome, tuple(transitions)
-        transitions.append(
-            Transition(
-                result.path,
-                result.state.iteration,
-                state.det_abs,
-                result.state.det_abs,
-            )
+    """Runs the solver from the greedy basis of A and returns the outcome
+    with the replacement trace, whose entry i is iteration i + 1."""
+    if a.cols <= dimension_threshold(delta):
+        raise ThresholdError(
+            f"need more than {dimension_threshold(delta)} columns for delta={delta}"
         )
-        state = result.state
-    raise InvariantError("solver exceeded its iteration bound")
+    return _solve(a, delta, tableau(a))
+
+
+def _solve(
+    a: IntMatrix, delta: int, tab: Tableau
+) -> tuple[SvpOutcome, tuple[Transition, ...]]:
+    """The solver loop from the certified tableau of a starting basis.
+
+    Each replacement's det_after is checked against the next tableau or,
+    once it exceeds delta, against the certificate's own determinant.
+    """
+    transitions: list[Transition] = []
+    rows, d = tab.rows, abs(tab.inverse.denominator)
+    while d <= delta:
+        step = threshold_step(a, delta, tab)
+        if isinstance(step, ShortVector):
+            return step, tuple(transitions)
+        transitions.append(step)
+        if len(transitions) > delta:
+            raise InvariantError("iteration count exceeded delta")
+        rows, d = step.rows, step.det_after
+        if d <= delta:
+            tab = tableau(a, rows)
+            if abs(tab.inverse.denominator) != d:
+                raise InvariantError("ratio identity disagrees with the next tableau")
+    rows = tuple(sorted(rows))
+    value = det(a.submatrix_rows(rows))
+    if abs(value) != d:
+        raise InvariantError("certificate determinant does not match the cited rows")
+    return Certificate(rows, value), tuple(transitions)
 
 
 def solve_threshold(a: IntMatrix, delta: int) -> SvpOutcome:
@@ -465,8 +409,7 @@ def solve_svp(
         coordinate_map = u.submatrix(range(a.cols), nonzero)
 
     if work.cols > dimension_threshold(delta):
-        state = _start(start) if start is not None else initial_state(work)
-        outcome = _run(work, delta, state)[0]
+        outcome = _solve(work, delta, tableau(work) if start is None else start)[0]
         if isinstance(outcome, ShortVector) and coordinate_map is not None:
             outcome = ShortVector(coordinate_map.matvec(outcome.z), outcome.y, outcome.norm)
         return outcome

@@ -140,8 +140,8 @@ def test_criterion_3_iteration_and_growth_invariants():
             transitions += 1
             if t.det_after < t.det_before + 1:
                 violations.append(("growth", a.shape, t))
-            if t.iteration > delta:
-                violations.append(("iterations", a.shape, t))
+        if len(trace) > delta:
+            violations.append(("iterations", a.shape, trace))
     elapsed = time.perf_counter() - start
     ok = not violations
     _verdict(3, ok, f"zero invariant violations across {transitions} replacements", elapsed)

@@ -230,6 +230,22 @@ class TestExitCodes:
         code, _, _ = run(capsys, "matrix", "det", "/nonexistent/file.txt")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("svp", "solve", "--delta", "1"),
+            ("verify", "facedim", "--delta", "2"),
+            ("verify", "support", "--delta", "2"),
+        ],
+    )
+    def test_non_utf8_file(self, capsys, tmp_path, command):
+        path = tmp_path / "utf16.txt"
+        path.write_bytes(b"\xff\xfe" + WORKED_TEXT.encode())
+        code, out, err = run(capsys, *command, str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_precondition_error(self, capsys, worked_file):
         code, _, err = run(capsys, "matrix", "det", worked_file)  # non-square
         assert code == 2

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -307,6 +308,13 @@ class TestTableau:
     def test_singular_rows_rejected(self):
         with pytest.raises(SingularMatrixError):
             tableau(M([[1, 2], [2, 4], [0, 1]]), (0, 1))
+
+    def test_swapped_det_inexact_ratio_is_a_bug(self):
+        tab = tableau(M([[1, 0], [0, 2], [1, 1], [1, 2]]), (0, 1))
+        assert tab.swapped_det({0: 2, 1: 3}) == 1  # det N[I, J] = 2 over |d| = 2
+        corrupted = replace(tab, numerators=M([[2, 0], [0, 2], [1, 1], [1, 2]]))
+        with pytest.raises(InvariantError):
+            corrupted.swapped_det({0: 2, 1: 3})
 
     @staticmethod
     def _count_eliminations(monkeypatch):

@@ -1,7 +1,10 @@
 import random
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from deltasvp import threshold
 from deltasvp.errors import (
     DomainError,
     InvariantError,
@@ -10,21 +13,19 @@ from deltasvp.errors import (
     ZeroLatticeError,
 )
 from deltasvp.generators import lower_bound_instance, random_delta_modular
-from deltasvp.linalg import IntMatrix, det, max_abs_full_rank_subdet, tableau
+from deltasvp.linalg import IntMatrix, Tableau, det, max_abs_full_rank_subdet, tableau
 from deltasvp.oracle import OracleResult, shortest_is_at_least_2
+from deltasvp.textio import parse_matrix
 from deltasvp.threshold import (
     PATH_BLOCK,
     PATH_ENTRY,
     PATH_PAIR,
     Certificate,
-    Continue,
-    Done,
     ShortVector,
     SignedSelection,
-    ThresholdState,
+    Transition,
     build_test_vectors,
     dimension_threshold,
-    initial_state,
     residue_key,
     select_same_class,
     solve_svp,
@@ -33,9 +34,20 @@ from deltasvp.threshold import (
     threshold_step,
 )
 
+from oracles import cofactor_det
+
 M = IntMatrix.from_rows
 
 WORKED = M([[1, 0], [1, 2], [2, 2]])
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def assert_ratio_dets(a, trace):
+    """Each transition's det_after, read off the tableau by the ratio
+    identity, equals the cofactor determinant of its rows."""
+    for t in trace:
+        assert abs(cofactor_det(a.submatrix_rows(t.rows).entries)) == t.det_after
+
 
 # Hand-built exercisers for the two rare replacement paths.  Both understate
 # delta, so the run must end in a certificate; the working basis walks the
@@ -163,53 +175,72 @@ class TestBuildTestVectors:
 class TestThresholdStep:
     def test_identity_returns_first_unit_column(self):
         a = IntMatrix.identity(3)
-        result = threshold_step(a, 1, initial_state(a))
-        assert isinstance(result, Done)
-        assert result.outcome == ShortVector((1, 0, 0), (1, 0, 0), 1)
+        result = threshold_step(a, 1, tableau(a))
+        assert result == ShortVector((1, 0, 0), (1, 0, 0), 1)
 
     def test_worked_example_resolves_via_difference(self):
-        state = ThresholdState((0, 1), 0, 2)
-        result = threshold_step(WORKED, 2, state)
-        assert isinstance(result, Done)
-        assert result.outcome == ShortVector((1, -1), (1, -1, 0), 1)
+        result = threshold_step(WORKED, 2, tableau(WORKED))
+        assert result == ShortVector((1, -1), (1, -1, 0), 1)
 
     def test_oversized_determinant_certificates(self):
         a = M([[-1, -3], [1, 0], [2, 3]])
-        state = ThresholdState((0, 1), 0, 3)
-        result = threshold_step(a, 1, state)
-        assert isinstance(result, Done)
-        assert result.outcome == Certificate((0, 1), 3)
+        assert solve_threshold_trace(a, 1) == (Certificate((0, 1), 3), ())
 
     def test_entry_swap_grows_determinant(self):
         a = M([[1, 0], [0, 1], [3, 1]])
-        result = threshold_step(a, 1, initial_state(a))
-        assert isinstance(result, Continue)
-        assert result.path == PATH_ENTRY
-        assert result.state.det_abs == 3
-        assert result.state.base_rows == (2, 1)
+        result = threshold_step(a, 1, tableau(a))
+        assert result == Transition(PATH_ENTRY, (2, 1), 1, 3)
+
+    def test_replacement_that_does_not_grow_detected(self, monkeypatch):
+        monkeypatch.setattr(Tableau, "swapped_det", lambda tab, swaps: 1)
+        a = M([[1, 0], [0, 1], [3, 1]])
+        with pytest.raises(InvariantError, match="failed to grow"):
+            threshold_step(a, 1, tableau(a))
 
     def test_pair_swap_route(self):
-        result = threshold_step(PAIR_SWAP_INSTANCE, 3, initial_state(PAIR_SWAP_INSTANCE))
-        assert isinstance(result, Continue)
+        result = threshold_step(PAIR_SWAP_INSTANCE, 3, tableau(PAIR_SWAP_INSTANCE))
+        assert isinstance(result, Transition)
         assert result.path == PATH_PAIR
-        assert result.state.det_abs == 6
+        assert result.det_after == 6
 
     def test_block_swap_route(self):
-        result = threshold_step(
-            BLOCK_SWAP_INSTANCE, 2, initial_state(BLOCK_SWAP_INSTANCE)
-        )
-        assert isinstance(result, Continue)
+        result = threshold_step(BLOCK_SWAP_INSTANCE, 2, tableau(BLOCK_SWAP_INSTANCE))
+        assert isinstance(result, Transition)
         assert result.path == PATH_BLOCK
-        assert result.state.det_abs == 4
-        assert result.state.base_rows == (2, 3)
+        assert result.det_after == 4
+        assert result.rows == (2, 3)
 
     def test_below_threshold_rejected(self):
         with pytest.raises(ThresholdError):
-            threshold_step(WORKED, 3, ThresholdState((0, 1), 0, 2))
+            solve_threshold_trace(WORKED, 3)
 
-    def test_stale_cache_detected(self):
-        with pytest.raises(InvariantError):
-            threshold_step(WORKED, 2, ThresholdState((0, 1), 0, 1))
+    def test_next_tableau_disagreeing_with_ratio_detected(self, monkeypatch):
+        # every tableau after the first comes back scaled by 2, which the
+        # tableau's own certificate cannot tell apart; only the cross-check
+        # against the ratio-identity determinant can
+        original = threshold.tableau
+        built = []
+
+        def double(m):
+            return M([[2 * x for x in row] for row in m.entries])
+
+        def scaled(a, rows=None):
+            tab = original(a, rows)
+            built.append(tab)
+            if len(built) == 1:
+                return tab
+            inv = replace(
+                tab.inverse,
+                numerator=double(tab.inverse.numerator),
+                denominator=2 * tab.inverse.denominator,
+            )
+            return replace(tab, inverse=inv, numerators=double(tab.numerators))
+
+        monkeypatch.setattr(threshold, "tableau", scaled)
+        a = parse_matrix((FIXTURES / "walk_to_short_vector.txt").read_text())
+        with pytest.raises(InvariantError, match="ratio identity"):
+            solve_threshold_trace(a, 3)
+        assert len(built) == 2
 
 
 class TestSolveThreshold:
@@ -231,17 +262,20 @@ class TestSolveThreshold:
         outcome, trace = solve_threshold_trace(PAIR_SWAP_INSTANCE, 3)
         assert [t.path for t in trace] == [PATH_PAIR]
         assert trace[0].det_before == 3 and trace[0].det_after == 6
+        assert_ratio_dets(PAIR_SWAP_INSTANCE, trace)
         assert outcome == Certificate((1, 3, 4), 6)
 
     def test_block_swap_certificates(self):
         outcome, trace = solve_threshold_trace(BLOCK_SWAP_INSTANCE, 2)
         assert [t.path for t in trace] == [PATH_BLOCK]
         assert outcome == Certificate((2, 3), 4)
+        assert_ratio_dets(BLOCK_SWAP_INSTANCE, trace)
 
         outcome3, trace3 = solve_threshold_trace(BLOCK_SWAP_INSTANCE_3, 3)
         assert [t.path for t in trace3] == [PATH_BLOCK]
         assert trace3[0].det_after == 9
         assert outcome3 == Certificate((3, 4, 6), -9)
+        assert_ratio_dets(BLOCK_SWAP_INSTANCE_3, trace3)
 
     def test_certificate_rows_recompute(self):
         for a, delta in [
@@ -279,7 +313,8 @@ class TestSolveThreshold:
             assert a.matvec(outcome.z) == outcome.y
             for t in trace:
                 assert t.det_after >= t.det_before + 1
-                assert t.iteration <= delta
+            assert len(trace) <= delta
+            assert_ratio_dets(a, trace)
 
     def test_understated_random_runs_stay_sound(self):
         rng = random.Random(555)
@@ -305,6 +340,7 @@ class TestSolveThreshold:
                 assert max(abs(x) for x in outcome.y) == 1
             for t in trace:
                 assert t.det_after >= t.det_before + 1
+            assert_ratio_dets(a, trace)
             runs += 1
 
 
@@ -379,14 +415,6 @@ class TestSolveSvp:
 
 
 class TestStateValidation:
-    def test_rejects_duplicate_rows(self):
-        with pytest.raises(InvariantError):
-            ThresholdState((0, 0), 0, 1)
-
-    def test_rejects_singular_cache(self):
-        with pytest.raises(InvariantError):
-            ThresholdState((0, 1), 0, 0)
-
     def test_short_vector_must_be_norm_one(self):
         with pytest.raises(InvariantError):
             ShortVector((1, 0), (2, 0), 2)
