@@ -5,10 +5,11 @@ no floating point anywhere.  All exact elimination goes through one
 fraction-free pivot (Bareiss 1968, in the pivot form of Edmonds 1967):
 every intermediate entry is a minor of the input, so values stay
 polynomially bounded.  Determinants, rank and the greedy invertible row set
-use forward elimination.  The tableau (basis rows, adj(B), det(B) and
-N = A*adj(B) at once) is one reduced elimination of [A^T | I], and it is
-the only route to an inverse: every tableau is certified by one packed
-product, A*adj(B) == N in every entry and N == det(B)*I at the basis rows.
+use forward elimination.  ``Tableau(rows, adj, det, numerators)`` holds the
+basis rows, adj(B), det(B) and N = A*adj(B), read off one reduced
+elimination of [A^T | I]; it is the only route to an inverse,
+B^-1 = adj / det, and every tableau is certified by one packed product,
+A*adj(B) == N in every entry and N == det(B)*I at the basis rows.
 The polyhedral verifiers reuse the same pivot.
 Enumerating operations (subdeterminant scans) take an explicit budget and
 refuse up front rather than truncate.  Every box scan (the oracles, lattice
@@ -117,29 +118,6 @@ class IntMatrix:
         return self.rows == self.cols
 
 
-@dataclass(frozen=True)
-class ScaledInverse:
-    """Inverse of a square integer matrix B held exactly as adj(B) / det(B).
-
-    Column j of ``numerator`` divided by ``denominator`` is the j-th column
-    of B^-1.  The denominator is kept un-reduced: residue computations in
-    the solver need the numerators modulo det(B) itself.
-    """
-
-    numerator: IntMatrix
-    denominator: int
-
-    def __post_init__(self) -> None:
-        if self.denominator == 0:
-            raise SingularMatrixError("denominator must be nonzero")
-        if not self.numerator.is_square():
-            raise DimensionError("numerator must be square")
-
-    @property
-    def size(self) -> int:
-        return self.numerator.rows
-
-
 def _require_square(m: IntMatrix) -> int:
     if not m.is_square():
         raise DimensionError(f"square matrix required, got {m.shape}")
@@ -205,11 +183,16 @@ def det(m: IntMatrix) -> int:
 
 @dataclass(frozen=True)
 class Tableau:
-    """A seen through the basis B = A[rows]: B^-1 as adj(B) / det(B) and the
-    numerators N = A * adj(B) of A * B^-1, both over det(B)."""
+    """A seen through the basis B = A[rows]: B^-1 = adj(B) / det(B) and
+    A * B^-1 = N / det(B) with N = A * adj(B).
+
+    det keeps its sign and is never reduced against adj or N: the solver
+    reads residues of their entries modulo |det(B)| itself.
+    """
 
     rows: tuple[int, ...]
-    inverse: ScaledInverse
+    adj: IntMatrix
+    det: int
     numerators: IntMatrix
 
     def swapped_det(self, swaps: dict[int, int]) -> int:
@@ -226,7 +209,7 @@ class Tableau:
         pivots, value = _eliminate(minor, range(k), reduce=False)
         if len(pivots) < k:
             return 0
-        quotient, remainder = divmod(abs(value), abs(self.inverse.denominator) ** (k - 1))
+        quotient, remainder = divmod(abs(value), abs(self.det) ** (k - 1))
         if remainder:
             raise InvariantError("determinant ratio is not an integer")
         return quotient
@@ -260,7 +243,7 @@ def tableau(a: IntMatrix, rows: Sequence[int] | None = None) -> Tableau:
     adj = IntMatrix(tuple(zip(*([sign * x for x in row[m:]] for row in work))))
     numerators = IntMatrix(tuple(zip(*([sign * x for x in row[:m]] for row in work))))
     _certify(a, pivots, adj, d, numerators)
-    return Tableau(tuple(pivots), ScaledInverse(adj, d), numerators)
+    return Tableau(tuple(pivots), adj, d, numerators)
 
 
 def _certify(

@@ -56,10 +56,10 @@ def enum_bound(a: IntMatrix) -> int:
     that good satisfies B z in [-U, U]^n for an invertible row set B, so
     |z_i| <= (1-norm of adjugate row i) * U / |det B|.
     """
-    inv = _greedy_tableau(a).inverse
+    t = _greedy_tableau(a)
     u = min(max(abs(x) for x in a.column(j)) for j in range(a.cols))
-    d = abs(inv.denominator)
-    k = max(sum(abs(x) for x in row) * u // d for row in inv.numerator.entries)
+    d = abs(t.det)
+    k = max(sum(abs(x) for x in row) * u // d for row in t.adj.entries)
     return max(k, 1)
 
 
@@ -117,9 +117,9 @@ def shortest_is_at_least_2(
     n = a.cols
     if 3**n > budget:
         raise BudgetExceededError(f"preimage scan of size {3 ** n} exceeds budget {budget}")
-    d = t.inverse.denominator
+    d = t.det
     modulus = abs(d)
-    stacked = IntMatrix(t.inverse.numerator.entries + t.numerators.entries)
+    stacked = IntMatrix(t.adj.entries + t.numerators.entries)
     heads, tails = _box_halves(stacked, [range(-1, 2)] * n)
     groups: dict[tuple[int, ...], list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
     for _, image in tails:

@@ -1,12 +1,17 @@
 """Plain-text serialization shared by the CLI and the test goldens.
 
-Matrix format: a header line ``m n``, then m lines of n decimal integers
-separated by single spaces.  Lines starting with ``#`` and blank lines are
-ignored.  The extended form appends a line ``b: v_1 ... v_m`` and optionally
-``c: v_1 ... v_n`` for polyhedra and standard-form programs.
+Matrix format: a header line ``m n``, then m lines of n integers separated
+by whitespace.  Lines starting with ``#`` and blank lines are ignored.  The
+extended form appends a line ``b: v_1 ... v_m`` and optionally
+``c: v_1 ... v_n`` for polyhedra and standard-form programs.  Every number,
+in the header, the rows, ``b:`` and ``c:`` alike, is a decimal integer in
+ASCII digits with an optional sign, ``[+-]?[0-9]+``; the underscores and
+non-ASCII digits that ``int()`` would also take are a ParseError.
 """
 
 from __future__ import annotations
+
+import re
 
 from .errors import DimensionError
 from .linalg import IntMatrix
@@ -14,6 +19,22 @@ from .linalg import IntMatrix
 
 class ParseError(ValueError):
     """Malformed matrix text."""
+
+
+_INTEGER = r"[+-]?[0-9]+"
+_TOKEN = re.compile(_INTEGER)
+_TOKENS = re.compile(f"{_INTEGER}(?: {_INTEGER})*")
+
+
+def _ints(tokens: list[str]) -> tuple[int, ...]:
+    """The integers the tokens spell in the format, else ValueError naming
+    the first token that is not [+-]?[0-9]+.  One match over the joined
+    tokens checks a whole line."""
+    if not _TOKENS.fullmatch(" ".join(tokens)):
+        bad = next(t for t in tokens if not _TOKEN.fullmatch(t))
+        # the message int() gives for the tokens it rejects itself
+        raise ValueError(f"invalid literal for int() with base 10: {bad!r}")
+    return tuple(map(int, tokens))
 
 
 def _payload_lines(text: str) -> list[str]:
@@ -31,7 +52,7 @@ def _parse_ints(line: str, expected: int, what: str) -> tuple[int, ...]:
     if len(parts) != expected:
         raise ParseError(f"{what}: expected {expected} values, got {len(parts)}")
     try:
-        return tuple(int(p) for p in parts)
+        return _ints(parts)
     except ValueError as exc:
         raise ParseError(f"{what}: {exc}") from None
 
@@ -51,7 +72,7 @@ def _parse_matrix_block(lines: list[str]) -> tuple[IntMatrix, list[str]]:
     if len(header) != 2:
         raise ParseError(f"header must be 'm n', got {lines[0]!r}")
     try:
-        m, n = int(header[0]), int(header[1])
+        m, n = _ints(header)
     except ValueError:
         raise ParseError(f"header must be 'm n', got {lines[0]!r}") from None
     if m < 1 or n < 1:

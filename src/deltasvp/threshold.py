@@ -16,16 +16,24 @@ disproving the caller's delta.  Termination needs the column count to
 exceed a threshold depending only on delta, since only then does the
 pigeonhole over residue classes always produce enough same-class columns.
 
-Each pass reads B^-1 and A*B^-1 from one integer tableau: a single
-fraction-free elimination of [A^T | I] (``linalg.tableau``) yields adj(B),
-det(B) and the numerators A*adj(B) together, and the dispatcher's first
-tableau also chooses the starting basis.
+Each pass (``threshold_step``) reads everything off one certified tableau
+(``linalg.tableau``: adj(B), det(B) and N = A*adj(B) from one fraction-free
+elimination of [A^T | I]), in this order: the entry scan of N; the scan of
+the columns of adj(B) for an integral one, which computes each column's
+residues modulo |det B| on the way; one same-class selection from those
+residues; and a lazy scan of the test vectors, the pairwise differences in
+lexicographic order and then the sum, whose images A*t are read off the
+selected columns of N.  A vector that looks short is rechecked as A*z
+before it is returned.  The dispatcher's first tableau also chooses the
+starting basis.
 
 Every replacement's new |det B| is read off the current, certified tableau
 by the determinant-ratio identity (``Tableau.swapped_det``) and must exceed
 the old one; the next pass's tableau, or the certificate's determinant when
-the new value already exceeds delta, must reproduce it exactly.  Anything
-else raises InvariantError.
+the new value already exceeds delta, must reproduce it exactly.  A test
+vector or image that is not integral or is zero, a collected row that does
+not split its pair by exactly 2, and anything else the construction rules
+out raise InvariantError.
 
 A note on the selection size: the residue classes modulo 1 of the columns
 of B^-1 form a group of order d = |det B|.  A sum of d same-class columns
@@ -37,9 +45,11 @@ which equals d whenever the solver itself calls it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
+from typing import Iterable, Iterator
 
 from .errors import DomainError, InvariantError, RankError, ThresholdError, ZeroLatticeError
-from .linalg import IntMatrix, ScaledInverse, Tableau, det, hnf, tableau
+from .linalg import IntMatrix, Tableau, det, hnf, tableau
 from .oracle import OracleResult, brute_force_svp, enum_bound
 
 #: Tags for the three determinant-growing replacement paths.
@@ -96,134 +106,56 @@ class Transition:
     det_after: int
 
 
-@dataclass(frozen=True)
-class ResidueKey:
-    """Residues of a signed inverse column modulo |det B|, in [0, d)."""
+def _select_same_class(
+    residues: list[tuple[int, ...]], d: int, delta: int
+) -> list[tuple[int, int]]:
+    """(column, sign) pairs of min(delta, d) columns of +-B^-1 in one residue
+    class modulo 1, from each column's adj(B) entries modulo d = |det B|.
 
-    residues: tuple[int, ...]
-    modulus: int
-
-    def is_zero(self) -> bool:
-        return not any(self.residues)
-
-    def negated(self) -> "ResidueKey":
-        return ResidueKey(tuple((-x) % self.modulus for x in self.residues), self.modulus)
-
-
-@dataclass(frozen=True)
-class SignedSelection:
-    """Columns of +-B^-1 sharing one residue class: (column, sign) pairs."""
-
-    members: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        columns = [j for j, _ in self.members]
-        if len(set(columns)) != len(columns):
-            raise InvariantError("selection columns must be distinct")
-        if any(s not in (1, -1) for _, s in self.members):
-            raise InvariantError("signs must be +1 or -1")
-
-
-@dataclass(frozen=True)
-class TestVectors:
-    """Integer test vectors derived from a same-class selection.
-
-    ``differences`` holds h_i - h_j for all ordered member positions i != j
-    in lexicographic (i, j) order, aligned with ``pairs``; ``total`` is the
-    sum of all selected columns.  The scan order (differences, then total)
-    is part of the contract.
-    """
-
-    differences: tuple[tuple[int, ...], ...]
-    pairs: tuple[tuple[int, int], ...]
-    total: tuple[int, ...]
-
-    def scan(self) -> tuple[tuple[int, ...], ...]:
-        return self.differences + (self.total,)
-
-    def difference_index(self, i: int, j: int) -> int:
-        return self.pairs.index((i, j))
-
-
-def residue_key(inv: ScaledInverse, column: int, sign: int) -> ResidueKey:
-    """Residue class key of sign * (column of B^-1) modulo |det B|.
-
-    The key is all zeros exactly when that signed column is integral.
-    """
-    if sign not in (1, -1):
-        raise DomainError("sign must be +1 or -1")
-    d = abs(inv.denominator)
-    col = inv.numerator.column(column)
-    return ResidueKey(tuple((sign * x) % d for x in col), d)
-
-
-def select_same_class(inv: ScaledInverse, delta: int) -> SignedSelection:
-    """Deterministic choice of min(delta, |det B|) same-class signed columns.
-
-    Columns are grouped by the lexicographically smaller of their key and
-    its negation; the group with the smallest such key among those large
-    enough wins, each member's sign is chosen to land on that key (+1 on
+    Columns are grouped by the lexicographically smaller of their residues
+    and those of their negation; the group with the smallest such key among
+    those large enough wins, each member's sign lands it on that key (+1 on
     self-negating ties), and the first members in ascending column order
-    are returned.  No column may be integral.
+    are returned.
     """
-    if delta < 1:
-        raise DomainError("delta must be >= 1")
-    d = abs(inv.denominator)
-    if d < 2:
-        raise DomainError("unimodular basis has only integral inverse columns")
-    n = inv.size
-    plus_keys = [residue_key(inv, j, +1) for j in range(n)]
-    if any(k.is_zero() for k in plus_keys):
-        raise DomainError("integral inverse column present; extract it first")
-
     size = min(delta, d)
     groups: dict[tuple[int, ...], list[int]] = {}
-    for j, key in enumerate(plus_keys):
-        pair_key = min(key.residues, key.negated().residues)
-        groups.setdefault(pair_key, []).append(j)
-    eligible = sorted(key for key, cols in groups.items() if len(cols) >= size)
+    for j, res in enumerate(residues):
+        groups.setdefault(min(res, tuple(-x % d for x in res)), []).append(j)
+    eligible = [key for key, cols in groups.items() if len(cols) >= size]
     if not eligible:
         raise InvariantError(
             "no residue class holds enough columns; the dimension is below threshold"
         )
-    target = eligible[0]
-    members = []
-    for j in groups[target][:size]:
-        sign = 1 if plus_keys[j].residues == target else -1
-        members.append((j, sign))
-    return SignedSelection(tuple(members))
+    target = min(eligible)
+    return [(j, 1 if residues[j] == target else -1) for j in groups[target][:size]]
 
 
-def build_test_vectors(inv: ScaledInverse, sel: SignedSelection) -> TestVectors:
-    """All pairwise differences plus the sum of the selected columns.
+def _exact(numerators: Iterable[int], d_signed: int, what: str) -> tuple[int, ...]:
+    """numerators / det(B), which must come out integral and nonzero;
+    anything else is a broken invariant, not an input error."""
+    numerators = tuple(numerators)
+    if any(x % d_signed for x in numerators):
+        raise InvariantError(f"{what} is not integral")
+    out = tuple(x // d_signed for x in numerators)
+    if not any(out):
+        raise InvariantError(f"{what} is zero")
+    return out
 
-    Every candidate is divided exactly by det(B) and must come out integral
-    and nonzero; anything else is a broken invariant, not an input error.
-    """
-    d_signed = inv.denominator
-    cols = [
-        tuple(sign * x for x in inv.numerator.column(j)) for j, sign in sel.members
-    ]
-    size = len(cols)
 
-    def exact(vec: tuple[int, ...]) -> tuple[int, ...]:
-        if any(x % d_signed for x in vec):
-            raise InvariantError("test vector is not integral")
-        out = tuple(x // d_signed for x in vec)
-        if not any(out):
-            raise InvariantError("test vector is zero")
-        return out
-
-    differences = []
-    pairs = []
+def _test_vectors(
+    adj_cols: list[tuple[int, ...]], n_cols: list[tuple[int, ...]]
+) -> Iterator[tuple[tuple[int, int] | str, Iterable[int], Iterable[int]]]:
+    """(key, numerators of t, numerators of A t) for the test vectors t of
+    the selected signed columns, lazily: the differences of members i != j
+    in lexicographic (i, j) order, then their sum under the key "sum".  The
+    image is read off the selected columns of N = A * adj(B)."""
+    size = len(adj_cols)
     for i in range(size):
         for j in range(size):
-            if i == j:
-                continue
-            pairs.append((i, j))
-            differences.append(exact(tuple(a - b for a, b in zip(cols[i], cols[j]))))
-    total = exact(tuple(sum(col[t] for col in cols) for t in range(len(cols[0]))))
-    return TestVectors(tuple(differences), tuple(pairs), total)
+            if i != j:
+                yield (i, j), map(sub, adj_cols[i], adj_cols[j]), map(sub, n_cols[i], n_cols[j])
+    yield "sum", map(sum, zip(*adj_cols)), map(sum, zip(*n_cols))
 
 
 def _short_vector(a: IntMatrix, z: tuple[int, ...]) -> ShortVector:
@@ -234,27 +166,10 @@ def _short_vector(a: IntMatrix, z: tuple[int, ...]) -> ShortVector:
     return ShortVector(z, y, norm)
 
 
-def _member_values(
-    numerator_row: tuple[int, ...], d_signed: int, sel: SignedSelection
-) -> list[int]:
-    """Exact values of a row of A against each selected signed column.
-
-    At the point these are needed every value is provably an integer in
-    {-1, 0, 1}; non-integrality means a bug.
-    """
-    values = []
-    for col, sign in sel.members:
-        num = sign * numerator_row[col]
-        if num % d_signed:
-            raise InvariantError("row value against selection is not integral")
-        values.append(num // d_signed)
-    return values
-
-
 def _replace(tab: Tableau, path: str, swaps: dict[int, int]) -> Transition:
     """The replacement putting row swaps[j] of A at basis position j."""
     rows = tuple(swaps.get(p, r) for p, r in enumerate(tab.rows))
-    before, after = abs(tab.inverse.denominator), tab.swapped_det(swaps)
+    before, after = abs(tab.det), tab.swapped_det(swaps)
     if after <= before:
         raise InvariantError(
             f"replacement failed to grow the determinant: {before} -> {after}"
@@ -269,45 +184,51 @@ def threshold_step(a: IntMatrix, delta: int, tab: Tableau) -> ShortVector | Tran
     Either finds a norm-1 vector or returns exactly one determinant-growing
     row replacement, its new |det B| read off the tableau.
     """
-    m, n = a.rows, a.cols
-    inv = tab.inverse
-    d_signed = inv.denominator
+    d_signed = tab.det
     d = abs(d_signed)
 
     # entry scan: numerators of A*B^-1, row-major; any |entry| > d grows det
-    numerators = tab.numerators
-    for k in range(m):
-        row = numerators.row(k)
-        for j in range(n):
-            if abs(row[j]) > d:
-                return _replace(tab, PATH_ENTRY, {j: k})
+    numerators = tab.numerators.entries
+    for k, row in enumerate(numerators):
+        if max(map(abs, row)) > d:
+            j = next(j for j, x in enumerate(row) if abs(x) > d)
+            return _replace(tab, PATH_ENTRY, {j: k})
 
-    # integral column scan: first integral column of B^-1 is a short vector
-    for j in range(n):
-        col = inv.numerator.column(j)
-        if all(x % d_signed == 0 for x in col):
-            z = tuple(x // d_signed for x in col)
-            return _short_vector(a, z)
+    # integral column scan over adj(B), transposed once and lazily: the
+    # first integral column of B^-1 is a short vector; the residues of the
+    # columns before it feed the selection
+    columns, residues = [], []
+    for col in zip(*tab.adj.entries):
+        res = tuple(x % d for x in col)
+        if not any(res):
+            return _short_vector(a, tuple(x // d_signed for x in col))
+        columns.append(col)
+        residues.append(res)
 
-    sel = select_same_class(inv, delta)
-    vectors = build_test_vectors(inv, sel)
+    members = _select_same_class(residues, d, delta)
+    adj_cols = [tuple(s * x for x in columns[c]) for c, s in members]
+    n_cols = [tuple(s * row[c] for row in numerators) for c, s in members]
 
     # test-vector scan: return the first short one, else collect, per
     # vector, the first row of A with an integer gap of at least 2
-    collected: list[int] = []
-    for t in vectors.scan():
-        y = a.matvec(t)
-        if max(abs(x) for x in y) <= 1:
+    collected: dict[tuple[int, int] | str, int] = {}
+    for key, t, y in _test_vectors(adj_cols, n_cols):
+        t = _exact(t, d_signed, "test vector")
+        y = _exact(y, d_signed, "test vector image")
+        if max(map(abs, y)) <= 1:
             return _short_vector(a, t)
-        collected.append(next(k for k, val in enumerate(y) if abs(val) >= 2))
+        collected[key] = next(k for k, val in enumerate(y) if abs(val) >= 2)
 
     # pair check: each consecutive-difference row must vanish on the rest
     # of the selection; a violation yields a two-row replacement of
     # determinant ratio exactly 2
-    size = len(sel.members)
+    size = len(members)
     for k in range(size - 1):
-        row_idx = collected[vectors.difference_index(k, k + 1)]
-        values = _member_values(numerators.row(row_idx), d_signed, sel)
+        row_idx = collected[k, k + 1]
+        values = [col[row_idx] for col in n_cols]
+        if any(x % d_signed for x in values):
+            raise InvariantError("row value against selection is not integral")
+        values = [x // d_signed for x in values]
         if not (values[k] in (1, -1) and values[k + 1] == -values[k]):
             raise InvariantError("collected row must split its pair by exactly 2")
         offenders = [
@@ -316,17 +237,13 @@ def threshold_step(a: IntMatrix, delta: int, tab: Tableau) -> ShortVector | Tran
         if offenders:
             u = offenders[0]
             i_pos = k if values[k] * values[u] > 0 else k + 1
-            partner_idx = collected[vectors.difference_index(i_pos, u)]
-            swaps = {sel.members[i_pos][0]: row_idx, sel.members[u][0]: partner_idx}
+            swaps = {members[i_pos][0]: row_idx, members[u][0]: collected[i_pos, u]}
             return _replace(tab, PATH_PAIR, swaps)
 
     # block replacement: consecutive-difference rows plus the sum row
     # replace the whole selection; determinant ratio at least 2
-    swaps = {
-        sel.members[k][0]: collected[vectors.difference_index(k, k + 1)]
-        for k in range(size - 1)
-    }
-    swaps[sel.members[size - 1][0]] = collected[-1]
+    swaps = {members[k][0]: collected[k, k + 1] for k in range(size - 1)}
+    swaps[members[-1][0]] = collected["sum"]
     return _replace(tab, PATH_BLOCK, swaps)
 
 
@@ -351,7 +268,7 @@ def _solve(
     once it exceeds delta, against the certificate's own determinant.
     """
     transitions: list[Transition] = []
-    rows, d = tab.rows, abs(tab.inverse.denominator)
+    rows, d = tab.rows, abs(tab.det)
     while d <= delta:
         step = threshold_step(a, delta, tab)
         if isinstance(step, ShortVector):
@@ -362,7 +279,7 @@ def _solve(
         rows, d = step.rows, step.det_after
         if d <= delta:
             tab = tableau(a, rows)
-            if abs(tab.inverse.denominator) != d:
+            if abs(tab.det) != d:
                 raise InvariantError("ratio identity disagrees with the next tableau")
     rows = tuple(sorted(rows))
     value = det(a.submatrix_rows(rows))

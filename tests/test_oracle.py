@@ -182,7 +182,8 @@ class TestShortestIsAtLeast2:
         a = M([[1, 0], [0, 1], [3, 3]])
         real = oracle.tableau(a)
         zero = M([[0, 0]] * a.rows)
-        monkeypatch.setattr(oracle, "tableau", lambda _: Tableau(real.rows, real.inverse, zero))
+        forged = Tableau(real.rows, real.adj, real.det, zero)
+        monkeypatch.setattr(oracle, "tableau", lambda _: forged)
         with pytest.raises(InvariantError):
             shortest_is_at_least_2(a)
 

@@ -1,0 +1,118 @@
+"""The solver's choices, pinned: the full (outcome, trace) of
+solve_threshold_trace on a seeded family that walks every replacement path.
+
+tests/fixtures/solve_traces.json holds the expected runs.  Regenerate it only
+for a documented change of scan order or selection:
+
+    PYTHONPATH=src:tests python -c "import test_solve_traces as t; t.write_fixture()"
+"""
+
+import json
+import random
+from pathlib import Path
+
+from deltasvp.linalg import IntMatrix, max_abs_full_rank_subdet, rank
+from deltasvp.threshold import (
+    PATH_BLOCK,
+    PATH_ENTRY,
+    PATH_PAIR,
+    ShortVector,
+    dimension_threshold,
+    solve_threshold_trace,
+)
+
+FIXTURE = Path(__file__).parent / "fixtures" / "solve_traces.json"
+
+WALK_SIZES = [(3, 3), (4, 7), (5, 9), (5, 12), (7, 19)]
+WALKS_PER_SIZE = 4
+UNDERSTATED = 14
+
+# hand-built exercisers of the entry, pair and block swaps and their variants
+PATH_EXERCISERS = [
+    ([[1, 0], [0, 1], [3, 1]], 1),
+    ([[1, 0, 0], [0, 1, 0], [1, 1, 3], [0, 2, 3], [2, 0, 3], [0, 0, 3]], 3),
+    ([[1, 0, 0], [0, 1, 0], [1, 1, 3], [0, 2, 3], [2, 0, 3], [0, 0, 3], [0, 1, 3]], 3),
+    ([[1, 0], [1, 2], [0, -2], [2, 2]], 2),
+    ([[1, 0], [1, 2], [0, -2], [2, 2], [1, 2]], 2),
+    ([[1, 0], [1, 2], [0, -2], [2, 2], [-1, -2], [0, 2]], 2),
+    ([[1, 0, 0], [0, 1, 0], [1, 1, 3], [-1, 1, 0], [1, 2, 3], [2, 1, 3], [0, 0, 3]], 3),
+]
+
+
+def _unit_first_walk(rng: random.Random, delta: int, n: int) -> list[list[int]]:
+    """Unit rows, then network rows (totally unimodular) and one row v with
+    ||v||_1 <= delta and an entry of size >= 2, in random order.  Every
+    basis has |det| <= ||v||_1 <= delta and the greedy start is the
+    identity, so the solver must replace rows to grow the determinant."""
+    tail = []
+    for _ in range(2 * n):
+        row = [0] * n
+        i = rng.randrange(n)
+        row[i] = 1
+        if rng.random() < 0.8:
+            j = rng.randrange(n - 1)
+            row[j + (j >= i)] = -1
+        tail.append(row)
+    v = [0] * n
+    big = rng.randint(2, delta)
+    v[rng.randrange(n)] = big * rng.choice((1, -1))
+    left = delta - big
+    while left > 0 and rng.random() < 0.7:
+        j = rng.randrange(n)
+        if v[j]:
+            continue
+        s = rng.randint(1, left)
+        v[j] = s * rng.choice((1, -1))
+        left -= s
+    tail.append(v)
+    rng.shuffle(tail)
+    return [[int(i == j) for j in range(n)] for i in range(n)] + tail
+
+
+def family() -> list[tuple[list[list[int]], int]]:
+    """(rows, delta) pairs: unit-rows-first walks, {0,1} matrices with an
+    understated delta, and the path exercisers."""
+    rng = random.Random(8)
+    cases = [
+        (_unit_first_walk(rng, delta, n), delta)
+        for delta, n in WALK_SIZES
+        for _ in range(WALKS_PER_SIZE)
+    ]
+    made = 0
+    while made < UNDERSTATED:
+        n = rng.randint(3, 5)
+        rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(rng.randint(n + 2, n + 5))]
+        a = IntMatrix.from_rows(rows)
+        if rank(a) < n:
+            continue
+        true_delta, _ = max_abs_full_rank_subdet(a)
+        if true_delta < 2:
+            continue
+        claimed = max(d for d in range(1, true_delta) if n > dimension_threshold(d))
+        cases.append((rows, claimed))
+        made += 1
+    return cases + PATH_EXERCISERS
+
+
+def run(rows: list[list[int]], delta: int) -> dict:
+    outcome, trace = solve_threshold_trace(IntMatrix.from_rows(rows), delta)
+    if isinstance(outcome, ShortVector):
+        result = {"kind": "short_vector", "z": list(outcome.z), "y": list(outcome.y)}
+    else:
+        result = {"kind": "certificate", "rows": list(outcome.rows), "det": outcome.det_value}
+    steps = [[t.path, list(t.rows), t.det_before, t.det_after] for t in trace]
+    return {"delta": delta, "a": rows, "outcome": result, "trace": steps}
+
+
+def write_fixture() -> None:
+    runs = [json.dumps(run(rows, delta), separators=(",", ":")) for rows, delta in family()]
+    FIXTURE.write_text("[\n" + ",\n".join(runs) + "\n]\n")
+
+
+def test_runs_match_the_pinned_traces():
+    expected = json.loads(FIXTURE.read_text())
+    cases = family()
+    assert [(c["a"], c["delta"]) for c in expected] == [(rows, d) for rows, d in cases]
+    paths = {step[0] for c in expected for step in c["trace"]}
+    assert paths == {PATH_ENTRY, PATH_PAIR, PATH_BLOCK}
+    assert [run(rows, delta) for rows, delta in cases] == expected

@@ -46,6 +46,31 @@ def test_malformed_rejected(text):
         parse_matrix(text)
 
 
+# spellings int() accepts that the format does not: an underscore, a
+# fullwidth digit, an Arabic-Indic digit
+NON_DECIMAL = ["1_0", "\uff13", "\u0663"]
+
+
+@pytest.mark.parametrize("token", NON_DECIMAL, ids=["underscore", "fullwidth", "arabic_indic"])
+def test_non_decimal_entry_rejected(token):
+    with pytest.raises(ParseError, match="row 1"):
+        parse_matrix(f"2 2\n1 0\n0 {token}\n")
+
+
+@pytest.mark.parametrize("token", NON_DECIMAL, ids=["underscore", "fullwidth", "arabic_indic"])
+def test_non_decimal_header_b_and_c_rejected(token):
+    with pytest.raises(ParseError, match="header"):
+        parse_matrix(f"{token} 1\n" + "1\n" * 10)
+    with pytest.raises(ParseError, match="b:"):
+        parse_polyhedron(f"1 1\n1\nb: {token}\n")
+    with pytest.raises(ParseError, match="c:"):
+        parse_standard_form(f"1 1\n1\nb: 1\nc: {token}\n")
+
+
+def test_signs_and_any_whitespace_accepted():
+    assert parse_matrix("2  2\n+1\t-0\n-3 \t +4\n") == M([[1, 0], [-3, 4]])
+
+
 def test_polyhedron_round_trip():
     a = M([[1, 1, 0], [-1, 0, 2]])
     b = (2, 1)

@@ -22,12 +22,8 @@ from deltasvp.threshold import (
     PATH_PAIR,
     Certificate,
     ShortVector,
-    SignedSelection,
     Transition,
-    build_test_vectors,
     dimension_threshold,
-    residue_key,
-    select_same_class,
     solve_svp,
     solve_threshold,
     solve_threshold_trace,
@@ -73,103 +69,159 @@ class TestDimensionThreshold:
             dimension_threshold(0)
 
 
+@pytest.fixture
+def selections(monkeypatch):
+    """(residues, d, members) of every same-class selection a pass makes."""
+    seen = []
+    original = threshold._select_same_class
+
+    def recording(residues, d, delta):
+        members = original(residues, d, delta)
+        seen.append((residues, d, members))
+        return members
+
+    monkeypatch.setattr(threshold, "_select_same_class", recording)
+    return seen
+
+
+@pytest.fixture
+def scanned(monkeypatch):
+    """Numerators, over det(B), of every test vector a pass tries, in scan
+    order."""
+    seen = []
+    original = threshold._exact
+
+    def recording(numerators, d_signed, what):
+        numerators = tuple(numerators)
+        if what == "test vector":
+            seen.append(numerators)
+        return original(numerators, d_signed, what)
+
+    monkeypatch.setattr(threshold, "_exact", recording)
+    return seen
+
+
 class TestResidueKey:
-    def test_identity_is_integral(self):
-        inv = tableau(IntMatrix.identity(2)).inverse
-        assert residue_key(inv, 0, +1).is_zero()
+    """Residues of the columns of adj(B) modulo |det B|, which the integral
+    column scan computes and hands to the selection."""
 
-    def test_worked_keys(self):
-        inv = tableau(M([[1, 0], [1, 2]])).inverse
-        assert residue_key(inv, 0, +1).residues == (0, 1)
-        assert residue_key(inv, 1, +1).residues == (0, 1)
+    def test_identity_is_integral(self, selections):
+        a = IntMatrix.identity(2)
+        assert threshold_step(a, 1, tableau(a)) == ShortVector((1, 0), (1, 0), 1)
+        assert selections == []
 
-    def test_negative_determinant(self):
-        inv = tableau(M([[0, 1], [1, 0]])).inverse  # det -1: everything integral
-        assert residue_key(inv, 0, +1).is_zero()
+    def test_worked_keys(self, selections):
+        a = M([[1, 0], [1, 2]])
+        threshold_step(a, 2, tableau(a))
+        assert selections[0][:2] == ([(0, 1), (0, 1)], 2)
 
-    def test_negation(self):
-        inv = tableau(M([[1, 0], [1, 3]])).inverse
-        key = residue_key(inv, 0, +1)
-        assert key.residues == (0, 2)
-        assert key.negated().residues == (0, 1)
-        assert residue_key(inv, 0, -1).residues == (0, 1)
+    def test_negative_determinant(self, selections):
+        a = M([[0, 1], [1, 0]])  # det -1: everything integral
+        assert tableau(a).det == -1
+        assert threshold_step(a, 1, tableau(a)) == ShortVector((0, 1), (1, 0), 1)
+        assert selections == []
 
-    def test_bad_sign(self):
-        inv = tableau(M([[1, 0], [1, 2]])).inverse
-        with pytest.raises(DomainError):
-            residue_key(inv, 0, 2)
+    def test_negation(self, selections):
+        a = M([[1, 0], [1, 3]])
+        threshold_step(a, 2, tableau(a))
+        assert selections[0][:2] == ([(0, 2), (0, 1)], 3)
+        # (0, 2) negates to (0, 1) modulo 3, the smaller key: sign -1
+        assert threshold._select_same_class([(0, 2)], 3, 1) == [(0, -1)]
+        assert threshold._select_same_class([(0, 1)], 3, 1) == [(0, 1)]
 
 
 class TestSelectSameClass:
-    def test_worked_selection(self):
-        inv = tableau(M([[1, 0], [1, 2]])).inverse
-        sel = select_same_class(inv, 2)
-        assert sel.members == ((0, 1), (1, 1))
+    def test_worked_selection(self, selections):
+        a = M([[1, 0], [1, 2]])
+        threshold_step(a, 2, tableau(a))
+        assert selections[0][2] == [(0, 1), (1, 1)]
 
     def test_singleton(self):
-        inv = tableau(M([[1, 0], [1, 2]])).inverse
-        assert select_same_class(inv, 1).members == ((0, 1),)
+        assert threshold._select_same_class([(0, 1), (0, 1)], 2, 1) == [(0, 1)]
 
-    def test_opposite_classes_resolved_by_sign(self):
-        inv = tableau(M([[1, 0], [1, 3]])).inverse
-        sel = select_same_class(inv, 2)
-        assert sel.members == ((0, -1), (1, 1))
+    def test_tie_sign_is_plus(self):
+        # (2, 2) is its own negation modulo 4; (1, 3) lands on (1, 3)
+        assert threshold._select_same_class([(2, 2), (2, 2)], 4, 2) == [(0, 1), (1, 1)]
+        assert threshold._select_same_class([(3, 1), (1, 3)], 4, 2) == [(0, -1), (1, 1)]
+
+    def test_opposite_classes_resolved_by_sign(self, selections):
+        a = M([[1, 0], [1, 3]])
+        tab = tableau(a)
+        threshold_step(a, 2, tab)
+        members = selections[0][2]
+        assert members == [(0, -1), (1, 1)]
         # the signed columns differ by an integer vector
-        signed = [
-            tuple(s * x for x in inv.numerator.column(j)) for j, s in sel.members
-        ]
+        signed = [tuple(s * x for x in tab.adj.column(j)) for j, s in members]
         difference = tuple(a - b for a, b in zip(*signed))
-        assert all(x % inv.denominator == 0 for x in difference)
+        assert all(x % tab.det == 0 for x in difference)
 
-    def test_selection_capped_by_determinant(self):
+    def test_selection_capped_by_determinant(self, selections):
         # |det| = 2 caps the selection size at 2 even when delta is larger
         b = M([[1, 0, 0], [0, 1, 0], [1, 1, 2]])
-        sel = select_same_class(tableau(b).inverse, 3)
-        assert len(sel.members) == 2
+        threshold_step(b, 3, tableau(b))
+        assert len(selections[0][2]) == 2
 
-    def test_integral_column_rejected(self):
-        inv = tableau(M([[2, 0], [0, 1]])).inverse
-        with pytest.raises(DomainError):
-            select_same_class(inv, 2)
+    def test_smallest_large_enough_class_wins(self):
+        # classes {+-(1, 1)}: columns 0, 2, 4; {+-(0, 1)}: columns 1, 3
+        residues = [(1, 1), (0, 1), (3, 3), (0, 3), (1, 1)]
+        assert threshold._select_same_class(residues, 4, 3) == [(0, 1), (2, -1), (4, 1)]
+        assert threshold._select_same_class(residues, 4, 2) == [(1, 1), (3, -1)]
 
-    def test_unimodular_rejected(self):
-        with pytest.raises(DomainError):
-            select_same_class(tableau(IntMatrix.identity(2)).inverse, 2)
-
-    def test_distinct_columns_enforced(self):
-        with pytest.raises(InvariantError):
-            SignedSelection(((0, 1), (0, -1)))
+    def test_no_class_large_enough_is_a_bug(self):
+        with pytest.raises(InvariantError, match="no residue class"):
+            threshold._select_same_class([(0, 1), (1, 0)], 2, 2)
 
 
 class TestBuildTestVectors:
-    def test_worked_vectors(self):
-        inv = tableau(M([[1, 0], [1, 2]])).inverse
-        sel = select_same_class(inv, 2)
-        vectors = build_test_vectors(inv, sel)
-        assert vectors.pairs == ((0, 1), (1, 0))
-        assert vectors.differences == ((1, -1), (-1, 1))
-        assert vectors.total == (1, 0)
-        assert vectors.scan() == ((1, -1), (-1, 1), (1, 0))
+    """The lazy test-vector scan: differences (i, j), i != j, in
+    lexicographic order, then the sum of the selected signed columns."""
 
-    def test_count(self):
-        b = M([[1, 0, 0], [0, 1, 0], [1, 1, 3]])
-        inv = tableau(b).inverse
-        sel = select_same_class(inv, 3)
-        vectors = build_test_vectors(inv, sel)
-        size = len(sel.members)
-        assert len(vectors.scan()) == size * (size - 1) + 1
+    def test_worked_vectors(self, scanned):
+        result = threshold_step(BLOCK_SWAP_INSTANCE, 2, tableau(BLOCK_SWAP_INSTANCE))
+        assert result.path == PATH_BLOCK  # nothing short: the scan ran to the end
+        assert scanned == [(2, -2), (-2, 2), (2, 0)]  # (1,-1), (-1,1), then (1,0)
 
-    def test_singleton_gives_only_the_sum(self):
-        # a single integral signed column: no differences, total equals it
-        inv = tableau(M([[2, 0], [0, 1]])).inverse
-        vectors = build_test_vectors(inv, SignedSelection(((1, 1),)))
-        assert vectors.differences == ()
-        assert vectors.total == (0, 1)
+    def test_count(self, scanned, selections):
+        a = BLOCK_SWAP_INSTANCE_3
+        assert threshold_step(a, 3, tableau(a)).path == PATH_BLOCK
+        size = len(selections[0][2])
+        assert size == 3
+        assert len(scanned) == size * (size - 1) + 1
+
+    def test_singleton_gives_only_the_sum(self, scanned):
+        # delta 1 selects one column; its sum is that column, not integral
+        a = M([[1, 0], [1, 2]])
+        with pytest.raises(InvariantError):
+            threshold_step(a, 1, tableau(a))
+        assert scanned == [(2, -1)]
 
     def test_non_integral_candidate_is_a_bug(self):
-        inv = tableau(M([[1, 0], [1, 2]])).inverse
-        with pytest.raises(InvariantError):
-            build_test_vectors(inv, SignedSelection(((0, 1),)))
+        a = M([[1, 0], [1, 2]])
+        with pytest.raises(InvariantError, match="test vector is not integral"):
+            threshold_step(a, 1, tableau(a))
+
+    def test_scan_stops_at_the_first_short_vector(self, scanned):
+        assert threshold_step(WORKED, 2, tableau(WORKED)) == ShortVector((1, -1), (1, -1, 0), 1)
+        assert scanned == [(2, -2)]
+
+    def test_image_that_looks_short_is_rechecked(self):
+        # N with row 2 of the selected columns made equal: the first
+        # difference's image reads (1, -1, 0, 0), but A z = (1, -1, 2, 0)
+        real = tableau(BLOCK_SWAP_INSTANCE)
+        forged = M([[2, 0], [0, 2], [2, 2], [2, 2]])
+        assert real.numerators.entries[2] == (2, -2)
+        tab = Tableau(real.rows, real.adj, real.det, forged)
+        with pytest.raises(InvariantError, match="claimed short vector has norm 2"):
+            threshold_step(BLOCK_SWAP_INSTANCE, 2, tab)
+
+    def test_non_integral_image_is_a_bug(self):
+        # row 2 of N forged to (1, -2): the first difference's image has
+        # (1 - -2) / 2 there
+        real = tableau(BLOCK_SWAP_INSTANCE)
+        forged = M([[2, 0], [0, 2], [1, -2], [2, 2]])
+        tab = Tableau(real.rows, real.adj, real.det, forged)
+        with pytest.raises(InvariantError, match="test vector image is not integral"):
+            threshold_step(BLOCK_SWAP_INSTANCE, 2, tab)
 
 
 class TestThresholdStep:
@@ -229,12 +281,9 @@ class TestThresholdStep:
             built.append(tab)
             if len(built) == 1:
                 return tab
-            inv = replace(
-                tab.inverse,
-                numerator=double(tab.inverse.numerator),
-                denominator=2 * tab.inverse.denominator,
+            return replace(
+                tab, adj=double(tab.adj), det=2 * tab.det, numerators=double(tab.numerators)
             )
-            return replace(tab, inverse=inv, numerators=double(tab.numerators))
 
         monkeypatch.setattr(threshold, "tableau", scaled)
         a = parse_matrix((FIXTURES / "walk_to_short_vector.txt").read_text())
