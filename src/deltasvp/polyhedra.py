@@ -7,9 +7,11 @@ Everything is exact integer arithmetic on the fraction-free pivot of
 ``linalg``; rationals appear only in the returned vertices.  Boundedness is
 decided by n + 1 phase-1 programs (the rows of A must positively span R^n),
 each vertex candidate comes from one reduced elimination per row subset and
-is tested against A x <= b over the common denominator, hull membership is
-the same phase-1 simplex (Bland's rule on an integer tableau), and kernel
-lattice bases come from the Hermite normal form.
+is tested against A x <= b over the common denominator, lattice points come
+from a scan of the bounding box whose last coordinate is clipped to P, a
+lattice point leaves the integer hull on an integer midpoint certificate or
+else on the same phase-1 simplex (Bland's rule on an integer tableau), and
+kernel lattice bases come from the Hermite normal form.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from operator import le, mul
+from operator import mul, sub
 from typing import Sequence
 
 from .errors import (
@@ -143,7 +145,14 @@ def vertices_of_polyhedron(
 
 
 def integer_points(p: PolyhedronH, budget: int = DEFAULT_POINT_BUDGET) -> list[tuple[int, ...]]:
-    """All lattice points of a bounded polyhedron, by box scan, sorted."""
+    """All lattice points of a bounded polyhedron, sorted.
+
+    The first n - 1 coordinates scan the bounding box of the vertices; for
+    each such head x', the last column c of A and the slack b - A' x' clip
+    x_n to one integer interval (floor of slack / c where c > 0, ceiling
+    where c < 0; a row with c = 0 and negative slack empties it).  The
+    budget covers the whole bounding box.
+    """
     vertices = vertices_of_polyhedron(p, budget)
     lows = [min(v[i] for v in vertices) for i in range(p.dim)]
     highs = [max(v[i] for v in vertices) for i in range(p.dim)]
@@ -151,7 +160,30 @@ def integer_points(p: PolyhedronH, budget: int = DEFAULT_POINT_BUDGET) -> list[t
     size = math.prod(len(r) for r in ranges)
     if size > budget:
         raise BudgetExceededError(f"box scan of size {size} exceeds budget {budget}")
-    return [point for point, image in box_images(p.a, ranges) if all(map(le, image, p.b))]
+    m, n = p.a.rows, p.dim
+    if n == 1:
+        heads = [((), (0,) * m)]
+    else:
+        heads = box_images(p.a.submatrix(range(m), range(n - 1)), ranges[:-1])
+    rows = list(zip(p.a.column(n - 1), p.b))
+    points = []
+    for head, image in heads:
+        lo, hi = ranges[-1].start, ranges[-1].stop - 1
+        for (c, bound), y in zip(rows, image):
+            slack = bound - y
+            if c > 0:
+                top = slack // c
+                if top < hi:
+                    hi = top
+            elif c < 0:
+                bottom = -(slack // -c)
+                if bottom > lo:
+                    lo = bottom
+            elif slack < 0:
+                hi = lo - 1
+                break
+        points.extend(head + (x,) for x in range(lo, hi + 1))
+    return points
 
 
 def _has_nonneg_combination(columns: list[tuple[int, ...]], rhs: list[int]) -> bool:
@@ -215,14 +247,23 @@ def integer_hull_vertices(
 ) -> list[tuple[int, ...]]:
     """Vertices of the convex hull of the lattice points of P, sorted.
 
-    A point stays iff it is not a convex combination of the other lattice
-    points, decided exactly by rational phase-1 pivoting.
+    The points are taken in sorted order against the points still kept.  A
+    point v is dropped when 2v - q is a kept point for some kept q != v (an
+    integer midpoint), or else when the integer phase-1 simplex writes it
+    as a convex combination of the other kept points.  A dropped point lies
+    in the hull of the others, so removing it leaves conv(kept) equal to
+    conv(points), and each later test decides extremality in P_I itself.
     """
     points = integer_points(p, budget)
+    kept = dict.fromkeys(points)
     hull = []
     for v in points:
-        others = [q for q in points if q != v]
-        if not _has_nonneg_combination([q + (1,) for q in others], list(v) + [1]):
+        twice = [2 * x for x in v]
+        if any(q != v and tuple(map(sub, twice, q)) in kept for q in kept) or (
+            _has_nonneg_combination([q + (1,) for q in kept if q != v], list(v) + [1])
+        ):
+            del kept[v]
+        else:
             hull.append(v)
     return hull
 

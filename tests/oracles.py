@@ -285,3 +285,64 @@ def assert_same_column_lattice(a: IntMatrix, h: IntMatrix, u: IntMatrix) -> None
     ]
     u_inverse = IntMatrix.from_rows(u_inverse_rows)
     assert h.matmul(u_inverse).entries == a.entries
+
+
+def _convex_weights(points, v) -> list[Fraction] | None:
+    """The weights lambda with sum lambda_t t = v and sum lambda_t = 1, by
+    Fraction elimination of [T; 1] lambda = [v; 1]; None when T is
+    affinely dependent or v is off its affine hull."""
+    k = len(points)
+    work = [[Fraction(t[i]) for t in points] + [Fraction(v[i])] for i in range(len(v))]
+    work.append([Fraction(1)] * (k + 1))
+    for c in range(k):
+        pivot = next((i for i in range(c, len(work)) if work[i][c] != 0), None)
+        if pivot is None:
+            return None
+        work[c], work[pivot] = work[pivot], work[c]
+        lead = work[c][c]
+        work[c] = [x / lead for x in work[c]]
+        for i in range(len(work)):
+            if i != c and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
+    if any(row[k] != 0 for row in work[k:]):
+        return None
+    return [row[k] for row in work[:k]]
+
+
+def _separated(v, others) -> bool:
+    """True when some c in {-3, ..., 3}^n has c v > c q for every other
+    point q: an exact certificate that v is a vertex (not a complete test)."""
+    differences = [tuple(x - y for x, y in zip(v, q)) for q in others]
+    return any(
+        all(sum(a * b for a, b in zip(c, d)) > 0 for d in differences)
+        for c in product(range(-3, 4), repeat=len(v))
+    )
+
+
+def convex_hull_vertices(points) -> list[tuple[int, ...]]:
+    """Vertices of the convex hull of integer points in R^n, sorted.
+
+    By Caratheodory's theorem v is not a vertex iff it lies in the hull of
+    an affinely independent set T of the other points with |T| <= n + 1.
+    A point with a small separating functional is a vertex at once; every
+    other point tries every such T, nearest points first, skipping a T
+    whose bounding box misses v and deciding the rest by a Fraction solve
+    with lambda >= 0."""
+    pts = sorted(set(map(tuple, points)))
+    hull = []
+    for v in pts:
+        others = [q for q in pts if q != v]
+        if _separated(v, others):
+            hull.append(v)
+            continue
+        others.sort(key=lambda q: sum((x - y) ** 2 for x, y in zip(q, v)))
+        subsets = (t for size in range(1, len(v) + 2) for t in combinations(others, size))
+        if not any(
+            all(min(c) <= x <= max(c) for x, c in zip(v, zip(*t)))
+            and (weights := _convex_weights(t, v)) is not None
+            and min(weights) >= 0
+            for t in subsets
+        ):
+            hull.append(v)
+    return hull

@@ -314,11 +314,13 @@ class TestEnumerationGolden:
     instance has |det B| = 96 on its greedy basis, so its atleast2 witness
     comes through the residue join; lower_bound_5 has no witness.  The
     facedim polytope is criterion-7 style (delta 2, [A; -A] with b >= 0)
-    with four fractional LP vertices; the box is unimodular.  Three inputs
-    are solved above the threshold: two replacements, then a short vector;
-    and the pair- and block-swap exercisers of the acceptance suite, which
-    end in certificates.  CI diffs these three, the atleast2 witness and the
-    facedim polytope against the installed console script."""
+    with four fractional LP vertices; the box is unimodular; the segment
+    0.3 <= x <= 0.6 has no lattice point, so it passes with no vertex.
+    Three inputs are solved above the threshold: two replacements, then a
+    short vector; and the pair- and block-swap exercisers of the acceptance
+    suite, which end in certificates.  CI diffs these three, the atleast2
+    witness and the three facedim polytopes against the installed console
+    script."""
 
     @pytest.mark.parametrize(
         "argv,source,expected",
@@ -336,6 +338,8 @@ class TestEnumerationGolden:
             (["verify", "facedim", "--delta", "2"], "facedim_hull_25.txt",
              "facedim_hull_25.json"),
             (["verify", "facedim", "--delta", "1"], "facedim_box.txt", "facedim_box.json"),
+            (["verify", "facedim", "--delta", "1"], "facedim_no_lattice.txt",
+             "facedim_no_lattice.json"),
             (["svp", "solve", "--delta", "3"], "walk_to_short_vector.txt",
              "solve_walk_to_short_vector.json"),
             (["svp", "solve", "--delta", "3"], "pair_swap.txt", "solve_pair_swap.json"),
@@ -343,7 +347,7 @@ class TestEnumerationGolden:
         ],
         ids=["oracle", "atleast2_witness", "atleast2_none", "support_derived_box",
              "support_five_optima", "solve_below_threshold", "solve_early_exit",
-             "facedim_fractional_lp", "facedim_unimodular_box",
+             "facedim_fractional_lp", "facedim_unimodular_box", "facedim_no_lattice",
              "solve_walk_to_short_vector", "solve_pair_swap", "solve_block_swap"],
     )
     def test_json_bytes(self, capsys, argv, source, expected):

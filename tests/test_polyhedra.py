@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from deltasvp import polyhedra
 from deltasvp.errors import (
     BudgetExceededError,
     ContainmentError,
@@ -37,7 +38,13 @@ from deltasvp.polyhedra import (
     vertices_of_polyhedron,
 )
 
-from oracles import fraction_rank, ilp_optimizers, polyhedron_vertices, polytope_points
+from oracles import (
+    convex_hull_vertices,
+    fraction_rank,
+    ilp_optimizers,
+    polyhedron_vertices,
+    polytope_points,
+)
 
 M = IntMatrix.from_rows
 
@@ -147,18 +154,28 @@ class TestIntegerPoints:
     @given(st.data())
     def test_matches_plain_scan(self, data):
         """A box [-r, r]^n cut by random half-spaces through or beyond the
-        origin: the sorted point list against a plain scan of the box."""
-        n = data.draw(st.integers(1, 3))
-        radius = data.draw(st.integers(1, 3))
+        origin, some with last coefficient 0 (a head of the box with no
+        last coordinate in P): the sorted point list against a plain scan
+        of the box."""
+        n = data.draw(st.integers(1, 4))
+        radius = data.draw(st.integers(1, 3 if n < 4 else 2))
         box = box_polyhedron(n, radius)
         row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
-        cuts = data.draw(st.lists(row, max_size=3))
+        flat_last = st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1).map(
+            lambda head: head + [0]
+        )
+        cuts = data.draw(st.lists(row, max_size=3)) + data.draw(st.lists(flat_last, max_size=2))
         bounds = data.draw(st.lists(st.integers(0, 6), min_size=len(cuts), max_size=len(cuts)))
         entries = [list(r) for r in box.a.entries] + cuts
         b = list(box.b) + bounds
         assert integer_points(PolyhedronH(M(entries), tuple(b))) == polytope_points(
             entries, b, radius
         )
+
+    def test_budget_covers_the_bounding_box(self):
+        with pytest.raises(BudgetExceededError) as info:
+            integer_points(box_polyhedron(2, 10**5))
+        assert str(info.value) == "box scan of size 40000400001 exceeds budget 10000000"
 
     def test_no_interior_integer_point_in_certified_instance(self):
         a = lower_bound_instance(3)
@@ -209,6 +226,76 @@ class TestIntegerHull:
                 continue
             assert integer_hull_vertices(p) == convex_hull_2d(points)
             done += 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_caratheodory_oracle(self, data):
+        """n = 1..4: a box (many interior midpoints; [-1, 1] x [0, 1]^3 in
+        4-D) cut by random half-spaces through or beyond the origin; in 3-D
+        it may be flattened onto a plane or a line through the origin by
+        pairs a x <= 0, -a x <= 0."""
+        n = data.draw(st.integers(1, 4))
+        radius = data.draw(st.integers(1, {1: 3, 2: 2, 3: 1, 4: 1}[n]))
+        box = box_polyhedron(n, radius)
+        lows = [radius] * n if n < 4 else [1, 0, 0, 0]
+        row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+        cuts = data.draw(st.lists(row, max_size=3))
+        bounds = data.draw(st.lists(st.integers(0, 4), min_size=len(cuts), max_size=len(cuts)))
+        flats = data.draw(st.lists(row, max_size=2)) if n == 3 else []
+        entries = [list(r) for r in box.a.entries] + cuts + flats + [[-x for x in f] for f in flats]
+        b = [x for low in lows for x in (radius, low)] + bounds + [0] * 2 * len(flats)
+        p = PolyhedronH(M(entries), tuple(b))
+        assert integer_hull_vertices(p) == convex_hull_vertices(integer_points(p))
+
+    @pytest.mark.parametrize(
+        "flats,expected",
+        [
+            (
+                [[1, 1, -1]],  # a hexagon on the plane z = x + y
+                [(-2, 0, -2), (-2, 2, 0), (0, -2, -2), (0, 2, 2), (2, -2, 0), (2, 0, 2)],
+            ),
+            ([[1, -1, 0], [0, 1, -1]], [(-2, -2, -2), (2, 2, 2)]),  # x = y = z
+        ],
+        ids=["plane", "line"],
+    )
+    def test_flat_point_sets(self, flats, expected):
+        box = box_polyhedron(3, 2)
+        entries = list(box.a.entries) + flats + [[-x for x in f] for f in flats]
+        p = PolyhedronH(M(entries), box.b + (0,) * 2 * len(flats))
+        assert integer_hull_vertices(p) == convex_hull_vertices(integer_points(p)) == expected
+
+
+class TestHullWork:
+    """The work integer_hull_vertices saves, counted on the hull LPs (the
+    phase-1 programs of length n + 1; the boundedness programs have length
+    n)."""
+
+    @staticmethod
+    def hull_lps(monkeypatch, p):
+        calls = []
+        real = polyhedra._has_nonneg_combination
+
+        def counted(columns, rhs):
+            if len(rhs) == p.dim + 1:
+                calls.append((tuple(rhs[:-1]), len(columns)))
+            return real(columns, rhs)
+
+        monkeypatch.setattr(polyhedra, "_has_nonneg_combination", counted)
+        return integer_hull_vertices(p), calls
+
+    def test_midpoints_run_no_lp(self, monkeypatch):
+        hull, calls = self.hull_lps(monkeypatch, box_polyhedron(2))
+        assert hull == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
+        assert [point for point, _ in calls] == hull
+
+    def test_proved_points_leave_later_lps(self, monkeypatch):
+        """Lattice points (0,0), (1,1), (1,2), (2,1): (1,1) is interior but
+        no midpoint, so an LP drops it and the two LPs after it see two
+        columns, not three."""
+        p = PolyhedronH(M([[1, -2], [-2, 1], [1, 1]]), (0, 0, 3))
+        hull, calls = self.hull_lps(monkeypatch, p)
+        assert hull == [(0, 0), (1, 2), (2, 1)]
+        assert calls == [((0, 0), 3), ((1, 1), 3), ((1, 2), 2), ((2, 1), 2)]
 
 
 class TestMinFaceDimension:
