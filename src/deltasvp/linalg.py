@@ -6,10 +6,13 @@ fraction-free pivot (Bareiss 1968, in the pivot form of Edmonds 1967):
 every intermediate entry is a minor of the input, so values stay
 polynomially bounded.  Determinants, rank and the greedy invertible row set
 use forward elimination.  ``Tableau(rows, adj, det, numerators)`` holds the
-basis rows, adj(B), det(B) and N = A*adj(B), read off one reduced
-elimination of [A^T | I]; it is the only route to an inverse,
-B^-1 = adj / det, and every tableau is certified by one packed product,
-A*adj(B) == N in every entry and N == det(B)*I at the basis rows.
+basis rows, adj(B), det(B) and N = A*adj(B); it is the only route to an
+inverse, B^-1 = adj / det.  Only the n x n transform +-adj(B)^T is
+eliminated, each row of A entering it as it is scanned, and N is read off
+the packed product A*adj(B) (Kronecker substitution) that certifies the
+tableau: the words read must write back to the product's bytes, so N is
+A*adj(B) exactly, and N == det(B)*I at the basis rows, which proves
+B*adj(B) == det(B)*I.
 The polyhedral verifiers reuse the same pivot.
 Enumerating operations (subdeterminant scans) take an explicit budget and
 refuse up front rather than truncate.  Every box scan (the oracles, lattice
@@ -21,6 +24,8 @@ point costs one vector addition instead of a full product A x.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from itertools import chain, combinations, product
 from operator import add, mul
@@ -216,70 +221,155 @@ class Tableau:
 
 
 def tableau(a: IntMatrix, rows: Sequence[int] | None = None) -> Tableau:
-    """Basis, adj(B), det(B) and A * adj(B) for an m x n matrix A, from one
-    reduced elimination of the n x (m+n) matrix [A^T | I].
+    """Basis, adj(B), det(B) and N = A * adj(B) for an m x n matrix A.
 
-    With rows=None the pivot columns are the greedy invertible row set,
-    exactly find_invertible_rows(a), and RankError is raised below full
-    column rank.  Otherwise step k pivots on column rows[k], so B = a[rows]
-    keeps that row order, and SingularMatrixError is raised when it is
-    singular.  The eliminated pivot columns hold p * I with p = +-det(B)
-    the last pivot, so the work matrix is L * [A^T | I] with
-    L = p * (B^T)^-1 = s * adj(B)^T for s = det(B) / p: its right block is
-    s * adj(B)^T and its left block s * N^T.  Everything returned is
-    certified by _certify: every entry of A * adj(B) against N, and
-    N[rows] against det(B) * I.
+    Only the n x n transform R is eliminated.  The reduced fraction-free
+    elimination of [A^T | I] is R * [A^T | I] at every step, so its right
+    block is R itself and the column of A's row c is R * a_c: that column
+    is built when the scan reaches row c, as the sum over the nonzero
+    entries v = a_c[j] of v times column j of R.  Its entries from the next
+    pivot row down decide whether row c is independent of the pivots so
+    far, so they are built first and the rest only for a pivot.  Each pivot
+    is _pivot's update and skip rule on the rows of R, with the column put
+    in one more entry of each row: n x (n+1) entries where [A^T | I] has
+    n x (m+n), and rows of A after the last pivot are never touched.
+
+    With rows=None the candidates are A's rows in order, so the pivots are
+    the greedy invertible row set, exactly find_invertible_rows(a), and
+    RankError is raised below full column rank.  Otherwise step k pivots on
+    row rows[k], so B = a[rows] keeps that row order, and
+    SingularMatrixError is raised when it is singular.  At the end
+    R * B^T = p * I with p = +-det(B) the last pivot, so
+    R = s * adj(B)^T for the row-swap sign s = det(B) / p.  N is read off
+    the packed product A * adj(B) that _certify computes, which also
+    certifies N[rows] == det(B) * I.
     """
     m, n = a.rows, a.cols
     if rows is not None and (len(rows) != n or any(not 0 <= i < m for i in rows)):
         raise DimensionError(f"basis needs {n} row indices in range({m})")
-    work = [list(col) + [int(i == j) for j in range(n)] for i, col in enumerate(zip(*a.entries))]
-    pivots, d = _eliminate(work, range(m) if rows is None else rows, reduce=True)
+    # entry n of each row holds the candidate's column, for _pivot to pivot on
+    transform = [[int(i == j) for j in range(n + 1)] for i in range(n)]
+    pivots: list[int] = []
+    sign = prev = 1
+    for c in range(m) if rows is None else rows:
+        r = len(pivots)
+        if r == n:
+            break
+        column = _combine(transform[r:], a.entries[c])
+        i = next((r + i for i, f in enumerate(column) if f), None)
+        if i is None:
+            continue
+        if r:
+            column = _combine(transform[:r], a.entries[c]) + column
+        for row, f in zip(transform, column):
+            row[n] = f
+        if i != r:
+            transform[r], transform[i] = transform[i], transform[r]
+            sign = -sign
+        _pivot(transform, r, n, prev, 0)
+        prev = transform[r][n]
+        pivots.append(c)
     if len(pivots) < n:
         if rows is None:
             raise RankError(f"matrix has rank {len(pivots)} < {n} columns")
         raise SingularMatrixError("selected basis rows are singular")
-    sign = d // work[0][pivots[0]]
-    adj = IntMatrix(tuple(zip(*([sign * x for x in row[m:]] for row in work))))
-    numerators = IntMatrix(tuple(zip(*([sign * x for x in row[:m]] for row in work))))
-    _certify(a, pivots, adj, d, numerators)
-    return Tableau(tuple(pivots), adj, d, numerators)
+    if sign < 0:
+        transform = [[-x for x in row] for row in transform]
+    adj = IntMatrix(tuple(zip(*transform))[:n])
+    d = sign * prev
+    return Tableau(tuple(pivots), adj, d, _certify(a, pivots, adj, d))
 
 
-def _certify(
-    a: IntMatrix, rows: Sequence[int], adj: IntMatrix, d: int, numerators: IntMatrix
-) -> None:
-    """Raises InvariantError unless A * adj == N entry by entry and
-    N[rows] == d * I, which together prove B * adj == d * I for B = A[rows].
+def _combine(rows: list[list[int]], entries: Sequence[int]) -> list[int]:
+    """rows * entries: the sum over the nonzero entries v = entries[j] of
+    v times column j of rows, accumulated term by term."""
+    column = [0] * len(rows)
+    for j, v in enumerate(entries):
+        if v:
+            column = [y + v * row[j] for y, row in zip(column, rows)]
+    return column
 
-    The product is compared on packed integers (Kronecker substitution):
-    with T = 2^s > 2 * max(max |N|, n * max |A| * max |adj|), row i of
-    A * adj packs to sum_j A[i][j] * (adj row j in base T) and row i of N
-    to its own base-T integer.  Every digit on either side is below T / 2
-    in absolute value, so two rows pack to the same integer only when they
-    agree entry by entry.  That is m * n products of a packed integer in
-    place of m * n^2 multiply-adds.
+
+#: Bits of one array("q") item, the word of every packed product that fits.
+_WORD = 64
+
+
+def _certify(a: IntMatrix, rows: Sequence[int], adj: IntMatrix, d: int) -> IntMatrix:
+    """N = A * adj, read off one packed product (Kronecker substitution).
+
+    Raises InvariantError unless N[rows] == d * I, which with N = A * adj
+    exact shows B * adj == d * I for B = A[rows].
+
+    Every entry of A * adj is at most h = n * max |A| * max |adj| in
+    absolute value, and words have w bits with 2^(w-1) > h: 64 when that
+    is enough, else whole bytes.  Each row of adj packs to the integer
+    with its entries as signed base-2^w digits, so row i of A * adj is the
+    one integer sum_j A[i][j] * packed[j]: m * n products of a packed
+    integer in place of m * n^2 multiply-adds.  Adding 2^(w-1) to every
+    digit (no digit carries into the next) and flipping the top bit of
+    every word turns each digit into a two's-complement word, and
+    _read_words reads the words of all rows off their bytes.  Those words
+    must write back, each within w bits, to the same bytes, so N == A * adj
+    entry by entry whatever the reader returned (InvariantError otherwise).
     """
     n = a.cols
-    largest = max(map(abs, chain.from_iterable(numerators.entries)))
-    reach = max(map(abs, chain.from_iterable(a.entries))) * max(
+    reach = n * max(map(abs, chain.from_iterable(a.entries))) * max(
         map(abs, chain.from_iterable(adj.entries))
     )
-    s = (2 * max(largest, n * reach)).bit_length()
-
-    def pack(row: Sequence[int]) -> int:
-        v = 0
-        for x in reversed(row):
-            v = (v << s) + x
-        return v
-
-    packed = [pack(row) for row in adj.entries]
-    for a_row, n_row in zip(a.entries, numerators.entries):
-        if sum(map(mul, a_row, packed)) != pack(n_row):
-            raise InvariantError("A * adj(B) != N")
+    width = max(_WORD, -(-(2 * reach).bit_length() // 8) * 8)
+    bias = ((1 << (width * n)) - 1) // ((1 << width) - 1) << (width - 1)
+    size = n * width // 8
+    raw = _write_words(chain.from_iterable(adj.entries), width)
+    packed = [
+        (int.from_bytes(raw[k : k + size], "little") ^ bias) - bias
+        for k in range(0, len(raw), size)
+    ]
+    data = b"".join(
+        [
+            ((sum(map(mul, row, packed)) + bias) ^ bias).to_bytes(size, "little")
+            for row in a.entries
+        ]
+    )
+    words = _read_words(data, width)
+    try:
+        exact = _write_words(words, width) == data
+    except OverflowError:
+        exact = False
+    if not exact:
+        raise InvariantError("A * adj(B) != N")
+    numerators = [tuple(words[k : k + n]) for k in range(0, len(words), n)]
+    zero = (0,) * n
     for k, i in enumerate(rows):
-        if numerators.entries[i] != tuple(d if j == k else 0 for j in range(n)):
+        if numerators[i] != zero[:k] + (d,) + zero[k + 1 :]:
             raise InvariantError("B * adj(B) != det(B) * I")
+    return IntMatrix(tuple(numerators))
+
+
+def _read_words(data: bytes, width: int) -> list[int]:
+    """The words of width bits in data, lowest first and little-endian,
+    each read as a two's-complement integer."""
+    if width == _WORD:
+        words = array("q", data)
+        if sys.byteorder == "big":
+            words.byteswap()
+        return words.tolist()
+    size = width // 8
+    return [
+        int.from_bytes(data[k : k + size], "little", signed=True)
+        for k in range(0, len(data), size)
+    ]
+
+
+def _write_words(words: Iterable[int], width: int) -> bytes:
+    """The inverse of _read_words; OverflowError when a word does not fit
+    in width bits."""
+    if width == _WORD:
+        out = array("q", words)
+        if sys.byteorder == "big":
+            out.byteswap()
+        return out.tobytes()
+    size = width // 8
+    return b"".join([x.to_bytes(size, "little", signed=True) for x in words])
 
 
 _Scan = Iterator[tuple[tuple[int, ...], tuple[int, ...]]]

@@ -17,8 +17,9 @@ exceed a threshold depending only on delta, since only then does the
 pigeonhole over residue classes always produce enough same-class columns.
 
 Each pass (``threshold_step``) reads everything off one certified tableau
-(``linalg.tableau``: adj(B), det(B) and N = A*adj(B) from one fraction-free
-elimination of [A^T | I]), in this order: the entry scan of N; the scan of
+(``linalg.tableau``: adj(B) and det(B) from a fraction-free elimination of
+the n x n transform alone, and N = A*adj(B) read off the packed product
+that certifies it), in this order: the entry scan of N; the scan of
 the columns of adj(B) for an integral one, which computes each column's
 residues modulo |det B| on the way; one same-class selection from those
 residues; and a lazy scan of the test vectors, the pairwise differences in

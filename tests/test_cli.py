@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -8,6 +10,7 @@ from deltasvp.cli import build_parser, main
 from deltasvp.linalg import IntMatrix
 from deltasvp.textio import format_polyhedron, parse_matrix
 
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 WORKED_TEXT = "3 2\n1 0\n1 2\n2 2\n"
 
 
@@ -54,6 +57,12 @@ class TestGen:
         assert payload["generator_version"] == 1
         assert all(isinstance(x, str) for row in payload["matrix"]["entries"] for x in row)
         assert "generated_at" not in payload
+
+    def test_random_dense_golden(self, capsys):
+        """The dense solve golden's input is this generator's output."""
+        code, out, _ = run(capsys, "gen", "random", "--delta", "5", "--rows", "72",
+                           "--cols", "24", "--seed", "1")
+        assert (code, out) == (0, (FIXTURES / "dense_24.txt").read_text())
 
     def test_identical_invocations_identical_bytes(self, capsys):
         _, first, _ = run(capsys, "gen", "random", "--delta", "3", "--rows", "6",
@@ -305,9 +314,6 @@ class TestSolveGolden:
         assert (code, out, err) == (0, expected, "")
 
 
-FIXTURES = Path(__file__).resolve().parent / "fixtures"
-
-
 class TestEnumerationGolden:
     """Exact `--json` stdout of the complete enumerations, pinned byte for
     byte in tests/fixtures (input file, expected stdout).  The witness
@@ -316,9 +322,12 @@ class TestEnumerationGolden:
     facedim polytope is criterion-7 style (delta 2, [A; -A] with b >= 0)
     with four fractional LP vertices; the box is unimodular; the segment
     0.3 <= x <= 0.6 has no lattice point, so it passes with no vertex.
-    Three inputs are solved above the threshold: two replacements, then a
-    short vector; and the pair- and block-swap exercisers of the acceptance
-    suite, which end in certificates.  CI diffs these three, the atleast2
+    Four inputs are solved above the threshold: two replacements, then a
+    short vector; the pair- and block-swap exercisers of the acceptance
+    suite, which end in certificates; and dense_24, the 72 x 24 output of
+    `gen random --delta 5 --rows 72 --cols 24 --seed 1`, whose dense rows
+    (about 14 nonzeros of 24) make the greedy scan pass over 33 dependent
+    rows before its basis is complete.  CI diffs these four, the atleast2
     witness and the three facedim polytopes against the installed console
     script."""
 
@@ -344,11 +353,13 @@ class TestEnumerationGolden:
              "solve_walk_to_short_vector.json"),
             (["svp", "solve", "--delta", "3"], "pair_swap.txt", "solve_pair_swap.json"),
             (["svp", "solve", "--delta", "2"], "block_swap.txt", "solve_block_swap.json"),
+            (["svp", "solve", "--delta", "5"], "dense_24.txt", "solve_dense_24.json"),
         ],
         ids=["oracle", "atleast2_witness", "atleast2_none", "support_derived_box",
              "support_five_optima", "solve_below_threshold", "solve_early_exit",
              "facedim_fractional_lp", "facedim_unimodular_box", "facedim_no_lattice",
-             "solve_walk_to_short_vector", "solve_pair_swap", "solve_block_swap"],
+             "solve_walk_to_short_vector", "solve_pair_swap", "solve_block_swap",
+             "solve_dense_24"],
     )
     def test_json_bytes(self, capsys, argv, source, expected):
         code, out, err = run(capsys, *argv, "--json", str(FIXTURES / source))
@@ -388,3 +399,26 @@ class TestParserReuse:
         assert build_parser.cache_info().misses == 1
         assert fresh[0][0] == 1 and fresh[0][2].startswith("usage: deltasvp svp solve")
         assert [code for code, _, _ in fresh[1:]] == [0, 0]
+
+
+def python_m(*argv):
+    """`python -m deltasvp argv` in a child process on this checkout's src/."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "deltasvp", *argv], capture_output=True, env=env)
+
+
+class TestModuleEntryPoint:
+    def test_solve_golden_bytes(self):
+        done = python_m("svp", "solve", "--delta", "3", "--json",
+                        str(FIXTURES / "walk_to_short_vector.txt"))
+        expected = (FIXTURES / "solve_walk_to_short_vector.json").read_bytes()
+        assert (done.returncode, done.stdout, done.stderr) == (0, expected, b"")
+
+    def test_exit_code_passes_through(self, capsys):
+        argv = ("svp", "solve", "--delta", "3", str(FIXTURES / "no_such_file.txt"))
+        done = python_m(*argv)
+        code, out, err = run(capsys, *argv)
+        assert (done.returncode, done.stdout.decode(), done.stderr.decode()) == (code, out, err)
+        assert code != 0

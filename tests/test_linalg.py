@@ -1,4 +1,5 @@
 import random
+from contextlib import contextmanager
 from dataclasses import replace
 from itertools import product
 
@@ -13,9 +14,11 @@ from deltasvp.errors import (
     RankError,
     SingularMatrixError,
 )
+from deltasvp import linalg
 from deltasvp.linalg import (
     IntMatrix,
     _certify,
+    _read_words,
     box_images,
     det,
     find_invertible_rows,
@@ -245,20 +248,34 @@ class TestTableau:
         assert tab.det == cofactor_det(basis)
         assert tab.numerators.entries == plain_product(a_entries, adj)
 
-    @staticmethod
-    def draw_entries(data, zero_first=False):
+    ENTRIES = {
+        "small": st.integers(-3, 3),
+        "dense": st.integers(-9, 9).filter(bool),
+        "sparse": st.sampled_from([0, 0, 0, 0, 1, -1, 2]),
+        # |entry| >= 2^64, so the certificate reads N in words wider than 64 bits
+        "wide": st.integers(2**64, 2**70).flatmap(lambda x: st.sampled_from([x, -x])),
+    }
+
+    @classmethod
+    def draw_entries(cls, data):
+        """Small, dense, sparse or wide entries; sometimes unit rows first,
+        and sometimes all-zero rows, which the greedy scan skips and which
+        are zero rows of N."""
         cols = data.draw(st.integers(1, 4))
-        rows = data.draw(st.integers(cols, 7))
-        entry = st.integers(-3, 3)
+        rows = data.draw(st.integers(cols, 8))
+        entry = cls.ENTRIES[data.draw(st.sampled_from(sorted(cls.ENTRIES)))]
         entries = [
             data.draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)
         ]
         if data.draw(st.booleans()):
             units = data.draw(st.integers(1, cols))
             entries[:units] = [[int(i == j) for j in range(cols)] for i in range(units)]
+        if data.draw(st.booleans()):
+            for i in data.draw(st.lists(st.integers(0, rows - 1), max_size=rows)):
+                entries[i] = [0] * cols
         return entries
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_greedy_rows_match_oracles(self, data):
         entries = self.draw_entries(data)
@@ -273,7 +290,7 @@ class TestTableau:
         else:
             self.check(entries, kept, tableau(M(entries)))
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_prescribed_rows_match_oracles(self, data):
         """Any order of any row set; the first basis row often has a zero
@@ -300,6 +317,20 @@ class TestTableau:
     )
     def test_prescribed_rows_needing_swaps(self, entries, rows):
         self.check(entries, rows, tableau(M(entries), rows))
+
+    @pytest.mark.parametrize("rows", [None, (3, 1)])
+    def test_zero_rows_give_zero_rows_of_n(self, rows):
+        entries = [[0, 0], [1, 2], [0, 0], [3, 4], [0, 0]]
+        tab = tableau(M(entries), rows)
+        self.check(entries, (1, 3) if rows is None else rows, tab)
+        assert [tab.numerators.entries[i] for i in (0, 2, 4)] == [(0, 0)] * 3
+
+    def test_wide_entries(self):
+        """|N| near 2^200: the certificate's words are wider than 64 bits."""
+        big = 2**100
+        entries = [[big, 1, 0], [0, big + 1, -big], [3, 0, big - 7], [big, big, big], [1, 2, 3]]
+        self.check(entries, (0, 1, 2), tableau(M(entries)))
+        self.check(entries, (4, 3, 0), tableau(M(entries), (4, 3, 0)))
 
     def test_rank_deficient_rejected(self):
         with pytest.raises(RankError):
@@ -380,11 +411,27 @@ def _huge_matrix() -> IntMatrix:
               for _ in range(3)])
 
 
+@contextmanager
+def _faulty_reader(n: int, bumps: dict[tuple[int, int], int]):
+    """_certify's word reader with bumps[i, j] added to word j of row i of
+    A * adj (n words a row) as it hands the words over."""
+
+    def read(data: bytes, width: int) -> list[int]:
+        words = _read_words(data, width)
+        for (i, j), by in bumps.items():
+            words[i * n + j] += by
+        return words
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_read_words", read)
+        yield
+
+
 class TestCertify:
-    """_certify against corrupted tableaux: one changed entry of adj, of N
-    off the basis rows, or of d, is caught, as is a change of 2^k for k
-    around the packing width (a carry into, or an alias of, the next
-    base-T digit)."""
+    """_certify against corrupted inputs and a corrupted word reader: one
+    changed entry of adj or of d is caught, as is one word of N off the
+    basis rows changed by the reader, and a change of 2^k for k around the
+    word width (a carry into, or an alias of, the next base-2^w digit)."""
 
     CASES = {
         "small": [[2, 1, 0], [1, 3, 1], [0, 1, 4], [5, -2, 7], [-3, 3, 1]],
@@ -398,12 +445,13 @@ class TestCertify:
         return a, tab.rows, tab.adj, tab.det, tab.numerators
 
     @staticmethod
-    def width(a, adj, numerators) -> int:
-        """The packing width s, 2^s > 2 * max(max |N|, n * max |A| * max |adj|)."""
+    def width(a, adj) -> int:
+        """The word width w: 64, or whole bytes with 2^(w-1) > n * max |A| * max |adj|."""
         def largest(m):
             return max(abs(x) for row in m.entries for x in row)
 
-        return (2 * max(largest(numerators), a.cols * largest(a) * largest(adj))).bit_length()
+        bits = (2 * a.cols * largest(a) * largest(adj)).bit_length()
+        return max(64, -(-bits // 8) * 8)
 
     @pytest.fixture(scope="class", params=["small", "negative", "unit_first", "huge"])
     def parts_of(self, request):
@@ -416,14 +464,14 @@ class TestCertify:
         assert adj.entries == cofactor_adjugate(basis)
         assert d == cofactor_det(basis)
         assert numerators.entries == plain_product(a.entries, adj.entries)
-        _certify(a, rows, adj, d, numerators)
+        assert _certify(a, rows, adj, d) == numerators
 
     @pytest.mark.parametrize("by", [1, -1])
     def test_adjugate_entry(self, parts_of, by):
         a, rows, adj, d, numerators = parts_of
         for i, j in product(range(a.cols), repeat=2):
             with pytest.raises(InvariantError):
-                _certify(a, rows, _bumped(adj, i, j, by), d, numerators)
+                _certify(a, rows, _bumped(adj, i, j, by), d)
 
     @pytest.mark.parametrize("by", [1, -1])
     def test_off_basis_numerator_entry(self, parts_of, by):
@@ -432,35 +480,57 @@ class TestCertify:
         off = [i for i in range(a.rows) if i not in rows]
         assert off
         for i, j in product(off, range(a.cols)):
-            with pytest.raises(InvariantError):
-                _certify(a, rows, adj, d, _bumped(numerators, i, j, by))
+            with _faulty_reader(a.cols, {(i, j): by}), pytest.raises(InvariantError):
+                _certify(a, rows, adj, d)
 
     @pytest.mark.parametrize("by", [1, -1])
     def test_determinant(self, parts_of, by):
         a, rows, adj, d, numerators = parts_of
         with pytest.raises(InvariantError):
-            _certify(a, rows, adj, d + by, numerators)
+            _certify(a, rows, adj, d + by)
 
     def test_powers_of_two_around_the_width(self, parts_of):
         """2^k added to one entry, alone or with the carry taken back from
         the next entry of its row: that pair packs to the same integer in
-        base 2^k, so a packing width of k, one too narrow for the
-        corrupted data, would miss it."""
+        base 2^k, so a digit range of k bits, or none, would miss it."""
         a, rows, adj, d, numerators = parts_of
         n = a.cols
-        s = self.width(a, adj, numerators)
+        w = self.width(a, adj)
         off = next(i for i in range(a.rows) if i not in rows)
-        for k, sign, j in product(range(max(s - 3, 0), s + 3), (1, -1), range(n)):
+        for k, sign, j in product(range(w - 3, w + 3), (1, -1), range(n)):
             by = sign * 2**k
             bumped_adj = _bumped(adj, (j + 1) % n, j, by)
-            bumped_n = _bumped(numerators, off, j, by)
-            cases = [(bumped_adj, numerators), (adj, bumped_n)]
+            bumps = [{(off, j): by}]
+            adjs = [bumped_adj]
             if j + 1 < n:
-                cases += [(_bumped(bumped_adj, (j + 1) % n, j + 1, -sign), numerators),
-                          (adj, _bumped(bumped_n, off, j + 1, -sign))]
-            for corrupt_adj, corrupt_n in cases:
+                bumps.append({(off, j): by, (off, j + 1): -sign})
+                adjs.append(_bumped(bumped_adj, (j + 1) % n, j + 1, -sign))
+            for corrupt_adj in adjs:
                 with pytest.raises(InvariantError):
-                    _certify(a, rows, corrupt_adj, d, corrupt_n)
+                    _certify(a, rows, corrupt_adj, d)
+            for bump in bumps:
+                with _faulty_reader(n, bump), pytest.raises(InvariantError):
+                    _certify(a, rows, adj, d)
+
+    @pytest.mark.parametrize("case", ["small", "huge"])
+    def test_corrupted_word_from_the_reader(self, case):
+        """Any one word of any row, basis rows included, changed by the
+        reader: by one, or by 2^(w-1) or -2^w, which leave the digit range."""
+        a = _huge_matrix() if case == "huge" else M(self.CASES[case])
+        a, rows, adj, d, numerators = self.parts(a)
+        w = self.width(a, adj)
+        for i, j, by in product(range(a.rows), range(a.cols), (1, -1, 2 ** (w - 1), -(2**w))):
+            with _faulty_reader(a.cols, {(i, j): by}), pytest.raises(InvariantError):
+                _certify(a, rows, adj, d)
+
+    def test_reader_dropping_a_zero_word(self):
+        """N's last word is 0, so the words without it would still pack to
+        the same integer: only their bytes show the fault."""
+        a = M([[1, 0], [0, 1], [3, 0]])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linalg, "_read_words", lambda data, width: _read_words(data, width)[:-1])
+            with pytest.raises(InvariantError):
+                _certify(a, (0, 1), M([[1, 0], [0, 1]]), 1)
 
     @settings(max_examples=100, deadline=None)
     @given(matrices(max_rows=6, max_cols=4, bound=50), st.data())
@@ -469,16 +539,16 @@ class TestCertify:
             a, rows, adj, d, numerators = self.parts(a)
         except RankError:
             return
-        _certify(a, rows, adj, d, numerators)
+        assert _certify(a, rows, adj, d) == numerators
         by = data.draw(st.sampled_from([1, -1, 2, -2, 3]))
         if data.draw(st.booleans()):
             i, j = data.draw(st.integers(0, a.cols - 1)), data.draw(st.integers(0, a.cols - 1))
-            adj = _bumped(adj, i, j, by)
+            with pytest.raises(InvariantError):
+                _certify(a, rows, _bumped(adj, i, j, by), d)
         else:
             i, j = data.draw(st.integers(0, a.rows - 1)), data.draw(st.integers(0, a.cols - 1))
-            numerators = _bumped(numerators, i, j, by)
-        with pytest.raises(InvariantError):
-            _certify(a, rows, adj, d, numerators)
+            with _faulty_reader(a.cols, {(i, j): by}), pytest.raises(InvariantError):
+                _certify(a, rows, adj, d)
 
 
 class TestBoxImages:
