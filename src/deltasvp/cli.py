@@ -120,8 +120,7 @@ def _cmd_svp_solve(args) -> int:
 def _cmd_svp_oracle(args) -> int:
     a = _read_matrix(args.file)
     bound = args.bound if args.bound is not None else oracle.enum_bound(a)
-    kwargs = {} if args.budget is None else {"budget": args.budget}
-    result = oracle.brute_force_svp(a, bound, **kwargs)
+    result = oracle.brute_force_svp(a, bound, args.budget)
     if args.json:
         payload = _outcome_json(result)
         payload["bound"] = bound
@@ -134,8 +133,7 @@ def _cmd_svp_oracle(args) -> int:
 
 def _cmd_svp_atleast2(args) -> int:
     a = _read_matrix(args.file)
-    kwargs = {} if args.budget is None else {"budget": args.budget}
-    decided, witness = oracle.shortest_is_at_least_2(a, **kwargs)
+    decided, witness = oracle.shortest_is_at_least_2(a, args.budget)
     if args.json:
         payload = {"shortest_is_at_least_2": decided}
         if witness is not None:
@@ -199,12 +197,11 @@ def _cmd_gen_random(args) -> int:
 
 def _cmd_check_delta(args) -> int:
     a = _read_matrix(args.file)
-    kwargs = {} if args.budget is None else {"budget": args.budget}
-    largest, witness = linalg.max_abs_full_rank_subdet(a, **kwargs)
+    largest, witness = linalg.max_abs_full_rank_subdet(a, args.budget)
     is_modular = largest <= args.delta
     totally = None
     if args.total:
-        totally = linalg.is_totally_delta_modular(a, args.delta, **kwargs)
+        totally = linalg.is_totally_delta_modular(a, args.delta, args.budget)
     if args.json:
         payload = {
             "max_abs_subdet": str(largest),
@@ -252,9 +249,8 @@ def _cmd_check_kernel(args) -> int:
 
 def _cmd_verify_facedim(args) -> int:
     a, b = textio.parse_polyhedron(_read_text(args.file))
-    kwargs = {} if args.budget is None else {"budget": args.budget}
     report = polyhedra.verify_face_dimension_bound(
-        polyhedra.PolyhedronH(a, b), args.delta, **kwargs
+        polyhedra.PolyhedronH(a, b), args.delta, args.budget
     )
     if args.json:
         _print_json(
@@ -288,8 +284,7 @@ def _cmd_verify_support(args) -> int:
                 "pass an explicit --box"
             )
         box = derived
-    kwargs = {} if args.budget is None else {"budget": args.budget}
-    report = polyhedra.verify_support_bound(ilp, args.delta, box, **kwargs)
+    report = polyhedra.verify_support_bound(ilp, args.delta, box, args.budget)
     if args.json:
         _print_json(
             {
@@ -311,8 +306,7 @@ def _cmd_verify_support(args) -> int:
 
 
 def _cmd_verify_sparsity(args) -> int:
-    kwargs = {} if args.budget is None else {"budget": args.budget}
-    report = polyhedra.verify_sparsity_construction(args.delta, **kwargs)
+    report = polyhedra.verify_sparsity_construction(args.delta, args.budget)
     if args.json:
         _print_json(
             {
@@ -356,8 +350,8 @@ def _add_json(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
 
-def _add_budget(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget", type=int, default=None, help="enumeration budget override")
+def _add_budget(p: argparse.ArgumentParser, default: int) -> None:
+    p.add_argument("--budget", type=int, default=default, help="enumeration budget override")
 
 
 @functools.cache
@@ -378,13 +372,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = svp_sub.add_parser("oracle", help="complete box enumeration")
     p.add_argument("--bound", type=int, default=None, help="box radius (default: derived)")
-    _add_budget(p)
+    _add_budget(p, oracle.DEFAULT_BOX_BUDGET)
     _add_json(p)
     p.add_argument("file")
     p.set_defaults(func=_cmd_svp_oracle)
 
     p = svp_sub.add_parser("atleast2", help="decide: no lattice vector of norm < 2")
-    _add_budget(p)
+    _add_budget(p, oracle.DEFAULT_PREIMAGE_BUDGET)
     _add_json(p)
     p.add_argument("file")
     p.set_defaults(func=_cmd_svp_atleast2)
@@ -419,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = check_sub.add_parser("delta", help="largest full-rank subdeterminant")
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--total", action="store_true", help="also check every square minor")
-    _add_budget(p)
+    _add_budget(p, linalg.DEFAULT_MINOR_BUDGET)
     _add_json(p)
     p.add_argument("file")
     p.set_defaults(func=_cmd_check_delta)
@@ -441,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = verify_sub.add_parser("facedim", help="integer-hull vertices sit on small faces")
     p.add_argument("--delta", type=int, required=True)
-    _add_budget(p)
+    _add_budget(p, polyhedra.DEFAULT_POINT_BUDGET)
     _add_json(p)
     p.add_argument("file", help="matrix plus 'b:' line")
     p.set_defaults(func=_cmd_verify_facedim)
@@ -449,14 +443,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = verify_sub.add_parser("support", help="optimal solutions have small support")
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--box", type=int, default=None, help="uniform per-variable bound")
-    _add_budget(p)
+    _add_budget(p, polyhedra.DEFAULT_POINT_BUDGET)
     _add_json(p)
     p.add_argument("file", help="matrix plus 'b:' line, optional 'c:' line")
     p.set_defaults(func=_cmd_verify_support)
 
     p = verify_sub.add_parser("sparsity", help="dense-support construction is tight")
     p.add_argument("--delta", type=int, required=True)
-    _add_budget(p)
+    _add_budget(p, polyhedra.DEFAULT_POINT_BUDGET)
     _add_json(p)
     p.set_defaults(func=_cmd_verify_sparsity)
 

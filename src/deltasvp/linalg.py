@@ -14,8 +14,10 @@ tableau: the words read must write back to the product's bytes, so N is
 A*adj(B) exactly, and N == det(B)*I at the basis rows, which proves
 B*adj(B) == det(B)*I.
 The polyhedral verifiers reuse the same pivot.
-Enumerating operations (subdeterminant scans) take an explicit budget and
-refuse up front rather than truncate.  Every box scan (the oracles, lattice
+Every maximal-minor scan reads its minors off one iterator, ``_minors``
+(each k-subset in lexicographic order, one forward elimination each), and
+every enumeration has one budget gate, ``_check_budget``, which refuses it
+up front rather than truncate.  Every box scan (the oracles, lattice
 points, standard-form programs) goes through ``box_images``, which splits
 the box into two halves and caches the images of the trailing one, so each
 point costs one vector addition instead of a full product A x.
@@ -57,12 +59,18 @@ class IntMatrix:
         width = len(self.entries[0])
         if width == 0:
             raise DimensionError("matrix needs at least one column")
+        frozen = True
         for row in self.entries:
             if len(row) != width:
                 raise DimensionError("ragged rows")
+            if not isinstance(row, tuple):
+                frozen = False
             for x in row:
                 if not isinstance(x, int):
                     raise DimensionError(f"non-integer entry {x!r}")
+        if not frozen:
+            # rows that are not tuples (lists) would leave the matrix mutable
+            object.__setattr__(self, "entries", tuple(tuple(row) for row in self.entries))
 
     @property
     def rows(self) -> int:
@@ -509,8 +517,20 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def _check_budget(count: int, budget: int, what: str) -> None:
+    """The one budget gate: refuse a scan of count items before it starts."""
     if count > budget:
-        raise BudgetExceededError(f"{what} needs {count} minors, budget is {budget}")
+        raise BudgetExceededError(f"{what} of size {count} exceeds budget {budget}")
+
+
+def _minors(
+    vectors: Sequence[Sequence[int]], k: int
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(S, det vectors[S]) for every k-subset S of range(len(vectors)), in
+    lexicographic order, lazily: one forward elimination per subset of the
+    k-vectors it selects, and 0 for a singular subset."""
+    for subset in combinations(range(len(vectors)), k):
+        pivots, value = _eliminate([list(vectors[i]) for i in subset], range(k), reduce=False)
+        yield subset, value if len(pivots) == k else 0
 
 
 def max_abs_full_rank_subdet(
@@ -526,14 +546,9 @@ def max_abs_full_rank_subdet(
     if rank(a) < n:
         raise RankError("full column rank required")
     _check_budget(math.comb(m, n), budget, "full-rank subdeterminant scan")
-    best = -1
-    witness: tuple[int, ...] = ()
-    for rows in combinations(range(m), n):
-        value = abs(det(a.submatrix_rows(rows)))
-        if value > best:
-            best = value
-            witness = rows
-    return best, witness
+    # max keeps the first of equal keys, so the witness is the first in order
+    rows, value = max(_minors(a.entries, n), key=lambda minor: abs(minor[1]))
+    return abs(value), rows
 
 
 def is_totally_delta_modular(
@@ -544,10 +559,9 @@ def is_totally_delta_modular(
     total = sum(math.comb(m, k) * math.comb(n, k) for k in range(1, min(m, n) + 1))
     _check_budget(total, budget, "total minor scan")
     for k in range(1, min(m, n) + 1):
-        for rows in combinations(range(m), k):
-            for cols in combinations(range(n), k):
-                if abs(det(a.submatrix(rows, cols))) > delta:
-                    return False
+        for rows in combinations(a.entries, k):
+            if any(abs(value) > delta for _, value in _minors(tuple(zip(*rows)), k)):
+                return False
     return True
 
 
@@ -561,8 +575,8 @@ def gcd_full_rank_subdets(a: IntMatrix, budget: int = DEFAULT_MINOR_BUDGET) -> i
         raise RankError("full row rank required")
     _check_budget(math.comb(n, m), budget, "gcd subdeterminant scan")
     g = 0
-    for cols in combinations(range(n), m):
-        g = math.gcd(g, det(a.submatrix(range(m), cols)))
+    for _, value in _minors(a.transpose().entries, m):
+        g = math.gcd(g, value)
         if g == 1:
             return 1
     return g

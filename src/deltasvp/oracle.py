@@ -17,11 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add
 
-from .errors import BudgetExceededError, DomainError, InvariantError, RankError
+from .errors import DomainError, InvariantError, RankError
 from .linalg import (
+    DEFAULT_MINOR_BUDGET,
     IntMatrix,
     Tableau,
     _box_halves,
+    _check_budget,
     box_images,
     max_abs_full_rank_subdet,
     rank,
@@ -78,10 +80,7 @@ def brute_force_svp(
     if rank(a) < a.cols:
         raise RankError("full column rank required")
     n = a.cols
-    if (2 * k + 1) ** n > budget:
-        raise BudgetExceededError(
-            f"box enumeration of size {(2 * k + 1) ** n} exceeds budget {budget}"
-        )
+    _check_budget((2 * k + 1) ** n, budget, "box enumeration")
     best_norm: int | None = None
     best: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     for z, y in box_images(a, [range(-k, k + 1)] * n):
@@ -115,8 +114,7 @@ def shortest_is_at_least_2(
     """
     t = _greedy_tableau(a)
     n = a.cols
-    if 3**n > budget:
-        raise BudgetExceededError(f"preimage scan of size {3 ** n} exceeds budget {budget}")
+    _check_budget(3**n, budget, "preimage scan")
     d = t.det
     modulus = abs(d)
     stacked = IntMatrix(t.adj.entries + t.numerators.entries)
@@ -143,8 +141,8 @@ def shortest_is_at_least_2(
 def certifies_lower_bound(
     a: IntMatrix,
     delta: int,
-    minor_budget: int | None = None,
-    preimage_budget: int | None = None,
+    minor_budget: int = DEFAULT_MINOR_BUDGET,
+    preimage_budget: int = DEFAULT_PREIMAGE_BUDGET,
 ) -> bool:
     """True iff A is exactly delta-modular and has no lattice vector of
     norm below 2, witnessing that cols(A) dimensions are not enough
@@ -152,10 +150,8 @@ def certifies_lower_bound(
     """
     if delta < 1:
         raise DomainError("delta must be >= 1")
-    minor_kwargs = {} if minor_budget is None else {"budget": minor_budget}
-    largest, _ = max_abs_full_rank_subdet(a, **minor_kwargs)
+    largest, _ = max_abs_full_rank_subdet(a, minor_budget)
     if largest != delta:
         return False
-    preimage_kwargs = {} if preimage_budget is None else {"budget": preimage_budget}
-    decided, _ = shortest_is_at_least_2(a, **preimage_kwargs)
+    decided, _ = shortest_is_at_least_2(a, preimage_budget)
     return decided

@@ -10,8 +10,9 @@ each vertex candidate comes from one reduced elimination per row subset and
 is tested against A x <= b over the common denominator, lattice points come
 from a scan of the bounding box whose last coordinate is clipped to P, a
 lattice point leaves the integer hull on an integer midpoint certificate or
-else on the same phase-1 simplex (Bland's rule on an integer tableau), and
-kernel lattice bases come from the Hermite normal form.
+else on the same phase-1 simplex (Bland's rule on an integer tableau),
+kernel lattice bases come from the Hermite normal form, and the kernel
+identity reads each maximal minor once off ``linalg._minors``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from operator import mul, sub
 from typing import Sequence
 
 from .errors import (
-    BudgetExceededError,
     ContainmentError,
     DimensionError,
     DomainError,
@@ -37,11 +37,11 @@ from .generators import sparsity_instance
 from .linalg import (
     DEFAULT_MINOR_BUDGET,
     IntMatrix,
+    _check_budget,
     _eliminate,
+    _minors,
     _pivot,
     box_images,
-    det,
-    gcd_full_rank_subdets,
     hnf,
     is_totally_delta_modular,
     rank,
@@ -124,8 +124,7 @@ def vertices_of_polyhedron(
     m, n = p.a.rows, p.dim
     if n > MAX_VERTEX_DIMENSION:
         raise DimensionError(f"vertex enumeration supports at most {MAX_VERTEX_DIMENSION} dimensions")
-    if math.comb(m, n) > budget:
-        raise BudgetExceededError("vertex enumeration exceeds the budget")
+    _check_budget(math.comb(m, n), budget, "vertex enumeration")
     _assert_bounded(p)
     seen = set()
     for rows in combinations(range(m), n):
@@ -157,9 +156,7 @@ def integer_points(p: PolyhedronH, budget: int = DEFAULT_POINT_BUDGET) -> list[t
     lows = [min(v[i] for v in vertices) for i in range(p.dim)]
     highs = [max(v[i] for v in vertices) for i in range(p.dim)]
     ranges = [range(math.ceil(lo), math.floor(hi) + 1) for lo, hi in zip(lows, highs)]
-    size = math.prod(len(r) for r in ranges)
-    if size > budget:
-        raise BudgetExceededError(f"box scan of size {size} exceeds budget {budget}")
+    _check_budget(math.prod(len(r) for r in ranges), budget, "box scan")
     m, n = p.a.rows, p.dim
     if n == 1:
         heads = [((), (0,) * m)]
@@ -347,25 +344,21 @@ def kernel_lattice_basis(a: IntMatrix) -> IntMatrix:
 def verify_kernel_identity(a: IntMatrix, budget: int = DEFAULT_MINOR_BUDGET) -> bool:
     """Exact cross-check of maximal minors of A against those of its kernel
     basis: for every column set I of size m, |det A_{.,I}| / gcd(A) equals
-    |det W_{complement,.}| / gcd(W).
+    |det W_{complement,.}| / gcd(W).  Each minor is computed once: the
+    complements of the m-subsets in lexicographic order are the (n - m)-subsets
+    in reverse order.
     """
     m, n = a.rows, a.cols
     if rank(a) != m:
         raise RankError("full row rank required")
     if m == n:
         return True  # trivial kernel: both sides reduce to 1
+    _check_budget(math.comb(n, m), budget, "column subset scan")
     w = kernel_lattice_basis(a)
-    g_a = gcd_full_rank_subdets(a, budget)
-    g_w = gcd_full_rank_subdets(w.transpose(), budget)
-    if math.comb(n, m) > budget:
-        raise BudgetExceededError("column subset scan exceeds budget")
-    for cols in combinations(range(n), m):
-        complement = [j for j in range(n) if j not in cols]
-        lhs = abs(det(a.submatrix(range(m), cols)))
-        rhs = abs(det(w.submatrix(complement, range(n - m))))
-        if lhs * g_w != rhs * g_a:
-            return False
-    return True
+    lhs = [abs(value) for _, value in _minors(a.transpose().entries, m)]
+    rhs = [abs(value) for _, value in _minors(w.entries, n - m)][::-1]
+    g_a, g_w = math.gcd(*lhs), math.gcd(*rhs)
+    return all(x * g_w == y * g_a for x, y in zip(lhs, rhs))
 
 
 def solve_standard_form_ilp(
@@ -381,9 +374,7 @@ def solve_standard_form_ilp(
         raise DimensionError("box length must match variable count")
     if any(x < 0 for x in box):
         raise DomainError("box entries must be nonnegative")
-    size = math.prod(x + 1 for x in box)
-    if size > budget:
-        raise BudgetExceededError(f"ILP scan of size {size} exceeds budget {budget}")
+    _check_budget(math.prod(x + 1 for x in box), budget, "ILP scan")
     best_value: int | None = None
     best: list[tuple[int, ...]] = []
     for x, image in box_images(ilp.a, [range(b + 1) for b in box]):

@@ -51,7 +51,7 @@ from typing import Iterable, Iterator
 
 from .errors import DomainError, InvariantError, RankError, ThresholdError, ZeroLatticeError
 from .linalg import IntMatrix, Tableau, det, hnf, tableau
-from .oracle import OracleResult, brute_force_svp, enum_bound
+from .oracle import DEFAULT_BOX_BUDGET, OracleResult, brute_force_svp, enum_bound
 
 #: Tags for the three determinant-growing replacement paths.
 PATH_ENTRY = "entry_swap"  # one inverse entry exceeds 1: single row swap
@@ -295,7 +295,7 @@ def solve_threshold(a: IntMatrix, delta: int) -> SvpOutcome:
 
 
 def solve_svp(
-    a: IntMatrix, delta: int, box_budget: int | None = None
+    a: IntMatrix, delta: int, box_budget: int = DEFAULT_BOX_BUDGET
 ) -> SvpOutcome | OracleResult:
     """Complete dispatcher: normal form, threshold test, oracle fallback.
 
@@ -332,8 +332,7 @@ def solve_svp(
             outcome = ShortVector(coordinate_map.matvec(outcome.z), outcome.y, outcome.norm)
         return outcome
 
-    kwargs = {} if box_budget is None else {"budget": box_budget}
-    result = brute_force_svp(work, enum_bound(work) if bound is None else bound, **kwargs)
+    result = brute_force_svp(work, enum_bound(work) if bound is None else bound, box_budget)
     if coordinate_map is not None:
         result = OracleResult(coordinate_map.matvec(result.z), result.y, result.norm)
     return result

@@ -6,10 +6,12 @@ corpus.  Run with::
     pytest tests/test_acceptance.py -v -s
 """
 
+import json
 import random
 import time
 from functools import lru_cache
 from itertools import combinations
+from pathlib import Path
 
 from deltasvp.errors import BudgetExceededError
 from deltasvp.generators import (
@@ -41,17 +43,10 @@ from oracles import box_min_norm, cofactor_adjugate, plain_product
 
 M = IntMatrix.from_rows
 
-# deterministic exercisers for the two structured replacement paths (see
-# test_threshold.py for their single-step behavior)
-PATH_EXERCISERS = [
-    (M([[1, 0], [0, 1], [3, 1]]), 1),  # entry swap
-    (M([[1, 0, 0], [0, 1, 0], [1, 1, 3], [0, 2, 3], [2, 0, 3], [0, 0, 3]]), 3),
-    (M([[1, 0, 0], [0, 1, 0], [1, 1, 3], [0, 2, 3], [2, 0, 3], [0, 0, 3], [0, 1, 3]]), 3),
-    (M([[1, 0], [1, 2], [0, -2], [2, 2]]), 2),
-    (M([[1, 0], [1, 2], [0, -2], [2, 2], [1, 2]]), 2),
-    (M([[1, 0], [1, 2], [0, -2], [2, 2], [-1, -2], [0, 2]]), 2),
-    (M([[1, 0, 0], [0, 1, 0], [1, 1, 3], [-1, 1, 0], [1, 2, 3], [2, 1, 3], [0, 0, 3]]), 3),
-]
+# deterministic exercisers of the entry swap and the two structured
+# replacement paths (see test_threshold.py for their single-step behavior)
+EXERCISERS = Path(__file__).parent / "fixtures" / "path_exercisers.json"
+PATH_EXERCISERS = [(M(case["a"]), case["delta"]) for case in json.loads(EXERCISERS.read_text())]
 
 
 def _verdict(number: int, ok: bool, description: str, elapsed: float) -> None:

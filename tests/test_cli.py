@@ -327,9 +327,11 @@ class TestEnumerationGolden:
     suite, which end in certificates; and dense_24, the 72 x 24 output of
     `gen random --delta 5 --rows 72 --cols 24 --seed 1`, whose dense rows
     (about 14 nonzeros of 24) make the greedy scan pass over 33 dependent
-    rows before its basis is complete.  CI diffs these four, the atleast2
-    witness and the three facedim polytopes against the installed console
-    script."""
+    rows before its basis is complete.  The maximal-minor scans are pinned
+    by `check delta --total` on lower_bound_5 (maximum 5 at rows [0, 1, 2,
+    3], not totally 5-modular) and by a 50-trial kernel identity sweep.  CI
+    diffs these six, the atleast2 witness and the three facedim polytopes
+    against the installed console script."""
 
     @pytest.mark.parametrize(
         "argv,source,expected",
@@ -354,16 +356,22 @@ class TestEnumerationGolden:
             (["svp", "solve", "--delta", "3"], "pair_swap.txt", "solve_pair_swap.json"),
             (["svp", "solve", "--delta", "2"], "block_swap.txt", "solve_block_swap.json"),
             (["svp", "solve", "--delta", "5"], "dense_24.txt", "solve_dense_24.json"),
+            (["check", "delta", "--delta", "5", "--total"], "lower_bound_5.txt",
+             "check_delta_lower_bound_5.json"),
         ],
         ids=["oracle", "atleast2_witness", "atleast2_none", "support_derived_box",
              "support_five_optima", "solve_below_threshold", "solve_early_exit",
              "facedim_fractional_lp", "facedim_unimodular_box", "facedim_no_lattice",
              "solve_walk_to_short_vector", "solve_pair_swap", "solve_block_swap",
-             "solve_dense_24"],
+             "solve_dense_24", "check_delta_total"],
     )
     def test_json_bytes(self, capsys, argv, source, expected):
         code, out, err = run(capsys, *argv, "--json", str(FIXTURES / source))
         assert (code, out, err) == (0, (FIXTURES / expected).read_text(), "")
+
+    def test_kernel_sweep_json_bytes(self, capsys):
+        code, out, err = run(capsys, "check", "kernel", "--trials", "50", "--seed", "1", "--json")
+        assert (code, out, err) == (0, (FIXTURES / "check_kernel_50.json").read_text(), "")
 
     @pytest.mark.parametrize(
         "source,message",

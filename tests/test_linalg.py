@@ -81,6 +81,16 @@ class TestIntMatrix:
         with pytest.raises(DimensionError):
             M([[1]]).matmul(M([[1, 2], [3, 4]]))
 
+    def test_list_rows_are_stored_as_tuples(self):
+        m = IntMatrix(([1, 0], [0, 1]))
+        assert all(type(row) is tuple for row in m.entries)
+        assert hash(m) == hash(IntMatrix.identity(2))
+        with pytest.raises(TypeError):
+            m.entries[0][0] = 5
+        assert det(m) == 1
+        rows = ((1, 2), (3, 4))
+        assert IntMatrix(rows).entries is rows  # tuple rows are kept as given
+
 
 class TestDet:
     def test_identity(self):

@@ -29,13 +29,8 @@ UNDERSTATED = 14
 
 # hand-built exercisers of the entry, pair and block swaps and their variants
 PATH_EXERCISERS = [
-    ([[1, 0], [0, 1], [3, 1]], 1),
-    ([[1, 0, 0], [0, 1, 0], [1, 1, 3], [0, 2, 3], [2, 0, 3], [0, 0, 3]], 3),
-    ([[1, 0, 0], [0, 1, 0], [1, 1, 3], [0, 2, 3], [2, 0, 3], [0, 0, 3], [0, 1, 3]], 3),
-    ([[1, 0], [1, 2], [0, -2], [2, 2]], 2),
-    ([[1, 0], [1, 2], [0, -2], [2, 2], [1, 2]], 2),
-    ([[1, 0], [1, 2], [0, -2], [2, 2], [-1, -2], [0, 2]], 2),
-    ([[1, 0, 0], [0, 1, 0], [1, 1, 3], [-1, 1, 0], [1, 2, 3], [2, 1, 3], [0, 0, 3]], 3),
+    (case["a"], case["delta"])
+    for case in json.loads((FIXTURE.parent / "path_exercisers.json").read_text())
 ]
 
 
