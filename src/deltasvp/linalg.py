@@ -8,12 +8,19 @@ polynomially bounded.  Determinants, rank and the greedy invertible row set
 use forward elimination.  ``Tableau(rows, adj, det, numerators)`` holds the
 basis rows, adj(B), det(B) and N = A*adj(B); it is the only route to an
 inverse, B^-1 = adj / det.  Only the n x n transform +-adj(B)^T is
-eliminated, each row of A entering it as it is scanned, and N is read off
-the packed product A*adj(B) (Kronecker substitution) that certifies the
-tableau: the words read must write back to the product's bytes, so N is
-A*adj(B) exactly, and N == det(B)*I at the basis rows, which proves
+eliminated, each row of A entering it as it is scanned.  The transform is
+column-packed (Kronecker substitution): each column is one big integer
+whose signed base-2^w digits are its entries, so a scanned row's column and
+each pivot's update are a few big-integer products per column.  The word
+width w is proved, not guessed: a tracked bound covers every digit, since
+a digit out of range carries into all the digits above it, and when the
+bound reaches 2^(w-1) the columns are read exactly and repacked wider if
+they need it.  N is read off the packed product A*adj(B) that certifies
+the tableau: the words read must write back to the product's bytes, so N
+is A*adj(B) exactly, and N == det(B)*I at the basis rows, which proves
 B*adj(B) == det(B)*I.
-The polyhedral verifiers reuse the same pivot.
+The other eliminations, the polyhedral verifiers among them, use the list
+pivot ``_pivot``.
 Every maximal-minor scan reads its minors off one iterator, ``_minors``
 (each k-subset in lexicographic order, one forward elimination each), and
 every enumeration has one budget gate, ``_check_budget``, which refuses it
@@ -30,7 +37,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from itertools import chain, combinations, product
-from operator import add, mul
+from operator import add, itemgetter, mul, neg
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -47,7 +54,12 @@ DEFAULT_MINOR_BUDGET = 2_000_000
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable dense matrix of arbitrary-precision integers, row-major."""
+    """Immutable dense matrix of arbitrary-precision integers, row-major.
+
+    IntMatrix(...) and from_rows check the shape and every entry; the
+    matrices the library builds from checked ones (products, transposes,
+    submatrices, normal forms, tableaux) skip that through _trusted.
+    """
 
     entries: tuple[tuple[int, ...], ...]
 
@@ -72,6 +84,14 @@ class IntMatrix:
             # rows that are not tuples (lists) would leave the matrix mutable
             object.__setattr__(self, "entries", tuple(tuple(row) for row in self.entries))
 
+    @classmethod
+    def _trusted(cls, entries: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+        """A matrix of entries the library built itself: a nonempty tuple
+        of equally long, nonempty tuples of ints, taken unchecked."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "entries", entries)
+        return m
+
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -88,7 +108,9 @@ class IntMatrix:
     def identity(n: int) -> "IntMatrix":
         if n < 1:
             raise DimensionError("identity needs n >= 1")
-        return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return IntMatrix._trusted(
+            tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+        )
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i]
@@ -97,13 +119,19 @@ class IntMatrix:
         return tuple(row[j] for row in self.entries)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.entries)))
+        return IntMatrix._trusted(tuple(zip(*self.entries)))
 
     def submatrix_rows(self, row_indices: Sequence[int]) -> "IntMatrix":
-        return IntMatrix(tuple(self.entries[i] for i in row_indices))
+        if not row_indices:
+            raise DimensionError("matrix needs at least one row")
+        return IntMatrix._trusted(tuple(self.entries[i] for i in row_indices))
 
     def submatrix(self, row_indices: Sequence[int], col_indices: Sequence[int]) -> "IntMatrix":
-        return IntMatrix(
+        if not row_indices:
+            raise DimensionError("matrix needs at least one row")
+        if not col_indices:
+            raise DimensionError("matrix needs at least one column")
+        return IntMatrix._trusted(
             tuple(tuple(self.entries[i][j] for j in col_indices) for i in row_indices)
         )
 
@@ -111,9 +139,9 @@ class IntMatrix:
         if self.cols != other.rows:
             raise DimensionError(f"cannot multiply {self.shape} by {other.shape}")
         cols = other.transpose().entries
-        return IntMatrix(
+        return IntMatrix._trusted(
             tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
+                tuple(sum(map(mul, row, col)) for col in cols)
                 for row in self.entries
             )
         )
@@ -121,7 +149,7 @@ class IntMatrix:
     def matvec(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.cols:
             raise DimensionError(f"vector of length {len(vec)} against {self.shape}")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.entries)
+        return tuple(sum(map(mul, row, vec)) for row in self.entries)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -231,71 +259,146 @@ class Tableau:
 def tableau(a: IntMatrix, rows: Sequence[int] | None = None) -> Tableau:
     """Basis, adj(B), det(B) and N = A * adj(B) for an m x n matrix A.
 
-    Only the n x n transform R is eliminated.  The reduced fraction-free
-    elimination of [A^T | I] is R * [A^T | I] at every step, so its right
-    block is R itself and the column of A's row c is R * a_c: that column
-    is built when the scan reaches row c, as the sum over the nonzero
-    entries v = a_c[j] of v times column j of R.  Its entries from the next
-    pivot row down decide whether row c is independent of the pivots so
-    far, so they are built first and the rest only for a pivot.  Each pivot
-    is _pivot's update and skip rule on the rows of R, with the column put
-    in one more entry of each row: n x (n+1) entries where [A^T | I] has
-    n x (m+n), and rows of A after the last pivot are never touched.
+    Only the n x n transform R is eliminated, and it is column-packed
+    (Kronecker substitution): column j of R is the one integer
+    C_j = sum_i R[i][j] * 2^(w*i), whose signed base-2^w digits are its
+    entries.  The reduced fraction-free elimination of [A^T | I] is
+    R * [A^T | I] at every step, so the column of A's row c is R * a_c, the
+    packed integer F = sum_j a_c[j] * C_j, and its digits f are read as
+    words with the bias and XOR of _certify.  Row c is independent of the
+    pivots so far iff f is nonzero at a free position (one not pivoted on);
+    the lowest such position q is the pivot, with p = f[q].  The pivot is
+    _pivot's update on the columns: C_j becomes (p * C_j - R[q][j] * h)
+    // prev with h = F - prev * 2^(w*q), so row q stays and every other row
+    i becomes (p * R[i][j] - f[i] * R[q][j]) / prev, exactly, digit by
+    digit.  A column with R[q][j] == 0 is left alone when p == prev.  Row q
+    of R is prev at column q and 0 at the other free columns, so only the
+    pivoted columns are read for it.  Positions are never swapped: pivot k
+    sits at position slots[k], whose parity is the row-swap sign s.
+
+    The width is proved, never guessed: a digit out of range carries into
+    every digit above it, so bound covers every digit of R, not only those
+    read.  F's digits are at most ||a_c||_1 * bound.  After a pivot, row q
+    keeps its digits, at most max|R[q]|, and every other digit is at most
+    (|p| * bound + max|f| * max|R[q]|) / |prev|.  When either bound reaches
+    2^(w-1), the columns are read exactly (every digit still fits), bound
+    becomes their largest |digit|, and if the bound still reaches 2^(w-1)
+    they are repacked at the least multiple of 64 bits that holds it.
 
     With rows=None the candidates are A's rows in order, so the pivots are
     the greedy invertible row set, exactly find_invertible_rows(a), and
     RankError is raised below full column rank.  Otherwise step k pivots on
     row rows[k], so B = a[rows] keeps that row order, and
-    SingularMatrixError is raised when it is singular.  At the end
-    R * B^T = p * I with p = +-det(B) the last pivot, so
-    R = s * adj(B)^T for the row-swap sign s = det(B) / p.  N is read off
-    the packed product A * adj(B) that _certify computes, which also
-    certifies N[rows] == det(B) * I.
+    SingularMatrixError is raised when it is singular.  At the end row
+    slots[k] of R * B^T is p * e_k with p = s * det(B) the last pivot, so
+    adj(B)[j][k] = s * R[slots[k]][j].  N is read off the packed product
+    A * adj(B) that _certify computes, which also certifies
+    N[rows] == det(B) * I.
     """
     m, n = a.rows, a.cols
     if rows is not None and (len(rows) != n or any(not 0 <= i < m for i in rows)):
         raise DimensionError(f"basis needs {n} row indices in range({m})")
-    # entry n of each row holds the candidate's column, for _pivot to pivot on
-    transform = [[int(i == j) for j in range(n + 1)] for i in range(n)]
+    width, bound, prev, sign = _WORD, 1, 1, 1
+    columns = [1 << (width * j) for j in range(n)]  # R = I
+    digit, bias, free = (1 << width) - 1, _bias(n, width), (1 << (width * n)) - 1
+    slots = list(range(n))  # the pivots' positions in order, then the free ones
     pivots: list[int] = []
-    sign = prev = 1
+
+    def refit(reach) -> bool:
+        """Reads the columns exactly, sets bound to their largest |digit|,
+        and repacks them wider if 2^(width-1) <= reach(bound); True if it
+        did."""
+        nonlocal columns, width, bound, digit, bias, free
+        words = _unpack(columns, n, width)
+        bound = max(map(abs, words))
+        need = reach(bound).bit_length() + 1
+        if need <= width:
+            return False
+        width = -(-need // _WORD) * _WORD
+        columns = _pack(words, n, width)
+        digit, bias = (1 << width) - 1, _bias(n, width)
+        free = sum(digit << (width * j) for j in slots[len(pivots) :])
+        return True
+
     for c in range(m) if rows is None else rows:
-        r = len(pivots)
-        if r == n:
+        k = len(pivots)
+        if k == n:
             break
-        column = _combine(transform[r:], a.entries[c])
-        i = next((r + i for i, f in enumerate(column) if f), None)
-        if i is None:
+        entries = a.entries[c]
+        norm = sum(map(abs, entries))
+        if norm * bound >> (width - 1):
+            refit(lambda x: norm * x)
+        column = sum(map(mul, entries, columns))
+        words = (column + bias) ^ bias  # the digits as two's-complement words
+        lowest = words & free
+        if not lowest:
             continue
-        if r:
-            column = _combine(transform[:r], a.entries[c]) + column
-        for row, f in zip(transform, column):
-            row[n] = f
-        if i != r:
-            transform[r], transform[i] = transform[i], transform[r]
+        q = ((lowest & -lowest).bit_length() - 1) // width  # its lowest set bit's digit
+        f = _read_words(words.to_bytes(n * width // 8, "little"), width)
+        p, shift, half = f[q], width * q, 1 << (width - 1)
+        # R[q] at the pivoted columns; it is prev at column q, 0 at the other free ones
+        row = [((columns[j] + bias) >> shift & digit) - half for j in slots[:k]]
+        top, top_row = max(map(abs, f)), max(map(abs, [prev, *row]))
+
+        def reach(x: int) -> int:
+            return max(top_row, (abs(p) * x + top * top_row) // abs(prev))
+
+        grown = reach(bound)
+        if grown >> (width - 1):
+            if refit(reach):
+                column, shift = sum(map(mul, entries, columns)), width * q
+            grown = reach(bound)
+        bound = grown
+        i = slots.index(q, k)
+        if i != k:
+            slots[k], slots[i] = q, slots[k]
             sign = -sign
-        _pivot(transform, r, n, prev, 0)
-        prev = transform[r][n]
+        h = column - (prev << shift)
+        for j, r in zip(slots, row):
+            if r or p != prev:
+                columns[j] = (p * columns[j] - r * h) // prev
+        columns[q] = (p << shift) - h
+        if p != prev:
+            for j in slots[k + 1 :]:
+                columns[j] = p << (width * j)
+        free ^= digit << shift
         pivots.append(c)
+        prev = p
     if len(pivots) < n:
         if rows is None:
             raise RankError(f"matrix has rank {len(pivots)} < {n} columns")
         raise SingularMatrixError("selected basis rows are singular")
+    words = _unpack(columns, n, width)
     if sign < 0:
-        transform = [[-x for x in row] for row in transform]
-    adj = IntMatrix(tuple(zip(*transform))[:n])
+        words = list(map(neg, words))
+    pick = itemgetter(*slots) if n > 1 else tuple
+    adj = IntMatrix._trusted(tuple(pick(words[j : j + n]) for j in range(0, n * n, n)))
     d = sign * prev
     return Tableau(tuple(pivots), adj, d, _certify(a, pivots, adj, d))
 
 
-def _combine(rows: list[list[int]], entries: Sequence[int]) -> list[int]:
-    """rows * entries: the sum over the nonzero entries v = entries[j] of
-    v times column j of rows, accumulated term by term."""
-    column = [0] * len(rows)
-    for j, v in enumerate(entries):
-        if v:
-            column = [y + v * row[j] for y, row in zip(column, rows)]
-    return column
+def _bias(n: int, width: int) -> int:
+    """2^(width-1) in each of n base-2^width digits."""
+    return ((1 << (width * n)) - 1) // ((1 << width) - 1) << (width - 1)
+
+
+def _unpack(packed: Sequence[int], n: int, width: int) -> list[int]:
+    """The n signed base-2^width digits of each packed integer, lowest
+    first; every digit must lie in [-2^(width-1), 2^(width-1))."""
+    bias, size = _bias(n, width), n * width // 8
+    return _read_words(
+        b"".join([((x + bias) ^ bias).to_bytes(size, "little") for x in packed]), width
+    )
+
+
+def _pack(words: Sequence[int], n: int, width: int) -> list[int]:
+    """The inverse of _unpack."""
+    bias, size = _bias(n, width), n * width // 8
+    raw = _write_words(words, width)
+    return [
+        (int.from_bytes(raw[k : k + size], "little") ^ bias) - bias
+        for k in range(0, len(raw), size)
+    ]
 
 
 #: Bits of one array("q") item, the word of every packed product that fits.
@@ -350,7 +453,7 @@ def _certify(a: IntMatrix, rows: Sequence[int], adj: IntMatrix, d: int) -> IntMa
     for k, i in enumerate(rows):
         if numerators[i] != zero[:k] + (d,) + zero[k + 1 :]:
             raise InvariantError("B * adj(B) != det(B) * I")
-    return IntMatrix(tuple(numerators))
+    return IntMatrix._trusted(tuple(numerators))
 
 
 def _read_words(data: bytes, width: int) -> list[int]:
@@ -498,7 +601,7 @@ def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
                     for row in mat:
                         row[j] -= q * row[col]
         col += 1
-    return IntMatrix.from_rows(h), IntMatrix.from_rows(u)
+    return IntMatrix._trusted(tuple(map(tuple, h))), IntMatrix._trusted(tuple(map(tuple, u)))
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:

@@ -117,7 +117,7 @@ def shortest_is_at_least_2(
     _check_budget(3**n, budget, "preimage scan")
     d = t.det
     modulus = abs(d)
-    stacked = IntMatrix(t.adj.entries + t.numerators.entries)
+    stacked = IntMatrix._trusted(t.adj.entries + t.numerators.entries)
     heads, tails = _box_halves(stacked, [range(-1, 2)] * n)
     groups: dict[tuple[int, ...], list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
     for _, image in tails:

@@ -324,17 +324,17 @@ def kernel_lattice_basis(a: IntMatrix) -> IntMatrix:
 
     Taken from the unimodular transform of the Hermite normal form: the
     columns mapped to zero columns span exactly the kernel lattice.  The
-    result W satisfies A @ W == 0 and has coprime maximal minors.
+    result W satisfies A @ W == 0 and has coprime maximal minors.  The
+    nonzero columns of the normal form are independent, so there are m of
+    them exactly when A has full row rank.
     """
     m, n = a.rows, a.cols
     if m >= n:
         raise DimensionError("kernel lattice is trivial unless rows < cols")
-    if rank(a) != m:
-        raise RankError("full row rank required")
     h, u = hnf(a)
     zero_cols = [j for j in range(n) if not any(h.column(j))]
     if len(zero_cols) != n - m:
-        raise InvariantError("kernel dimension mismatch")
+        raise RankError("full row rank required")
     w = u.submatrix(range(n), zero_cols)
     if any(any(row) for row in a.matmul(w).entries):
         raise InvariantError("kernel basis does not annihilate A")

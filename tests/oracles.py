@@ -11,6 +11,7 @@ check.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -119,6 +120,20 @@ def box_first_minimizer(entries, k: int):
                 break
     assert best is not None
     return best
+
+
+def unimodular_scramble(entries, seed: int, steps: int, bits: int) -> list[list[int]]:
+    """entries times a unimodular matrix: steps seeded column operations
+    col_i += f * col_j (i != j), each f of exactly bits bits and either sign.
+    The lattice {A z} and |det| of every full-rank row subset are unchanged."""
+    rng = random.Random(seed)
+    rows = [list(row) for row in entries]
+    for _ in range(steps):
+        i, j = rng.sample(range(len(rows[0])), 2)
+        f = rng.choice((-1, 1)) * rng.randrange(1 << (bits - 1), 1 << bits)
+        for row in rows:
+            row[i] += f * row[j]
+    return rows
 
 
 def greedy_rows(entries) -> list[tuple[int, ...]]:

@@ -7,8 +7,11 @@ from pathlib import Path
 import pytest
 
 from deltasvp.cli import build_parser, main
+from deltasvp.generators import random_delta_modular
 from deltasvp.linalg import IntMatrix
 from deltasvp.textio import format_polyhedron, parse_matrix
+
+from oracles import unimodular_scramble
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 WORKED_TEXT = "3 2\n1 0\n1 2\n2 2\n"
@@ -322,15 +325,18 @@ class TestEnumerationGolden:
     facedim polytope is criterion-7 style (delta 2, [A; -A] with b >= 0)
     with four fractional LP vertices; the box is unimodular; the segment
     0.3 <= x <= 0.6 has no lattice point, so it passes with no vertex.
-    Four inputs are solved above the threshold: two replacements, then a
+    Five inputs are solved above the threshold: two replacements, then a
     short vector; the pair- and block-swap exercisers of the acceptance
-    suite, which end in certificates; and dense_24, the 72 x 24 output of
+    suite, which end in certificates; dense_24, the 72 x 24 output of
     `gen random --delta 5 --rows 72 --cols 24 --seed 1`, whose dense rows
     (about 14 nonzeros of 24) make the greedy scan pass over 33 dependent
-    rows before its basis is complete.  The maximal-minor scans are pinned
+    rows before its basis is complete; and scrambled_wide, a unimodular
+    scramble of a 4-modular 24 x 8 matrix (see test_scrambled_wide_input)
+    with entries up to 86 bits, whose tableau widens its words to 256 bits
+    mid-elimination.  The maximal-minor scans are pinned
     by `check delta --total` on lower_bound_5 (maximum 5 at rows [0, 1, 2,
     3], not totally 5-modular) and by a 50-trial kernel identity sweep.  CI
-    diffs these six, the atleast2 witness and the three facedim polytopes
+    diffs these seven, the atleast2 witness and the three facedim polytopes
     against the installed console script."""
 
     @pytest.mark.parametrize(
@@ -356,6 +362,8 @@ class TestEnumerationGolden:
             (["svp", "solve", "--delta", "3"], "pair_swap.txt", "solve_pair_swap.json"),
             (["svp", "solve", "--delta", "2"], "block_swap.txt", "solve_block_swap.json"),
             (["svp", "solve", "--delta", "5"], "dense_24.txt", "solve_dense_24.json"),
+            (["svp", "solve", "--delta", "4"], "scrambled_wide.txt",
+             "solve_scrambled_wide.json"),
             (["check", "delta", "--delta", "5", "--total"], "lower_bound_5.txt",
              "check_delta_lower_bound_5.json"),
         ],
@@ -363,11 +371,19 @@ class TestEnumerationGolden:
              "support_five_optima", "solve_below_threshold", "solve_early_exit",
              "facedim_fractional_lp", "facedim_unimodular_box", "facedim_no_lattice",
              "solve_walk_to_short_vector", "solve_pair_swap", "solve_block_swap",
-             "solve_dense_24", "check_delta_total"],
+             "solve_dense_24", "solve_scrambled_wide", "check_delta_total"],
     )
     def test_json_bytes(self, capsys, argv, source, expected):
         code, out, err = run(capsys, *argv, "--json", str(FIXTURES / source))
         assert (code, out, err) == (0, (FIXTURES / expected).read_text(), "")
+
+    def test_scrambled_wide_input(self):
+        """The fixture is random_delta_modular(4, 24, 8, seed=2) times a
+        unimodular matrix of 16 column operations with 20-bit factors."""
+        entries = unimodular_scramble(random_delta_modular(4, 24, 8, 2).entries, 2, 16, 20)
+        text = "24 8\n" + "".join(" ".join(map(str, row)) + "\n" for row in entries)
+        assert (FIXTURES / "scrambled_wide.txt").read_text() == text
+        assert max(abs(x) for row in entries for x in row) > 2**64
 
     def test_kernel_sweep_json_bytes(self, capsys):
         code, out, err = run(capsys, "check", "kernel", "--trials", "50", "--seed", "1", "--json")

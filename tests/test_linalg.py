@@ -15,6 +15,7 @@ from deltasvp.errors import (
     SingularMatrixError,
 )
 from deltasvp import linalg
+from deltasvp.generators import lower_bound_instance
 from deltasvp.linalg import (
     IntMatrix,
     _certify,
@@ -37,7 +38,9 @@ from oracles import (
     cofactor_adjugate,
     cofactor_det,
     fraction_rank,
+    greedy_rows,
     plain_product,
+    unimodular_scramble,
 )
 
 M = IntMatrix.from_rows
@@ -90,6 +93,24 @@ class TestIntMatrix:
         assert det(m) == 1
         rows = ((1, 2), (3, 4))
         assert IntMatrix(rows).entries is rows  # tuple rows are kept as given
+
+    def test_library_results_equal_checked_matrices(self):
+        """Results built unchecked are the matrices the checked constructor
+        makes of the same entries, and empty selections are still refused."""
+        a = M([[2, 1, 0], [1, 3, 1], [0, 1, 4], [5, -2, 7]])
+        tab = tableau(a)
+        results = [a.transpose(), a.matmul(a.transpose()), a.submatrix_rows([3, 0]),
+                   a.submatrix([1, 2], [2, 0]), *hnf(a.transpose()), tab.adj, tab.numerators,
+                   IntMatrix.identity(3)]
+        for m in results:
+            checked = IntMatrix(tuple(tuple(row) for row in m.entries))
+            assert m == checked and hash(m) == hash(checked)
+            assert all(type(row) is tuple for row in m.entries)
+            assert all(type(x) is int for row in m.entries for x in row)
+        for select in (lambda: a.submatrix_rows([]), lambda: a.submatrix([], [0]),
+                       lambda: a.submatrix([0], [])):
+            with pytest.raises(DimensionError):
+                select()
 
 
 class TestDet:
@@ -404,6 +425,89 @@ class TestTableau:
         calls = self._count_eliminations(monkeypatch)
         assert threshold.solve_svp(a, 5) == expected
         assert calls == {"tableau": 1, "rank": 1}
+
+
+class TestPackedWidths:
+    """tableau where the packed transform's digits outgrow their words, so
+    it must read them exactly and repack wider mid-elimination.  Each input
+    is checked against the oracles' greedy rows and cofactor adjugate:
+    _certify proves B * adj(B) == det(B) * I for the rows chosen, not that
+    they are the greedy ones, so a digit read wrong that skips a row shows
+    only here."""
+
+    @staticmethod
+    def check(entries):
+        greedy = greedy_rows(entries)
+        if len(greedy) < len(entries[0]):
+            with pytest.raises(RankError):
+                tableau(M(entries))
+            return
+        tab = tableau(M(entries))
+        assert [tuple(entries[i]) for i in tab.rows] == greedy
+        TestTableau.check(entries, tab.rows, tab)
+
+    @staticmethod
+    def draw_rows(data, entry, cols):
+        """cols..cols+3 rows of the given entries, some of them small
+        combinations of earlier rows, which the greedy scan must skip."""
+        entries = []
+        for _ in range(data.draw(st.integers(cols, cols + 3))):
+            if entries and data.draw(st.integers(0, 3)) == 0:
+                coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=2, max_size=2))
+                picks = data.draw(st.lists(st.sampled_from(entries), min_size=2, max_size=2))
+                entries.append([coeffs[0] * x + coeffs[1] * y for x, y in zip(*picks)])
+            else:
+                entries.append(data.draw(st.lists(entry, min_size=cols, max_size=cols)))
+        return entries
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_64_bit_inputs_with_wider_minors(self, data):
+        """Entries near 2^40 fit one word, but 2 x 2 minors do not."""
+        near = st.integers(2**40 - 2**20, 2**40 + 2**20)
+        entry = st.one_of(near, near.map(lambda x: -x), st.integers(-3, 3))
+        self.check(self.draw_rows(data, entry, data.draw(st.integers(3, 6))))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_inputs_wider_than_64_bits(self, data):
+        wide = st.integers(2**64, 2**90)
+        entry = st.one_of(wide, wide.map(lambda x: -x), st.just(0))
+        self.check(self.draw_rows(data, entry, data.draw(st.integers(2, 5))))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(3, 6), st.integers(0, 10**6), st.integers(4, 12), st.integers(8, 30))
+    def test_scrambled_lower_bound_instances(self, delta, seed, steps, bits):
+        """A unimodular scramble keeps every |full-rank minor| at delta and
+        the dependent rows of the incidence factor, with wide entries."""
+        self.check(unimodular_scramble(lower_bound_instance(delta).entries, seed, steps, bits))
+
+    def test_huge_entries(self):
+        self.check([list(row) for row in _huge_matrix().entries])
+
+    def test_pivot_bound_needs_the_pivot_row_term(self):
+        """Without the max|f| * max|R[q]| term of the bound after a pivot,
+        the digits of this input overflow their words."""
+        self.check([[-2, 1099511504462, 2, 1],
+                    [-1099512235522, 1099512367229, 1099511106354, -3],
+                    [-1099511880959, -1, 0, -1099510614768],
+                    [-1099511491840, 1, -1099512164516, -1099511442227]])
+
+    def test_repacks_mid_elimination(self):
+        """The entries fit one word, so the transform first needs wider words
+        after a pivot; each repack widens."""
+        widths, original = [], linalg._pack
+
+        def pack(words, n, width):
+            widths.append(width)
+            return original(words, n, width)
+
+        entries = [[2**40 + 3, 5, 2**40 - 1], [7, 2**40 + 1, -9], [2**40, -2**40, 2**39 + 1],
+                   [1, 2, 3]]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linalg, "_pack", pack)
+            self.check(entries)
+        assert widths and widths == sorted(set(widths)) and widths[0] > 64
 
 
 def _bumped(matrix: IntMatrix, i: int, j: int, by: int) -> IntMatrix:

@@ -21,7 +21,7 @@ from deltasvp.generators import (
     random_full_row_rank,
     sparsity_instance,
 )
-from deltasvp.linalg import IntMatrix, gcd_full_rank_subdets, max_abs_full_rank_subdet
+from deltasvp.linalg import IntMatrix, gcd_full_rank_subdets, max_abs_full_rank_subdet, rank
 from deltasvp.polyhedra import (
     PolyhedronH,
     StandardFormILP,
@@ -394,6 +394,19 @@ class TestKernelIdentity:
 
     def test_square_is_trivial(self):
         assert verify_kernel_identity(IntMatrix.identity(3))
+
+    def test_one_rank_elimination(self, monkeypatch):
+        """The full-row-rank test runs once; the kernel basis reads the rank
+        off its Hermite normal form instead of eliminating A again."""
+        calls = []
+
+        def counting_rank(a):
+            calls.append(a)
+            return rank(a)
+
+        monkeypatch.setattr(polyhedra, "rank", counting_rank)
+        assert verify_kernel_identity(M([[1, 2, 3, 4], [0, 1, 5, -2]]))
+        assert len(calls) == 1
 
 
 class TestStandardFormIlp:
