@@ -6,7 +6,8 @@ matrix measurements and identity sweeps, ``verify`` for the polyhedral
 verifiers, and ``matrix`` for plain utilities.  Output is deterministic:
 identical invocations produce identical bytes (JSON metadata gains a
 timestamp only under ``--stamp``).  Row and column indices in all output
-are 0-based.
+are 0-based.  Each handler builds its JSON payload and its text and hands
+both to ``_emit``, which picks one and maps the verdict to the exit code.
 
 Exit codes: 0 success / verified; 1 usage or parse error; 2 precondition
 violation (rank, threshold, boundedness, domain); 3 enumeration budget
@@ -21,7 +22,7 @@ import json
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import generators, linalg, oracle, polyhedra, sweeps, textio, threshold
 from .errors import BudgetExceededError, DeltaSvpError
@@ -55,8 +56,18 @@ def _vector_json(v: Sequence[int]) -> list[str]:
     return [str(x) for x in v]
 
 
-def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+def _text(lines: Iterable[str]) -> str:
+    return "".join(f"{line}\n" for line in lines)
+
+
+def _emit(args, payload: dict, text: str, passed: bool = True) -> int:
+    """Writes the payload as JSON under --json, else the text (which ends
+    in its own newline), and maps the verdict to the exit code."""
+    if args.json:
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        sys.stdout.write(text)
+    return EXIT_OK if passed else EXIT_FAILED_VERIFICATION
 
 
 def _read_text(path: str) -> str:
@@ -70,181 +81,115 @@ def _read_matrix(path: str) -> IntMatrix:
     return textio.parse_matrix(_read_text(path))
 
 
-def _outcome_json(result) -> dict:
-    if isinstance(result, threshold.ShortVector):
-        return {
-            "kind": "short_vector",
-            "z": _vector_json(result.z),
-            "y": _vector_json(result.y),
-            "norm": result.norm,
-        }
+def _outcome(result) -> tuple[dict, str]:
+    """JSON payload and text line of a solver or oracle outcome."""
     if isinstance(result, threshold.Certificate):
-        return {
-            "kind": "certificate",
-            "rows": list(result.rows),
-            "det": str(result.det_value),
-        }
-    return {
-        "kind": "oracle_minimum",
+        rows, d = list(result.rows), result.det_value
+        return (
+            {"kind": "certificate", "rows": rows, "det": str(d)},
+            f"certificate: rows {rows} have |det| = {abs(d)} (det = {d})\n",
+        )
+    short = isinstance(result, threshold.ShortVector)
+    payload = {
+        "kind": "short_vector" if short else "oracle_minimum",
         "z": _vector_json(result.z),
         "y": _vector_json(result.y),
         "norm": result.norm,
     }
-
-
-def _print_outcome(result, as_json: bool) -> None:
-    if as_json:
-        _print_json(_outcome_json(result))
-        return
-    if isinstance(result, threshold.ShortVector):
-        print(f"short vector: z = {list(result.z)}  y = {list(result.y)}  norm = 1")
-    elif isinstance(result, threshold.Certificate):
-        print(
-            f"certificate: rows {list(result.rows)} have |det| = "
-            f"{abs(result.det_value)} (det = {result.det_value})"
-        )
-    else:
-        print(
-            f"oracle minimum: z = {list(result.z)}  y = {list(result.y)}  "
-            f"norm = {result.norm}"
-        )
+    label = "short vector" if short else "oracle minimum"
+    return payload, f"{label}: z = {list(result.z)}  y = {list(result.y)}  norm = {result.norm}\n"
 
 
 def _cmd_svp_solve(args) -> int:
-    a = _read_matrix(args.file)
-    result = threshold.solve_svp(a, args.delta)
-    _print_outcome(result, args.json)
-    return EXIT_OK
+    return _emit(args, *_outcome(threshold.solve_svp(_read_matrix(args.file), args.delta)))
 
 
 def _cmd_svp_oracle(args) -> int:
     a = _read_matrix(args.file)
     bound = args.bound if args.bound is not None else oracle.enum_bound(a)
-    result = oracle.brute_force_svp(a, bound, args.budget)
-    if args.json:
-        payload = _outcome_json(result)
-        payload["bound"] = bound
-        _print_json(payload)
-    else:
-        print(f"box radius: {bound}")
-        _print_outcome(result, False)
-    return EXIT_OK
+    payload, text = _outcome(oracle.brute_force_svp(a, bound, args.budget))
+    return _emit(args, {**payload, "bound": bound}, f"box radius: {bound}\n{text}")
 
 
 def _cmd_svp_atleast2(args) -> int:
     a = _read_matrix(args.file)
     decided, witness = oracle.shortest_is_at_least_2(a, args.budget)
-    if args.json:
-        payload = {"shortest_is_at_least_2": decided}
-        if witness is not None:
-            payload["witness"] = _vector_json(witness)
-            payload["witness_image"] = _vector_json(a.matvec(witness))
-        _print_json(payload)
-    elif decided:
-        print("every nonzero lattice vector has norm >= 2")
-    else:
-        print(f"norm <= 1 witness: z = {list(witness)}  y = {list(a.matvec(witness))}")
-    return EXIT_OK
+    payload = {"shortest_is_at_least_2": decided}
+    if decided:
+        return _emit(args, payload, "every nonzero lattice vector has norm >= 2\n")
+    y = a.matvec(witness)
+    payload.update(witness=_vector_json(witness), witness_image=_vector_json(y))
+    return _emit(args, payload, f"norm <= 1 witness: z = {list(witness)}  y = {list(y)}\n")
 
 
-def _gen_payload(args, name: str, matrix: IntMatrix, extra: dict) -> int:
-    if args.json:
-        payload = {"construction": name, "matrix": _matrix_json(matrix)}
-        payload.update(extra)
-        if args.stamp:
-            payload["generated_at"] = datetime.now(timezone.utc).isoformat()
-        _print_json(payload)
-    else:
-        sys.stdout.write(textio.format_matrix(matrix))
-    return EXIT_OK
+def _gen(args, name: str, matrix: IntMatrix, extra: dict, text: str) -> int:
+    payload = {"construction": name, "matrix": _matrix_json(matrix), **extra}
+    if args.stamp:
+        payload["generated_at"] = datetime.now(timezone.utc).isoformat()
+    return _emit(args, payload, text)
 
 
 def _cmd_gen_lower_bound(args) -> int:
     matrix = generators.lower_bound_instance(args.delta)
-    return _gen_payload(args, "lower-bound", matrix, {"delta": args.delta})
+    return _gen(args, "lower-bound", matrix, {"delta": args.delta}, textio.format_matrix(matrix))
 
 
 def _cmd_gen_sparsity(args) -> int:
     matrix, b = generators.sparsity_instance(args.delta)
-    if args.json:
-        payload = {
-            "construction": "sparsity",
-            "delta": args.delta,
-            "matrix": _matrix_json(matrix),
-            "b": _vector_json(b),
-        }
-        if args.stamp:
-            payload["generated_at"] = datetime.now(timezone.utc).isoformat()
-        _print_json(payload)
-    else:
-        sys.stdout.write(textio.format_polyhedron(matrix, b))
-    return EXIT_OK
+    extra = {"delta": args.delta, "b": _vector_json(b)}
+    return _gen(args, "sparsity", matrix, extra, textio.format_polyhedron(matrix, b))
 
 
 def _cmd_gen_random(args) -> int:
     matrix = generators.random_delta_modular(args.delta, args.rows, args.cols, args.seed)
-    return _gen_payload(
-        args,
-        "random",
-        matrix,
-        {
-            "delta": args.delta,
-            "seed": args.seed,
-            "generator_version": generators.GENERATOR_VERSION,
-        },
-    )
+    extra = {
+        "delta": args.delta,
+        "seed": args.seed,
+        "generator_version": generators.GENERATOR_VERSION,
+    }
+    return _gen(args, "random", matrix, extra, textio.format_matrix(matrix))
 
 
 def _cmd_check_delta(args) -> int:
     a = _read_matrix(args.file)
     largest, witness = linalg.max_abs_full_rank_subdet(a, args.budget)
     is_modular = largest <= args.delta
-    totally = None
+    payload = {
+        "max_abs_subdet": str(largest),
+        "witness_rows": list(witness),
+        "delta": args.delta,
+        "delta_modular": is_modular,
+    }
+    lines = [
+        f"max |full-rank subdeterminant| = {largest} at rows {list(witness)}",
+        f"delta-modular for delta = {args.delta}: {'yes' if is_modular else 'no'}",
+    ]
     if args.total:
         totally = linalg.is_totally_delta_modular(a, args.delta, args.budget)
-    if args.json:
-        payload = {
-            "max_abs_subdet": str(largest),
-            "witness_rows": list(witness),
-            "delta": args.delta,
-            "delta_modular": is_modular,
-        }
-        if totally is not None:
-            payload["totally_delta_modular"] = totally
-        _print_json(payload)
-    else:
-        print(f"max |full-rank subdeterminant| = {largest} at rows {list(witness)}")
-        print(f"delta-modular for delta = {args.delta}: {'yes' if is_modular else 'no'}")
-        if totally is not None:
-            print(
-                f"totally delta-modular for delta = {args.delta}: "
-                f"{'yes' if totally else 'no'}"
-            )
-    return EXIT_OK
-
-
-def _sweep_result(report: sweeps.SweepReport, as_json: bool) -> int:
-    if as_json:
-        _print_json(
-            {
-                "name": report.name,
-                "trials": report.trials,
-                "failures": report.failures,
-                "first_failure": report.first_failure,
-                "passed": report.passed,
-            }
+        payload["totally_delta_modular"] = totally
+        lines.append(
+            f"totally delta-modular for delta = {args.delta}: {'yes' if totally else 'no'}"
         )
-    else:
-        print("\n".join(report.lines()))
-    return EXIT_OK if report.passed else EXIT_FAILED_VERIFICATION
+    return _emit(args, payload, _text(lines))
+
+
+def _sweep(args, report: sweeps.SweepReport) -> int:
+    payload = {
+        "name": report.name,
+        "trials": report.trials,
+        "failures": report.failures,
+        "first_failure": report.first_failure,
+        "passed": report.passed,
+    }
+    return _emit(args, payload, _text(report.lines()), report.passed)
 
 
 def _cmd_check_detratio(args) -> int:
-    return _sweep_result(sweeps.ratio_identity_sweep(args.trials, args.seed), args.json)
+    return _sweep(args, sweeps.ratio_identity_sweep(args.trials, args.seed))
 
 
 def _cmd_check_kernel(args) -> int:
-    return _sweep_result(sweeps.kernel_identity_sweep(args.trials, args.seed), args.json)
+    return _sweep(args, sweeps.kernel_identity_sweep(args.trials, args.seed))
 
 
 def _cmd_verify_facedim(args) -> int:
@@ -252,21 +197,15 @@ def _cmd_verify_facedim(args) -> int:
     report = polyhedra.verify_face_dimension_bound(
         polyhedra.PolyhedronH(a, b), args.delta, args.budget
     )
-    if args.json:
-        _print_json(
-            {
-                "delta": report.delta,
-                "bound": report.bound,
-                "vertices": [
-                    {"vertex": _vector_json(v), "face_dimension": d}
-                    for v, d in report.entries
-                ],
-                "passed": report.passed,
-            }
-        )
-    else:
-        print("\n".join(report.lines()))
-    return EXIT_OK if report.passed else EXIT_FAILED_VERIFICATION
+    payload = {
+        "delta": report.delta,
+        "bound": report.bound,
+        "vertices": [
+            {"vertex": _vector_json(v), "face_dimension": d} for v, d in report.entries
+        ],
+        "passed": report.passed,
+    }
+    return _emit(args, payload, _text(report.lines()), report.passed)
 
 
 def _cmd_verify_support(args) -> int:
@@ -274,56 +213,39 @@ def _cmd_verify_support(args) -> int:
     if c is None:
         c = tuple([0] * a.cols)
     ilp = polyhedra.StandardFormILP(a, b, c)
-    if args.box is not None:
-        box = tuple([args.box] * a.cols)
-    else:
-        derived = polyhedra.derive_box(a, b)
-        if derived is None:
-            raise DeltaSvpError(
-                "cannot derive a complete enumeration box from the rows; "
-                "pass an explicit --box"
-            )
-        box = derived
-    report = polyhedra.verify_support_bound(ilp, args.delta, box, args.budget)
-    if args.json:
-        _print_json(
-            {
-                "delta": report.delta,
-                "bound": report.bound,
-                "box": list(box),
-                "optimal_value": None
-                if report.optimal_value is None
-                else str(report.optimal_value),
-                "min_support": report.min_support,
-                "optimizer_count": report.optimizer_count,
-                "passed": report.passed,
-            }
+    box = polyhedra.derive_box(a, b) if args.box is None else tuple([args.box] * a.cols)
+    if box is None:
+        raise DeltaSvpError(
+            "cannot derive a complete enumeration box from the rows; pass an explicit --box"
         )
-    else:
-        print(f"enumeration box: {list(box)}")
-        print("\n".join(report.lines()))
-    return EXIT_OK if report.passed else EXIT_FAILED_VERIFICATION
+    report = polyhedra.verify_support_bound(ilp, args.delta, box, args.budget)
+    payload = {
+        "delta": report.delta,
+        "bound": report.bound,
+        "box": list(box),
+        "optimal_value": None if report.optimal_value is None else str(report.optimal_value),
+        "min_support": report.min_support,
+        "optimizer_count": report.optimizer_count,
+        "passed": report.passed,
+    }
+    text = _text([f"enumeration box: {list(box)}", *report.lines()])
+    return _emit(args, payload, text, report.passed)
 
 
 def _cmd_verify_sparsity(args) -> int:
     report = polyhedra.verify_sparsity_construction(args.delta, args.budget)
-    if args.json:
-        _print_json(
-            {
-                "delta": report.delta,
-                "m": report.m,
-                "n": report.n,
-                "box": list(report.box),
-                "solutions": [_vector_json(s) for s in report.solutions],
-                "support": report.support,
-                "expected_support": report.expected_support,
-                "totally_delta_modular": report.totally_modular,
-                "passed": report.passed,
-            }
-        )
-    else:
-        print("\n".join(report.lines()))
-    return EXIT_OK if report.passed else EXIT_FAILED_VERIFICATION
+    payload = {
+        "delta": report.delta,
+        "m": report.m,
+        "n": report.n,
+        "box": list(report.box),
+        "solutions": [_vector_json(s) for s in report.solutions],
+        "support": report.support,
+        "expected_support": report.expected_support,
+        "totally_delta_modular": report.totally_modular,
+        "passed": report.passed,
+    }
+    return _emit(args, payload, _text(report.lines()), report.passed)
 
 
 def _cmd_matrix_det(args) -> int:
@@ -338,12 +260,8 @@ def _cmd_matrix_rank(args) -> int:
 
 def _cmd_matrix_hnf(args) -> int:
     h, u = linalg.hnf(_read_matrix(args.file))
-    if args.json:
-        _print_json({"h": _matrix_json(h), "u": _matrix_json(u)})
-    else:
-        sys.stdout.write("# H\n" + textio.format_matrix(h))
-        sys.stdout.write("# U\n" + textio.format_matrix(u))
-    return EXIT_OK
+    text = "# H\n" + textio.format_matrix(h) + "# U\n" + textio.format_matrix(u)
+    return _emit(args, {"h": _matrix_json(h), "u": _matrix_json(u)}, text)
 
 
 def _add_json(p: argparse.ArgumentParser) -> None:

@@ -64,25 +64,22 @@ class IntMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.entries, tuple):
-            object.__setattr__(self, "entries", tuple(tuple(row) for row in self.entries))
-        if len(self.entries) == 0:
+        # rows that are not tuples (lists) would leave the matrix mutable;
+        # tuple() returns a tuple row itself, so tuple input is kept as given
+        entries = tuple(map(tuple, self.entries))
+        if entries != self.entries:
+            object.__setattr__(self, "entries", entries)
+        if len(entries) == 0:
             raise DimensionError("matrix needs at least one row")
-        width = len(self.entries[0])
+        width = len(entries[0])
         if width == 0:
             raise DimensionError("matrix needs at least one column")
-        frozen = True
-        for row in self.entries:
+        for row in entries:
             if len(row) != width:
                 raise DimensionError("ragged rows")
-            if not isinstance(row, tuple):
-                frozen = False
             for x in row:
                 if not isinstance(x, int):
                     raise DimensionError(f"non-integer entry {x!r}")
-        if not frozen:
-            # rows that are not tuples (lists) would leave the matrix mutable
-            object.__setattr__(self, "entries", tuple(tuple(row) for row in self.entries))
 
     @classmethod
     def _trusted(cls, entries: tuple[tuple[int, ...], ...]) -> "IntMatrix":
@@ -102,7 +99,7 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows: Iterable[Sequence[int]]) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(row) for row in rows))
+        return IntMatrix(rows)
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":

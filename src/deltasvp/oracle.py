@@ -51,18 +51,24 @@ def _greedy_tableau(a: IntMatrix) -> Tableau:
         raise RankError("full column rank required") from None
 
 
-def enum_bound(a: IntMatrix) -> int:
-    """Box radius K certain to contain a global minimizer of ||A z||_inf.
+def _radius(a: IntMatrix, t: Tableau) -> int:
+    """Box radius K certain to contain a global minimizer of ||A z||_inf,
+    from the tableau t of any invertible row set B of A.
 
     The best column gives an upper bound U on the optimum; any z at least
-    that good satisfies B z in [-U, U]^n for an invertible row set B, so
+    that good satisfies B z in [-U, U]^n, so
     |z_i| <= (1-norm of adjugate row i) * U / |det B|.
     """
-    t = _greedy_tableau(a)
     u = min(max(abs(x) for x in a.column(j)) for j in range(a.cols))
     d = abs(t.det)
     k = max(sum(abs(x) for x in row) * u // d for row in t.adj.entries)
     return max(k, 1)
+
+
+def enum_bound(a: IntMatrix) -> int:
+    """Box radius K certain to contain a global minimizer of ||A z||_inf,
+    taken on the greedy invertible row set of A."""
+    return _radius(a, _greedy_tableau(a))
 
 
 def brute_force_svp(

@@ -92,15 +92,19 @@ def format_matrix(matrix: IntMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_polyhedron(text: str) -> tuple[IntMatrix, tuple[int, ...]]:
-    """Parses a matrix block followed by a ``b:`` line."""
-    lines = _payload_lines(text)
-    matrix, rest = _parse_matrix_block(lines)
+def _parse_with_b(text: str) -> tuple[IntMatrix, tuple[int, ...], list[str]]:
+    """A matrix block, its ``b:`` line, and the payload lines after them."""
+    matrix, rest = _parse_matrix_block(_payload_lines(text))
     if not rest or not rest[0].startswith("b:"):
         raise ParseError("expected a 'b:' line after the matrix block")
-    b = _parse_ints(rest[0][2:], matrix.rows, "b")
-    if rest[1:]:
-        raise ParseError(f"trailing content after b: {rest[1]!r}")
+    return matrix, _parse_ints(rest[0][2:], matrix.rows, "b"), rest[1:]
+
+
+def parse_polyhedron(text: str) -> tuple[IntMatrix, tuple[int, ...]]:
+    """Parses a matrix block followed by a ``b:`` line."""
+    matrix, b, rest = _parse_with_b(text)
+    if rest:
+        raise ParseError(f"trailing content after b: {rest[0]!r}")
     return matrix, b
 
 
@@ -108,13 +112,8 @@ def parse_standard_form(
     text: str,
 ) -> tuple[IntMatrix, tuple[int, ...], tuple[int, ...] | None]:
     """Parses a matrix block, a ``b:`` line, and an optional ``c:`` line."""
-    lines = _payload_lines(text)
-    matrix, rest = _parse_matrix_block(lines)
-    if not rest or not rest[0].startswith("b:"):
-        raise ParseError("expected a 'b:' line after the matrix block")
-    b = _parse_ints(rest[0][2:], matrix.rows, "b")
+    matrix, b, rest = _parse_with_b(text)
     c: tuple[int, ...] | None = None
-    rest = rest[1:]
     if rest and rest[0].startswith("c:"):
         c = _parse_ints(rest[0][2:], matrix.cols, "c")
         rest = rest[1:]

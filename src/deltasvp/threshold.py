@@ -25,8 +25,8 @@ residues modulo |det B| on the way; one same-class selection from those
 residues; and a lazy scan of the test vectors, the pairwise differences in
 lexicographic order and then the sum, whose images A*t are read off the
 selected columns of N.  A vector that looks short is rechecked as A*z
-before it is returned.  The dispatcher's first tableau also chooses the
-starting basis.
+before it is returned.  The dispatcher's one greedy tableau is its rank
+test and then either the solver's starting basis or the oracle's box radius.
 
 Every replacement's new |det B| is read off the current, certified tableau
 by the determinant-ratio identity (``Tableau.swapped_det``) and must exceed
@@ -45,13 +45,13 @@ which equals d whenever the solver itself calls it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import sub
 from typing import Iterable, Iterator
 
 from .errors import DomainError, InvariantError, RankError, ThresholdError, ZeroLatticeError
 from .linalg import IntMatrix, Tableau, det, hnf, tableau
-from .oracle import DEFAULT_BOX_BUDGET, OracleResult, brute_force_svp, enum_bound
+from .oracle import DEFAULT_BOX_BUDGET, OracleResult, _radius, brute_force_svp
 
 #: Tags for the three determinant-growing replacement paths.
 PATH_ENTRY = "entry_swap"  # one inverse entry exceeds 1: single row swap
@@ -311,28 +311,20 @@ def solve_svp(
     if not any(x for row in a.entries for x in row):
         raise ZeroLatticeError("zero matrix generates the trivial lattice")
 
-    start = bound = None
     work, coordinate_map = a, None
     try:
-        # the first tableau (above the threshold) or the box radius (below
-        # it) doubles as the rank test
-        if a.cols > dimension_threshold(delta):
-            start = tableau(a)
-        else:
-            bound = enum_bound(a)
+        tab = tableau(a)
     except RankError:
         h, u = hnf(a)
         nonzero = [j for j in range(a.cols) if any(h.column(j))]
         work = h.submatrix(range(a.rows), nonzero)
         coordinate_map = u.submatrix(range(a.cols), nonzero)
+        tab = tableau(work)
 
     if work.cols > dimension_threshold(delta):
-        outcome = _solve(work, delta, tableau(work) if start is None else start)[0]
-        if isinstance(outcome, ShortVector) and coordinate_map is not None:
-            outcome = ShortVector(coordinate_map.matvec(outcome.z), outcome.y, outcome.norm)
-        return outcome
-
-    result = brute_force_svp(work, enum_bound(work) if bound is None else bound, box_budget)
-    if coordinate_map is not None:
-        result = OracleResult(coordinate_map.matvec(result.z), result.y, result.norm)
-    return result
+        outcome = _solve(work, delta, tab)[0]
+    else:
+        outcome = brute_force_svp(work, _radius(work, tab), box_budget)
+    if coordinate_map is not None and not isinstance(outcome, Certificate):
+        outcome = replace(outcome, z=coordinate_map.matvec(outcome.z))
+    return outcome

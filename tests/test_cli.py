@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from datetime import datetime
 from pathlib import Path
 
 import pytest
@@ -401,6 +402,90 @@ class TestEnumerationGolden:
         code, out, err = run(capsys, "verify", "facedim", "--delta", "1", "--json",
                              str(FIXTURES / source))
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+class TestTextGolden:
+    """Exact text stdout of every subcommand with a rendering of its own,
+    pinned byte for byte in tests/fixtures (argv, input file or None,
+    expected stdout), plus the JSON of the two commands the JSON goldens
+    above leave out.  CI diffs verify_sparsity_3.out, gen_sparsity_2.json
+    and hnf_lower_bound_4.json against the installed console script."""
+
+    @pytest.mark.parametrize(
+        "argv,source,expected",
+        [
+            (["svp", "solve", "--delta", "3"], "walk_to_short_vector.txt",
+             "solve_walk_to_short_vector.out"),
+            (["svp", "solve", "--delta", "3"], "pair_swap.txt", "solve_pair_swap.out"),
+            (["svp", "solve", "--delta", "4"], "lower_bound_4.txt", "solve_lower_bound_4.out"),
+            (["svp", "oracle"], "lower_bound_4.txt", "oracle_lower_bound_4.out"),
+            (["svp", "atleast2"], "atleast2_witness.txt", "atleast2_witness.out"),
+            (["svp", "atleast2"], "lower_bound_5.txt", "atleast2_lower_bound_5.out"),
+            (["check", "delta", "--delta", "5", "--total"], "lower_bound_5.txt",
+             "check_delta_lower_bound_5.out"),
+            (["check", "detratio", "--trials", "40", "--seed", "9"], None,
+             "check_detratio_40.out"),
+            (["check", "kernel", "--trials", "50", "--seed", "1"], None, "check_kernel_50.out"),
+            (["verify", "facedim", "--delta", "2"], "facedim_hull_25.txt",
+             "facedim_hull_25.out"),
+            (["verify", "support", "--delta", "2"], "sparsity_2.txt", "support_sparsity_2.out"),
+            (["verify", "sparsity", "--delta", "2"], None, "verify_sparsity_2.out"),
+            (["verify", "sparsity", "--delta", "3"], None, "verify_sparsity_3.out"),
+            (["gen", "lower-bound", "--delta", "6"], None, "gen_lower_bound_6.out"),
+            (["gen", "sparsity", "--delta", "3"], None, "gen_sparsity_3.out"),
+            (["gen", "random", "--delta", "3", "--rows", "6", "--cols", "3", "--seed", "5"],
+             None, "gen_random_6x3.out"),
+            (["matrix", "hnf"], "lower_bound_4.txt", "hnf_lower_bound_4.out"),
+            (["gen", "sparsity", "--delta", "2", "--json"], None, "gen_sparsity_2.json"),
+            (["matrix", "hnf", "--json"], "lower_bound_4.txt", "hnf_lower_bound_4.json"),
+        ],
+        ids=["solve_short_vector", "solve_certificate", "solve_oracle_minimum", "oracle",
+             "atleast2_witness", "atleast2_none", "check_delta_total", "check_detratio",
+             "check_kernel", "verify_facedim", "verify_support", "verify_sparsity_2",
+             "verify_sparsity_3", "gen_lower_bound", "gen_sparsity", "gen_random",
+             "matrix_hnf", "gen_sparsity_json", "matrix_hnf_json"],
+    )
+    def test_stdout_bytes(self, capsys, argv, source, expected):
+        inputs = [] if source is None else [str(FIXTURES / source)]
+        code, out, err = run(capsys, *argv, *inputs)
+        assert (code, out, err) == (0, (FIXTURES / expected).read_text(), "")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gen", "lower-bound", "--delta", "3"),
+            ("gen", "sparsity", "--delta", "2"),
+            ("gen", "random", "--delta", "2", "--rows", "4", "--cols", "2", "--seed", "7"),
+        ],
+        ids=["lower_bound", "sparsity", "random"],
+    )
+    def test_stamp(self, capsys, argv):
+        """--stamp adds an ISO timestamp to the JSON and changes nothing else."""
+        _, plain, _ = run(capsys, *argv, "--json")
+        code, stamped, err = run(capsys, *argv, "--json", "--stamp")
+        assert (code, err) == (0, "")
+        payload = json.loads(stamped)
+        assert datetime.fromisoformat(payload.pop("generated_at")).tzinfo is not None
+        assert payload == json.loads(plain)
+
+    def test_support_box_not_derivable(self, capsys, tmp_path):
+        """x0 - x1 = 0 leaves both variables unbounded, so no box comes
+        from the rows and the verifier asks for --box."""
+        path = tmp_path / "ilp.txt"
+        path.write_text("1 2\n1 -1\nb: 0\n")
+        for extra in ([], ["--json"]):
+            code, out, err = run(capsys, "verify", "support", "--delta", "2", *extra, str(path))
+            assert (code, out) == (2, "")
+            assert err == ("error: cannot derive a complete enumeration box from the rows; "
+                           "pass an explicit --box\n")
+
+    @pytest.mark.parametrize("command", [("svp", "oracle"), ("svp", "atleast2")])
+    def test_rank_deficient_enumeration(self, capsys, tmp_path, command):
+        """The enumerations need full column rank and say so in one line."""
+        path = tmp_path / "a.txt"
+        path.write_text("3 2\n1 2\n2 4\n3 6\n")
+        code, out, err = run(capsys, *command, str(path))
+        assert (code, out, err) == (2, "", "error: full column rank required\n")
 
 
 class TestParserReuse:

@@ -94,6 +94,16 @@ class TestIntMatrix:
         rows = ((1, 2), (3, 4))
         assert IntMatrix(rows).entries is rows  # tuple rows are kept as given
 
+    def test_list_of_lists_is_hashable_and_immutable(self):
+        m = IntMatrix([[1, 2], [3, 4]])
+        assert type(m.entries) is tuple
+        assert all(type(row) is tuple for row in m.entries)
+        assert hash(m) == hash(M([[1, 2], [3, 4]]))
+        with pytest.raises(TypeError):
+            m.entries[0] = (5, 6)
+        with pytest.raises(TypeError):
+            m.entries[1][1] = 5
+
     def test_library_results_equal_checked_matrices(self):
         """Results built unchecked are the matrices the checked constructor
         makes of the same entries, and empty selections are still refused."""
@@ -414,9 +424,9 @@ class TestTableau:
         assert calls == {"tableau": len(transitions) + 1}
 
     def test_solve_svp_below_threshold_eliminates_twice(self, monkeypatch):
-        """Full rank below the threshold: the box radius's tableau is the
-        rank test, and brute_force_svp's own rank guard the only other
-        elimination."""
+        """Full rank below the threshold: the dispatcher's one tableau is
+        the rank test and gives the box radius, and brute_force_svp's own
+        rank guard is the only other elimination."""
         from deltasvp import threshold
 
         a = M([[1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 1, -2], [1, 2, -1]])

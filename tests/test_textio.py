@@ -94,3 +94,14 @@ def test_standard_form_optional_objective():
 def test_standard_form_rejects_trailing():
     with pytest.raises(ParseError):
         parse_standard_form("1 1\n2\nb: 2\nc: 1\nextra\n")
+
+
+def test_polyhedron_rejects_trailing():
+    with pytest.raises(ParseError, match=r"^trailing content after b: 'extra'$"):
+        parse_polyhedron("1 1\n2\nb: 2\nextra\n")
+
+
+@pytest.mark.parametrize("text", ["1 1\n2\n", "1 1\n2\nc: 1\n"], ids=["missing", "c_first"])
+def test_standard_form_requires_b(text):
+    with pytest.raises(ParseError, match=r"^expected a 'b:' line after the matrix block$"):
+        parse_standard_form(text)
