@@ -8,6 +8,8 @@ identical invocations produce identical bytes (JSON metadata gains a
 timestamp only under ``--stamp``).  Row and column indices in all output
 are 0-based.  Each handler builds its JSON payload and its text and hands
 both to ``_emit``, which picks one and maps the verdict to the exit code.
+``_command`` adds every subcommand and its options, and ``main`` turns every
+anticipated error into one ``error:`` line and its exit code.
 
 Exit codes: 0 success / verified; 1 usage or parse error; 2 precondition
 violation (rank, threshold, boundedness, domain); 3 enumeration budget
@@ -264,12 +266,29 @@ def _cmd_matrix_hnf(args) -> int:
     return _emit(args, {"h": _matrix_json(h), "u": _matrix_json(u)}, text)
 
 
-def _add_json(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--json", action="store_true", help="emit JSON instead of text")
+_REQUIRED_INT = {"type": int, "required": True}
 
 
-def _add_budget(p: argparse.ArgumentParser, default: int) -> None:
-    p.add_argument("--budget", type=int, default=default, help="enumeration budget override")
+def _command(group, name, help, func, *extra, delta=True, budget=None, json=True,
+             stamp=False, file=False) -> None:
+    """Adds one subcommand.  Its options come in the order every subcommand
+    shares: --delta, its own ``extra`` (flag, keywords) pairs, --budget
+    (when given a default), --json, --stamp, then the input file (True, or
+    the file's help text)."""
+    p = group.add_parser(name, help=help)
+    if delta:
+        p.add_argument("--delta", **_REQUIRED_INT)
+    for flag, keywords in extra:
+        p.add_argument(flag, **keywords)
+    if budget is not None:
+        p.add_argument("--budget", type=int, default=budget, help="enumeration budget override")
+    if json:
+        p.add_argument("--json", action="store_true", help="emit JSON instead of text")
+    if stamp:
+        p.add_argument("--stamp", action="store_true", help="include a timestamp in JSON metadata")
+    if file:
+        p.add_argument("file", help=None if file is True else file)
+    p.set_defaults(func=func)
 
 
 @functools.cache
@@ -277,117 +296,55 @@ def build_parser() -> argparse.ArgumentParser:
     """The whole argument tree, built on first use and shared by every
     later ``main`` call in the process (parsing does not change it)."""
     parser = _Parser(prog="deltasvp", description=__doc__.split("\n\n")[0])
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    top = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    svp = sub.add_parser("svp", help="solver and enumeration oracles")
-    svp_sub = svp.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
+    def group(name: str, help: str):
+        sub = top.add_parser(name, help=help)
+        return sub.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
-    p = svp_sub.add_parser("solve", help="dispatching solver (threshold or oracle)")
-    p.add_argument("--delta", type=int, required=True)
-    _add_json(p)
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_svp_solve)
+    svp = group("svp", "solver and enumeration oracles")
+    _command(svp, "solve", "dispatching solver (threshold or oracle)", _cmd_svp_solve, file=True)
+    _command(svp, "oracle", "complete box enumeration", _cmd_svp_oracle,
+             ("--bound", {"type": int, "default": None, "help": "box radius (default: derived)"}),
+             delta=False, budget=oracle.DEFAULT_BOX_BUDGET, file=True)
+    _command(svp, "atleast2", "decide: no lattice vector of norm < 2", _cmd_svp_atleast2,
+             delta=False, budget=oracle.DEFAULT_PREIMAGE_BUDGET, file=True)
 
-    p = svp_sub.add_parser("oracle", help="complete box enumeration")
-    p.add_argument("--bound", type=int, default=None, help="box radius (default: derived)")
-    _add_budget(p, oracle.DEFAULT_BOX_BUDGET)
-    _add_json(p)
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_svp_oracle)
+    gen = group("gen", "instance generators")
+    _command(gen, "lower-bound", "delta-modular matrix with no norm-1 vector",
+             _cmd_gen_lower_bound, stamp=True)
+    _command(gen, "sparsity", "system whose only solution is all-ones", _cmd_gen_sparsity,
+             stamp=True)
+    _command(gen, "random", "seeded random delta-modular matrix", _cmd_gen_random,
+             ("--rows", _REQUIRED_INT), ("--cols", _REQUIRED_INT), ("--seed", _REQUIRED_INT),
+             stamp=True)
 
-    p = svp_sub.add_parser("atleast2", help="decide: no lattice vector of norm < 2")
-    _add_budget(p, oracle.DEFAULT_PREIMAGE_BUDGET)
-    _add_json(p)
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_svp_atleast2)
+    check = group("check", "measurements and identity sweeps")
+    _command(check, "delta", "largest full-rank subdeterminant", _cmd_check_delta,
+             ("--total", {"action": "store_true", "help": "also check every square minor"}),
+             budget=linalg.DEFAULT_MINOR_BUDGET, file=True)
+    sweep = ("--trials", _REQUIRED_INT), ("--seed", _REQUIRED_INT)
+    _command(check, "detratio", "random determinant-ratio identity sweep", _cmd_check_detratio,
+             *sweep, delta=False)
+    _command(check, "kernel", "random kernel determinant identity sweep", _cmd_check_kernel,
+             *sweep, delta=False)
 
-    gen = sub.add_parser("gen", help="instance generators")
-    gen_sub = gen.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
+    verify = group("verify", "polyhedral verifiers")
+    budget = polyhedra.DEFAULT_POINT_BUDGET
+    _command(verify, "facedim", "integer-hull vertices sit on small faces", _cmd_verify_facedim,
+             budget=budget, file="matrix plus 'b:' line")
+    _command(verify, "support", "optimal solutions have small support", _cmd_verify_support,
+             ("--box", {"type": int, "default": None, "help": "uniform per-variable bound"}),
+             budget=budget, file="matrix plus 'b:' line, optional 'c:' line")
+    _command(verify, "sparsity", "dense-support construction is tight", _cmd_verify_sparsity,
+             budget=budget)
 
-    p = gen_sub.add_parser("lower-bound", help="delta-modular matrix with no norm-1 vector")
-    p.add_argument("--delta", type=int, required=True)
-    _add_json(p)
-    p.add_argument("--stamp", action="store_true", help="include a timestamp in JSON metadata")
-    p.set_defaults(func=_cmd_gen_lower_bound)
-
-    p = gen_sub.add_parser("sparsity", help="system whose only solution is all-ones")
-    p.add_argument("--delta", type=int, required=True)
-    _add_json(p)
-    p.add_argument("--stamp", action="store_true", help="include a timestamp in JSON metadata")
-    p.set_defaults(func=_cmd_gen_sparsity)
-
-    p = gen_sub.add_parser("random", help="seeded random delta-modular matrix")
-    p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--rows", type=int, required=True)
-    p.add_argument("--cols", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    _add_json(p)
-    p.add_argument("--stamp", action="store_true", help="include a timestamp in JSON metadata")
-    p.set_defaults(func=_cmd_gen_random)
-
-    check = sub.add_parser("check", help="measurements and identity sweeps")
-    check_sub = check.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-
-    p = check_sub.add_parser("delta", help="largest full-rank subdeterminant")
-    p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--total", action="store_true", help="also check every square minor")
-    _add_budget(p, linalg.DEFAULT_MINOR_BUDGET)
-    _add_json(p)
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_check_delta)
-
-    p = check_sub.add_parser("detratio", help="random determinant-ratio identity sweep")
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    _add_json(p)
-    p.set_defaults(func=_cmd_check_detratio)
-
-    p = check_sub.add_parser("kernel", help="random kernel determinant identity sweep")
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    _add_json(p)
-    p.set_defaults(func=_cmd_check_kernel)
-
-    verify = sub.add_parser("verify", help="polyhedral verifiers")
-    verify_sub = verify.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-
-    p = verify_sub.add_parser("facedim", help="integer-hull vertices sit on small faces")
-    p.add_argument("--delta", type=int, required=True)
-    _add_budget(p, polyhedra.DEFAULT_POINT_BUDGET)
-    _add_json(p)
-    p.add_argument("file", help="matrix plus 'b:' line")
-    p.set_defaults(func=_cmd_verify_facedim)
-
-    p = verify_sub.add_parser("support", help="optimal solutions have small support")
-    p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--box", type=int, default=None, help="uniform per-variable bound")
-    _add_budget(p, polyhedra.DEFAULT_POINT_BUDGET)
-    _add_json(p)
-    p.add_argument("file", help="matrix plus 'b:' line, optional 'c:' line")
-    p.set_defaults(func=_cmd_verify_support)
-
-    p = verify_sub.add_parser("sparsity", help="dense-support construction is tight")
-    p.add_argument("--delta", type=int, required=True)
-    _add_budget(p, polyhedra.DEFAULT_POINT_BUDGET)
-    _add_json(p)
-    p.set_defaults(func=_cmd_verify_sparsity)
-
-    matrix = sub.add_parser("matrix", help="plain matrix utilities")
-    matrix_sub = matrix.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-
-    p = matrix_sub.add_parser("det", help="exact determinant")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_matrix_det)
-
-    p = matrix_sub.add_parser("rank", help="exact rank")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_matrix_rank)
-
-    p = matrix_sub.add_parser("hnf", help="column-style Hermite normal form")
-    _add_json(p)
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_matrix_hnf)
-
+    matrix = group("matrix", "plain matrix utilities")
+    _command(matrix, "det", "exact determinant", _cmd_matrix_det,
+             delta=False, json=False, file=True)
+    _command(matrix, "rank", "exact rank", _cmd_matrix_rank, delta=False, json=False, file=True)
+    _command(matrix, "hnf", "column-style Hermite normal form", _cmd_matrix_hnf,
+             delta=False, file=True)
     return parser
 
 
@@ -403,19 +360,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except textio.ParseError as exc:
+    except (textio.ParseError, OSError, DeltaSvpError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except DeltaSvpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-
+        if isinstance(exc, BudgetExceededError):
+            return EXIT_BUDGET
+        return EXIT_PRECONDITION if isinstance(exc, DeltaSvpError) else EXIT_USAGE
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -58,7 +58,8 @@ class IntMatrix:
 
     IntMatrix(...) and from_rows check the shape and every entry; the
     matrices the library builds from checked ones (products, transposes,
-    submatrices, normal forms, tableaux) skip that through _trusted.
+    submatrices, normal forms, tableaux) and the matrices textio parses,
+    whose rows it has checked itself, skip that through _trusted.
     """
 
     entries: tuple[tuple[int, ...], ...]
@@ -83,8 +84,8 @@ class IntMatrix:
 
     @classmethod
     def _trusted(cls, entries: tuple[tuple[int, ...], ...]) -> "IntMatrix":
-        """A matrix of entries the library built itself: a nonempty tuple
-        of equally long, nonempty tuples of ints, taken unchecked."""
+        """A matrix of entries the library built or parsed itself: a
+        nonempty tuple of equally long, nonempty tuples of ints, unchecked."""
         m = object.__new__(cls)
         object.__setattr__(m, "entries", entries)
         return m

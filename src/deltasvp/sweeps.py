@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import DomainError
 from .generators import random_full_column_rank, random_full_row_rank
@@ -34,6 +35,18 @@ class SweepReport:
         return out
 
 
+def _sweep(
+    name: str, trials: int, seed: int, trial: Callable[[random.Random], bool]
+) -> SweepReport:
+    """Runs ``trials`` draws from one generator seeded with ``seed``;
+    ``trial(rng)`` draws one instance and says whether the identity holds."""
+    if trials < 1:
+        raise DomainError("need at least one trial")
+    rng = random.Random(seed)
+    failed = [index for index in range(trials) if not trial(rng)]
+    return SweepReport(name, trials, len(failed), failed[0] if failed else None)
+
+
 def ratio_identity_sweep(trials: int, seed: int) -> SweepReport:
     """Random determinant-ratio identity checks on small dense matrices.
 
@@ -41,12 +54,8 @@ def ratio_identity_sweep(trials: int, seed: int) -> SweepReport:
     set, row selection and column selection are drawn uniformly among the
     valid ones.
     """
-    if trials < 1:
-        raise DomainError("need at least one trial")
-    rng = random.Random(seed)
-    failures = 0
-    first = None
-    for trial in range(trials):
+
+    def trial(rng: random.Random) -> bool:
         n = rng.randint(1, 4)
         m = rng.randint(n, 6)
         a = random_full_column_rank(rng, m, n, -9, 9)
@@ -57,27 +66,18 @@ def ratio_identity_sweep(trials: int, seed: int) -> SweepReport:
         k = rng.randint(1, n)
         i_rows = sorted(rng.sample(range(m), k))
         j_cols = sorted(rng.sample(range(n), k))
-        if not subdet_ratio_check(a, base, i_rows, j_cols):
-            failures += 1
-            if first is None:
-                first = trial
-    return SweepReport("determinant-ratio identity", trials, failures, first)
+        return subdet_ratio_check(a, base, i_rows, j_cols)
+
+    return _sweep("determinant-ratio identity", trials, seed, trial)
 
 
 def kernel_identity_sweep(trials: int, seed: int) -> SweepReport:
     """Random kernel-minor identity checks on full-row-rank matrices with
     up to 3 rows and 6 columns, entries in [-9, 9]."""
-    if trials < 1:
-        raise DomainError("need at least one trial")
-    rng = random.Random(seed)
-    failures = 0
-    first = None
-    for trial in range(trials):
+
+    def trial(rng: random.Random) -> bool:
         m = rng.randint(1, 3)
         n = rng.randint(m, 6)
-        a = random_full_row_rank(rng, m, n, -9, 9)
-        if not verify_kernel_identity(a):
-            failures += 1
-            if first is None:
-                first = trial
-    return SweepReport("kernel determinant identity", trials, failures, first)
+        return verify_kernel_identity(random_full_row_rank(rng, m, n, -9, 9))
+
+    return _sweep("kernel determinant identity", trials, seed, trial)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 
-from .errors import DimensionError
 from .linalg import IntMatrix
 
 
@@ -79,11 +78,9 @@ def _parse_matrix_block(lines: list[str]) -> tuple[IntMatrix, list[str]]:
         raise ParseError("matrix dimensions must be positive")
     if len(lines) < 1 + m:
         raise ParseError(f"expected {m} matrix rows, found {len(lines) - 1}")
-    rows = [_parse_ints(lines[1 + i], n, f"row {i}") for i in range(m)]
-    try:
-        return IntMatrix.from_rows(rows), lines[1 + m :]
-    except DimensionError as exc:
-        raise ParseError(str(exc)) from None
+    # m >= 1 rows of exactly n >= 1 ints each, checked above: taken as is
+    rows = tuple(_parse_ints(lines[1 + i], n, f"row {i}") for i in range(m))
+    return IntMatrix._trusted(rows), lines[1 + m :]
 
 
 def format_matrix(matrix: IntMatrix) -> str:
