@@ -154,6 +154,7 @@ def _cmd_gen_random(args) -> int:
 
 def _cmd_check_delta(args) -> int:
     a = _read_matrix(args.file)
+    threshold.dimension_threshold(args.delta)  # the solver's "delta must be >= 1" check
     largest, witness = linalg.max_abs_full_rank_subdet(a, args.budget)
     is_modular = largest <= args.delta
     payload = {

@@ -52,11 +52,8 @@ def lower_bound_instance(delta: int) -> IntMatrix:
     if delta < 2:
         raise DomainError("construction needs delta >= 2")
     size = delta - 1
-    if delta == 2:
-        t = IntMatrix.from_rows([[1]])
-    else:
-        incidence = complete_digraph_incidence(delta, ordered=False)
-        t = incidence.submatrix(range(incidence.rows), range(size))
+    incidence = complete_digraph_incidence(delta, ordered=False)
+    t = incidence.submatrix(range(incidence.rows), range(size))
     b_rows = [[1 if i == j else 0 for j in range(size)] for i in range(size - 1)]
     b_rows.append([delta - 1] * (size - 1) + [delta])
     return t.matmul(IntMatrix.from_rows(b_rows))

@@ -43,6 +43,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import (
     BudgetExceededError,
     DimensionError,
+    DomainError,
     InvariantError,
     RankError,
     SingularMatrixError,
@@ -618,7 +619,10 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def _check_budget(count: int, budget: int, what: str) -> None:
-    """The one budget gate: refuse a scan of count items before it starts."""
+    """The one budget gate: refuse a scan of count items before it starts.
+    A negative budget is an invalid value, not one that every scan exceeds."""
+    if budget < 0:
+        raise DomainError("budget must be >= 0")
     if count > budget:
         raise BudgetExceededError(f"{what} of size {count} exceeds budget {budget}")
 

@@ -5,11 +5,12 @@ norm-1 threshold: integer-hull vertices sit on low-dimensional faces, and
 standard-form integer programs admit optimal solutions of small support.
 Everything is exact integer arithmetic on the fraction-free pivot of
 ``linalg``; rationals appear only in the returned vertices.  Boundedness is
-decided by n + 1 phase-1 programs (the rows of A must positively span R^n),
-each vertex candidate comes from one reduced elimination per row subset and
-is tested against A x <= b over the common denominator, lattice points come
-from a scan of the bounding box whose last coordinate is clipped to P, a
-lattice point leaves the integer hull on an integer midpoint certificate or
+decided by a rank test and one phase-1 program (Gordan: the rows of A
+positively span R^n iff they span R^n and some strictly positive
+combination of them is 0), each vertex candidate comes from one reduced
+elimination per row subset and is tested against A x <= b over the common
+denominator, lattice points come from a scan of the bounding box whose last
+coordinate is clipped to P, a lattice point leaves the integer hull on an integer midpoint certificate or
 else on the same phase-1 simplex (Bland's rule on an integer tableau),
 kernel lattice bases come from the Hermite normal form, and the kernel
 identity reads each maximal minor once off ``linalg._minors``.
@@ -69,14 +70,6 @@ class PolyhedronH:
     def dim(self) -> int:
         return self.a.cols
 
-    def contains(self, point: Sequence[int] | Sequence[Fraction]) -> bool:
-        if len(point) != self.dim:
-            raise DimensionError("point dimension mismatch")
-        for row, bound in zip(self.a.entries, self.b):
-            if sum(c * x for c, x in zip(row, point)) > bound:
-                return False
-        return True
-
 
 @dataclass(frozen=True)
 class StandardFormILP:
@@ -98,16 +91,15 @@ class StandardFormILP:
 def _assert_bounded(p: PolyhedronH) -> None:
     """Raises unless the recession cone {A x <= 0} is trivial.
 
-    By Farkas' lemma the cone is {0} iff the rows of A positively span
-    R^n, that is iff e_1, ..., e_n and -(e_1 + ... + e_n) are nonnegative
-    combinations of them: n + 1 phase-1 programs.
+    By Farkas' lemma the cone is {0} iff the rows a_i of A positively span
+    R^n.  By Gordan's theorem of the alternative that holds iff they span
+    R^n and sum lambda_i a_i = 0 for some lambda > 0; with lambda = mu + 1
+    that is rank(A) = n plus one phase-1 program, A^T mu = -A^T 1, mu >= 0.
     """
-    n = p.dim
     rows = list(p.a.entries)
-    targets = [[int(i == j) for i in range(n)] for j in range(n)] + [[-1] * n]
-    for target in targets:
-        if not _has_nonneg_combination(rows, target):
-            raise UnboundedPolyhedronError("polyhedron has a nonzero recession direction")
+    minus_sum = [-sum(column) for column in zip(*rows)]
+    if rank(p.a) < p.dim or not _has_nonneg_combination(rows, minus_sum):
+        raise UnboundedPolyhedronError("polyhedron has a nonzero recession direction")
 
 
 def vertices_of_polyhedron(
@@ -268,16 +260,15 @@ def integer_hull_vertices(
 def min_face_dimension(p: PolyhedronH, point: Sequence[int]) -> int:
     """Dimension of the smallest face of P containing the point.
 
-    Equals dim minus the rank of the rows tight at the point; an interior
-    point gives the full dimension.
+    Equals dim minus the rank of the rows tight at the point (zero slack
+    b - A x); an interior point gives the full dimension.
     """
-    if not p.contains(point):
+    if len(point) != p.dim:
+        raise DimensionError("point dimension mismatch")
+    slacks = [bound - sum(map(mul, row, point)) for row, bound in zip(p.a.entries, p.b)]
+    if any(slack < 0 for slack in slacks):
         raise ContainmentError("point is not in the polyhedron")
-    tight = [
-        i
-        for i, (row, bound) in enumerate(zip(p.a.entries, p.b))
-        if sum(c * x for c, x in zip(row, point)) == bound
-    ]
+    tight = [i for i, slack in enumerate(slacks) if slack == 0]
     if not tight:
         return p.dim
     return p.dim - rank(p.a.submatrix_rows(tight))

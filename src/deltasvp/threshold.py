@@ -22,9 +22,9 @@ the n x n transform alone, and N = A*adj(B) read off the packed product
 that certifies it), in this order: the entry scan of N; the scan of
 the columns of adj(B) for an integral one, which computes each column's
 residues modulo |det B| on the way; one same-class selection from those
-residues; and a lazy scan of the test vectors, the pairwise differences in
-lexicographic order and then the sum, whose images A*t are read off the
-selected columns of N.  A vector that looks short is rechecked as A*z
+residues; and a lazy scan of the test vectors, the differences of members
+i < j in lexicographic order and then the sum, whose images A*t are read off
+the selected columns of N.  A vector that looks short is rechecked as A*z
 before it is returned.  The dispatcher's one greedy tableau is its rank
 test and then either the solver's starting basis or the oracle's box radius.
 
@@ -46,6 +46,7 @@ which equals d whenever the solver itself calls it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import combinations
 from operator import sub
 from typing import Iterable, Iterator
 
@@ -148,14 +149,13 @@ def _test_vectors(
     adj_cols: list[tuple[int, ...]], n_cols: list[tuple[int, ...]]
 ) -> Iterator[tuple[tuple[int, int] | str, Iterable[int], Iterable[int]]]:
     """(key, numerators of t, numerators of A t) for the test vectors t of
-    the selected signed columns, lazily: the differences of members i != j
+    the selected signed columns, lazily: the differences of members i < j
     in lexicographic (i, j) order, then their sum under the key "sum".  The
-    image is read off the selected columns of N = A * adj(B)."""
-    size = len(adj_cols)
-    for i in range(size):
-        for j in range(size):
-            if i != j:
-                yield (i, j), map(sub, adj_cols[i], adj_cols[j]), map(sub, n_cols[i], n_cols[j])
+    image is read off the selected columns of N = A * adj(B).  The (j, i)
+    differences are left out: t_(j,i) = -t_(i,j) has the same integrality,
+    norm and first row with an entry of magnitude at least 2."""
+    for i, j in combinations(range(len(adj_cols)), 2):
+        yield (i, j), map(sub, adj_cols[i], adj_cols[j]), map(sub, n_cols[i], n_cols[j])
     yield "sum", map(sum, zip(*adj_cols)), map(sum, zip(*n_cols))
 
 
@@ -226,10 +226,7 @@ def threshold_step(a: IntMatrix, delta: int, tab: Tableau) -> ShortVector | Tran
     size = len(members)
     for k in range(size - 1):
         row_idx = collected[k, k + 1]
-        values = [col[row_idx] for col in n_cols]
-        if any(x % d_signed for x in values):
-            raise InvariantError("row value against selection is not integral")
-        values = [x // d_signed for x in values]
+        values = _exact((col[row_idx] for col in n_cols), d_signed, "row value against selection")
         if not (values[k] in (1, -1) and values[k + 1] == -values[k]):
             raise InvariantError("collected row must split its pair by exactly 2")
         offenders = [
@@ -238,7 +235,8 @@ def threshold_step(a: IntMatrix, delta: int, tab: Tableau) -> ShortVector | Tran
         if offenders:
             u = offenders[0]
             i_pos = k if values[k] * values[u] > 0 else k + 1
-            swaps = {members[i_pos][0]: row_idx, members[u][0]: collected[i_pos, u]}
+            pair = collected[min(i_pos, u), max(i_pos, u)]
+            swaps = {members[i_pos][0]: row_idx, members[u][0]: pair}
             return _replace(tab, PATH_PAIR, swaps)
 
     # block replacement: consecutive-difference rows plus the sum row
@@ -253,10 +251,9 @@ def solve_threshold_trace(
 ) -> tuple[SvpOutcome, tuple[Transition, ...]]:
     """Runs the solver from the greedy basis of A and returns the outcome
     with the replacement trace, whose entry i is iteration i + 1."""
-    if a.cols <= dimension_threshold(delta):
-        raise ThresholdError(
-            f"need more than {dimension_threshold(delta)} columns for delta={delta}"
-        )
+    bound = dimension_threshold(delta)
+    if a.cols <= bound:
+        raise ThresholdError(f"need more than {bound} columns for delta={delta}")
     return _solve(a, delta, tableau(a))
 
 
@@ -306,8 +303,7 @@ def solve_svp(
     a certificate cites rows of the matrix the solver ran on, which is the
     normal-form basis whenever the input lacked full column rank.
     """
-    if delta < 1:
-        raise DomainError("delta must be >= 1")
+    bound = dimension_threshold(delta)
     if not any(x for row in a.entries for x in row):
         raise ZeroLatticeError("zero matrix generates the trivial lattice")
 
@@ -321,7 +317,7 @@ def solve_svp(
         coordinate_map = u.submatrix(range(a.cols), nonzero)
         tab = tableau(work)
 
-    if work.cols > dimension_threshold(delta):
+    if work.cols > bound:
         outcome = _solve(work, delta, tab)[0]
     else:
         outcome = brute_force_svp(work, _radius(work, tab), box_budget)

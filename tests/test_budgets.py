@@ -1,15 +1,17 @@
 """Every enumeration refuses an over-budget scan before the scan starts,
-with one message format: "<what> of size <N> exceeds budget <B>"."""
+with one message format: "<what> of size <N> exceeds budget <B>".  A
+negative budget is refused by the same gate as an invalid value."""
 
 from pathlib import Path
 
 import pytest
 
 from deltasvp import cli, linalg, oracle, polyhedra
-from deltasvp.errors import BudgetExceededError
+from deltasvp.errors import BudgetExceededError, DomainError
 from deltasvp.linalg import IntMatrix
 
 M = IntMatrix.from_rows
+FIXTURES = Path(__file__).parent / "fixtures"
 
 BOX_2 = polyhedra.PolyhedronH(M([[1, 0], [-1, 0], [0, 1], [0, -1]]), (3, 3, 3, 3))
 BOX_3 = polyhedra.PolyhedronH(
@@ -90,3 +92,42 @@ def test_cli_reports_the_gate_with_exit_code_3(capsys):
     assert captured.err == (
         "error: full-rank subdeterminant scan of size 210 exceeds budget 209\n"
     )
+
+
+def test_gate_on_its_own():
+    linalg._check_budget(0, 0, "scan")
+    linalg._check_budget(5, 5, "scan")
+    with pytest.raises(BudgetExceededError, match="^scan of size 1 exceeds budget 0$"):
+        linalg._check_budget(1, 0, "scan")
+    for count in (0, 7):
+        with pytest.raises(DomainError, match="^budget must be >= 0$"):
+            linalg._check_budget(count, -1, "scan")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["svp", "oracle", "--budget", "-5", "lower_bound_4.txt"],
+        ["svp", "atleast2", "--budget", "-1", "lower_bound_4.txt"],
+        ["check", "delta", "--delta", "5", "--budget", "-1", "lower_bound_5.txt"],
+        ["verify", "facedim", "--delta", "2", "--budget", "-1", "facedim_hull_25.txt"],
+        ["verify", "support", "--delta", "2", "--budget", "-1", "sparsity_2.txt"],
+        ["verify", "sparsity", "--delta", "2", "--budget", "-1"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_cli_reports_a_negative_budget_with_exit_code_2(capsys, argv):
+    argv = [str(FIXTURES / arg) if arg.endswith(".txt") else arg for arg in argv]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: budget must be >= 0\n"
+
+
+def test_cli_budget_zero_still_refuses_a_scan_with_exit_code_3(capsys):
+    code = cli.main(["svp", "oracle", "--budget", "0", str(FIXTURES / "lower_bound_4.txt")])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err.startswith("error: box enumeration of size ")
+    assert captured.err.endswith(" exceeds budget 0\n")

@@ -125,6 +125,19 @@ class TestCheck:
         assert "max |full-rank subdeterminant| = 2 at rows [0, 1]" in out
         assert "totally delta-modular for delta = 2: yes" in out
 
+    @pytest.mark.parametrize("extra", [[], ["--json"], ["--total"]], ids=["text", "json", "total"])
+    @pytest.mark.parametrize("delta", ["0", "-3"])
+    def test_delta_below_one(self, capsys, worked_file, extra, delta):
+        code, out, err = run(capsys, "check", "delta", "--delta", delta, *extra, worked_file)
+        assert (code, out, err) == (2, "", "error: delta must be >= 1\n")
+
+    def test_delta_checked_after_the_file_is_read(self, capsys):
+        # the same order as svp solve: a missing file is exit 1, not 2
+        for command in (("check", "delta"), ("svp", "solve")):
+            code, out, err = run(capsys, *command, "--delta", "0", "/nonexistent/file.txt")
+            assert (code, out) == (1, "")
+            assert err.startswith("error: ")
+
     def test_detratio_sweep(self, capsys):
         code, out, _ = run(capsys, "check", "detratio", "--trials", "40", "--seed", "9")
         assert code == 0

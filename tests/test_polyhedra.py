@@ -105,6 +105,25 @@ class TestVertices:
             (Fraction(x), Fraction(y)) for x in (-1, 1) for y in (-1, 1)
         ]
 
+    def test_boundedness_is_one_program(self, monkeypatch):
+        calls = []
+        real = polyhedra._has_nonneg_combination
+
+        def counted(columns, rhs):
+            calls.append(rhs)
+            return real(columns, rhs)
+
+        monkeypatch.setattr(polyhedra, "_has_nonneg_combination", counted)
+        polyhedra._assert_bounded(box_polyhedron(3))
+        assert calls == [[0, 0, 0]]
+
+    def test_positive_zero_combination_below_full_rank_is_unbounded(self):
+        """{x_1 <= 1, -x_1 <= 0} in R^2: the rows sum to 0 with positive
+        weights, but they span only a line, so x_2 is free."""
+        p = PolyhedronH(M([[1, 0], [-1, 0]]), (1, 0))
+        with pytest.raises(UnboundedPolyhedronError):
+            polyhedra._assert_bounded(p)
+
     def test_matches_fraction_reference(self):
         """Vertex list or error type against the Fraction solve of every row
         subset, with boundedness read off the cone box [A; I; -I].  Half the
@@ -311,6 +330,11 @@ class TestMinFaceDimension:
     def test_outside_rejected(self):
         with pytest.raises(ContainmentError):
             min_face_dimension(box_polyhedron(2), (3, 0))
+
+    def test_wrong_length_rejected_first(self):
+        # (3, 0, 0) would also lie outside; the length is checked first
+        with pytest.raises(DimensionError, match="^point dimension mismatch$"):
+            min_face_dimension(box_polyhedron(2), (3, 0, 0))
 
     def test_vertex_iff_dimension_zero(self):
         p = PolyhedronH(M([[2, 2], [-1, 0], [0, -1]]), (3, 0, 0))
