@@ -1,23 +1,25 @@
 """Complete enumeration procedures for the infinity-norm shortest vector.
 
-A box enumeration with a provably sufficient radius, and an exact decision
-of "no lattice vector of norm below 2" by enumerating the 3^n possible
-images on an invertible row set.  They validate the iterative solver,
-answer below its dimension threshold and certify the explicit instance
-constructions, so both scans stay complete and visit points in
-lexicographic order.  Both run on the split scan of ``linalg``: the images
-of the trailing half of the coordinates are computed once, so a box point
-costs one vector addition, and the 3^n scan joins the two halves on the
-residue of adj(B) v modulo det(B), so only the integral preimages are
-looked at.  Neither split changes which point is found first.
+A box enumeration with a provably sufficient radius (``brute_force_svp``,
+the reference behind ``svp oracle``), a layered scan of the images B z on
+an invertible row set B (``layered_svp``, which the solver runs below its
+dimension threshold) and its first layer, the exact decision of "no
+lattice vector of norm below 2".  Every scan is complete and visits points
+in a fixed order, so its witness is deterministic.  All run on the split
+scan of ``linalg``: the images of the trailing half of the coordinates are
+computed once, so a box point costs one vector addition, and a layer joins
+the two halves on the residue of adj(B) v modulo det(B), so only the
+integral preimages are looked at.  Neither split changes which point is
+found first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add
+from typing import Iterator
 
-from .errors import DomainError, InvariantError, RankError
+from .errors import BudgetExceededError, DomainError, InvariantError, RankError
 from .linalg import (
     DEFAULT_MINOR_BUDGET,
     IntMatrix,
@@ -85,6 +87,11 @@ def brute_force_svp(
         raise DomainError("box radius must be >= 1")
     if rank(a) < a.cols:
         raise RankError("full column rank required")
+    return _box_scan(a, k, budget)
+
+
+def _box_scan(a: IntMatrix, k: int, budget: int) -> OracleResult:
+    """brute_force_svp on an A known to have full column rank."""
     n = a.cols
     _check_budget((2 * k + 1) ** n, budget, "box enumeration")
     best_norm: int | None = None
@@ -101,30 +108,21 @@ def brute_force_svp(
     return OracleResult(best[0], best[1], best_norm)
 
 
-def shortest_is_at_least_2(
-    a: IntMatrix, budget: int = DEFAULT_PREIMAGE_BUDGET
-) -> tuple[bool, tuple[int, ...] | None]:
-    """Exact decision: does every nonzero lattice vector have norm >= 2?
+def _layer(a: IntMatrix, t: Tableau, r: int) -> Iterator[tuple[int, ...]]:
+    """Every nonzero z with B z in [-r, r]^n and ||A z||_inf <= r, lazily,
+    in lexicographic order of v = B z, from the tableau t of B.
 
-    Complete by construction: any z with ||A z||_inf <= 1 maps an invertible
-    row set B to a vector v in {-1, 0, 1}^n, so scanning all 3^n preimages
-    z = adj(B) v / det(B) and keeping the integral ones that stay short
-    decides the question.  Returns (True, None) or (False, witness z), the
-    witness of the lexicographically first such v.
-
-    The scan splits v into a head and a tail half over the stacked matrix
-    [adj(B); N], N = A adj(B), and groups the tails by the residue of
+    v splits into a head and a tail half over the stacked matrix
+    [adj(B); N], N = A adj(B), and the tails are grouped by the residue of
     adj(B) v_tail modulo det(B): each head meets only the tails that make
-    z integral, and keeps v when ||N v||_inf <= |det(B)|, which is
-    ||A z||_inf <= 1.
+    z = adj(B) v / det(B) integral, and keeps v when
+    ||N v||_inf <= r |det(B)|, which is ||A z||_inf <= r.
     """
-    t = _greedy_tableau(a)
     n = a.cols
-    _check_budget(3**n, budget, "preimage scan")
     d = t.det
     modulus = abs(d)
     stacked = IntMatrix._trusted(t.adj.entries + t.numerators.entries)
-    heads, tails = _box_halves(stacked, [range(-1, 2)] * n)
+    heads, tails = _box_halves(stacked, [range(-r, r + 1)] * n)
     groups: dict[tuple[int, ...], list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
     for _, image in tails:
         key = tuple(x % modulus for x in image[:n])
@@ -132,16 +130,75 @@ def shortest_is_at_least_2(
     for _, head_image in heads:
         head_adj, head_n = head_image[:n], head_image[n:]
         for tail_adj, tail_n in groups.get(tuple(-x % modulus for x in head_adj), ()):
-            if max(map(abs, map(add, head_n, tail_n))) > modulus:
+            if max(map(abs, map(add, head_n, tail_n))) > r * modulus:
                 continue
             numerator = tuple(map(add, head_adj, tail_adj))
-            if not any(numerator):
-                continue  # v = 0
-            z = tuple(x // d for x in numerator)
-            if max(map(abs, a.matvec(z))) > 1:
-                raise InvariantError("preimage witness has norm above 1")
-            return False, z
-    return True, None
+            if any(numerator):  # else v = 0
+                yield tuple(x // d for x in numerator)
+
+
+def layered_svp(a: IntMatrix, t: Tableau, budget: int = DEFAULT_BOX_BUDGET) -> OracleResult:
+    """Exact minimum of ||A z||_inf over nonzero integer z, by layers r = 1,
+    2, ... of B z in [-r, r]^n on the tableau t of an invertible row set B.
+
+    The first layer that keeps a z holds every minimizer, so its
+    lexicographically least z is the one ``brute_force_svp`` finds first.
+    Column j of N = A adj(B) is the lattice vector A adj(B) e_j, and by
+    Cramer's rule its entries are maximal minors of A, so the layers end
+    by R = min(best column norm of A, min_j max_k |N[k][j]|) <= delta
+    whatever the entries.  Refused up front when sum_{r <= R} (2r + 1)^n
+    exceeds the budget (the size reported is the first partial sum over).
+    """
+    n = a.cols
+    bound = min(max(map(abs, col)) for m in (a, t.numerators) for col in zip(*m.entries))
+    points = 0
+    for r in range(1, bound + 1):
+        points += (2 * r + 1) ** n
+        if points > budget:
+            break
+    _check_budget(points, budget, "layered scan")
+    for r in range(1, bound + 1):
+        z = min(_layer(a, t, r), default=None)
+        if z is not None:
+            y = a.matvec(z)
+            norm = max(map(abs, y))
+            if norm != r:
+                raise InvariantError(f"layer {r} minimizer has norm {norm}")
+            return OracleResult(z, y, norm)
+    raise InvariantError(f"no lattice vector of norm <= {bound}")
+
+
+def scan_svp(a: IntMatrix, t: Tableau, budget: int = DEFAULT_BOX_BUDGET) -> OracleResult:
+    """``layered_svp``, or ``brute_force_svp`` at radius _radius(a, t) when
+    its box has fewer points or the layers exceed the budget (large norms
+    in few dimensions, such as one column of large entries).  Both return
+    the same vector; the box's gate refuses when neither fits."""
+    k = _radius(a, t)
+    try:
+        return layered_svp(a, t, min((2 * k + 1) ** a.cols, budget))
+    except BudgetExceededError:
+        return _box_scan(a, k, budget)
+
+
+def shortest_is_at_least_2(
+    a: IntMatrix, budget: int = DEFAULT_PREIMAGE_BUDGET
+) -> tuple[bool, tuple[int, ...] | None]:
+    """Exact decision: does every nonzero lattice vector have norm >= 2?
+
+    Complete by construction: any z with ||A z||_inf <= 1 maps an invertible
+    row set B to a vector v in {-1, 0, 1}^n, so layer 1 of ``layered_svp``,
+    the 3^n preimages z = adj(B) v / det(B) that are integral and stay
+    short, decides the question.  Returns (True, None) or (False, witness
+    z), the witness of the lexicographically first such v.
+    """
+    t = _greedy_tableau(a)
+    _check_budget(3**a.cols, budget, "preimage scan")
+    z = next(_layer(a, t, 1), None)
+    if z is None:
+        return True, None
+    if max(map(abs, a.matvec(z))) > 1:
+        raise InvariantError("preimage witness has norm above 1")
+    return False, z
 
 
 def certifies_lower_bound(

@@ -12,8 +12,12 @@ from typing import Callable
 
 from .errors import DomainError
 from .generators import random_full_column_rank, random_full_row_rank
-from .linalg import det, subdet_ratio_check
+from .linalg import _check_budget, det, subdet_ratio_check
 from .polyhedra import verify_kernel_identity
+
+#: Most trials one sweep runs (a few minutes at a few hundred microseconds
+#: per trial); a larger count is refused before the first draw.
+MAX_TRIALS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -42,6 +46,7 @@ def _sweep(
     ``trial(rng)`` draws one instance and says whether the identity holds."""
     if trials < 1:
         raise DomainError("need at least one trial")
+    _check_budget(trials, MAX_TRIALS, f"{name} sweep")
     rng = random.Random(seed)
     failed = [index for index in range(trials) if not trial(rng)]
     return SweepReport(name, trials, len(failed), failed[0] if failed else None)

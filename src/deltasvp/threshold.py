@@ -26,7 +26,8 @@ residues; and a lazy scan of the test vectors, the differences of members
 i < j in lexicographic order and then the sum, whose images A*t are read off
 the selected columns of N.  A vector that looks short is rechecked as A*z
 before it is returned.  The dispatcher's one greedy tableau is its rank
-test and then either the solver's starting basis or the oracle's box radius.
+test and then the starting basis of either the solver or the oracle's
+layered scan.
 
 Every replacement's new |det B| is read off the current, certified tableau
 by the determinant-ratio identity (``Tableau.swapped_det``) and must exceed
@@ -52,7 +53,7 @@ from typing import Iterable, Iterator
 
 from .errors import DomainError, InvariantError, RankError, ThresholdError, ZeroLatticeError
 from .linalg import IntMatrix, Tableau, det, hnf, tableau
-from .oracle import DEFAULT_BOX_BUDGET, OracleResult, _radius, brute_force_svp
+from .oracle import DEFAULT_BOX_BUDGET, OracleResult, scan_svp
 
 #: Tags for the three determinant-growing replacement paths.
 PATH_ENTRY = "entry_swap"  # one inverse entry exceeds 1: single row swap
@@ -298,7 +299,10 @@ def solve_svp(
 
     Rank-deficient input is replaced by the nonzero columns of its Hermite
     normal form (the same lattice).  Above the dimension threshold the
-    iterative solver runs; below it the complete enumeration oracle does.
+    iterative solver runs; below it the oracle's layered scan does on the
+    same tableau, its layers bounded by the largest maximal minor whatever
+    the entries, or the box scan when that has fewer points
+    (``oracle.scan_svp``); both give the lexicographically least minimizer.
     Vectors are reported in the coordinates of the original input columns;
     a certificate cites rows of the matrix the solver ran on, which is the
     normal-form basis whenever the input lacked full column rank.
@@ -320,7 +324,7 @@ def solve_svp(
     if work.cols > bound:
         outcome = _solve(work, delta, tab)[0]
     else:
-        outcome = brute_force_svp(work, _radius(work, tab), box_budget)
+        outcome = scan_svp(work, tab, box_budget)
     if coordinate_map is not None and not isinstance(outcome, Certificate):
         outcome = replace(outcome, z=coordinate_map.matvec(outcome.z))
     return outcome

@@ -185,6 +185,32 @@ def preimage_first_witness(entries):
     return None
 
 
+def layered_least_minimizer(entries):
+    """The layered scan written out: for r = 1, 2, ..., every nonzero
+    integral z = B^-1 v in Fractions over v in [-r, r]^n (B the greedy
+    rows) with ||A z||_inf <= r; (z, A z, r) for the lexicographically
+    least z of the first layer that has any."""
+    rows = [tuple(r) for r in entries]
+    basis = greedy_rows(rows)
+    n = len(rows[0])
+    assert len(basis) == n, "full column rank required"
+    inverse = _fraction_solve(basis, [[int(i == j) for j in range(n)] for i in range(n)])
+    r = 0
+    while True:
+        r += 1
+        kept = []
+        for v in product(range(-r, r + 1), repeat=n):
+            z = [sum(a * b for a, b in zip(row, v)) for row in inverse]
+            if not any(v) or any(x.denominator != 1 for x in z):
+                continue
+            z = tuple(int(x) for x in z)
+            if max(abs(x) for x in _image(rows, z)) <= r:
+                kept.append(z)
+        if kept:
+            z = min(kept)
+            return z, _image(rows, z), r
+
+
 def ilp_optimizers(entries, b, c, box) -> list[tuple[int, ...]]:
     """All maximizers of c x over A x = b, 0 <= x <= box, in lexicographic
     order, by a plain scan of the box."""

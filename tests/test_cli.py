@@ -8,11 +8,11 @@ from pathlib import Path
 import pytest
 
 from deltasvp.cli import build_parser, main
-from deltasvp.generators import random_delta_modular
+from deltasvp.generators import lower_bound_instance, random_delta_modular
 from deltasvp.linalg import IntMatrix
 from deltasvp.textio import format_polyhedron, parse_matrix
 
-from oracles import unimodular_scramble
+from oracles import layered_least_minimizer, unimodular_scramble
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 WORKED_TEXT = "3 2\n1 0\n1 2\n2 2\n"
@@ -153,6 +153,21 @@ class TestCheck:
     def test_seed_required(self, capsys):
         code, _, _ = run(capsys, "check", "detratio", "--trials", "10")
         assert code == 1
+
+    @pytest.mark.parametrize("sweep", ["detratio", "kernel"])
+    def test_trial_count_above_the_cap_is_refused_up_front(self, capsys, monkeypatch, sweep):
+        """A huge --trials meets the sweeps' fixed cap (exit 3) instead of
+        running until it is killed; the cap itself still runs."""
+        from deltasvp import sweeps
+
+        huge = str(10**30)
+        code, out, err = run(capsys, "check", sweep, "--trials", huge, "--seed", "1")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ")
+        assert err.endswith(f" sweep of size {huge} exceeds budget {sweeps.MAX_TRIALS}\n")
+        monkeypatch.setattr(sweeps, "MAX_TRIALS", 3)
+        assert run(capsys, "check", sweep, "--trials", "3", "--seed", "1")[0] == 0
+        assert run(capsys, "check", sweep, "--trials", "4", "--seed", "1")[0] == 3
 
 
 class TestVerify:
@@ -415,6 +430,39 @@ class TestEnumerationGolden:
         code, out, err = run(capsys, "verify", "facedim", "--delta", "1", "--json",
                              str(FIXTURES / source))
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+class TestScrambledLowerBound:
+    """scrambled_lower_bound_5 is lower_bound_instance(5) times a unimodular
+    matrix of 3 column operations with 2-bit factors: the same lattice, with
+    no vector of norm 1.  Its box radius is 96 (a box of 1,387,488,001
+    points, over the budget), while two layers of 3^4 + 5^4 points find
+    norm 2.  CI diffs the golden against the installed console script."""
+
+    SOURCE = FIXTURES / "scrambled_lower_bound_5.txt"
+
+    def test_input(self):
+        entries = unimodular_scramble(lower_bound_instance(5).entries, 5, 3, 2)
+        text = "10 4\n" + "".join(" ".join(map(str, row)) + "\n" for row in entries)
+        assert self.SOURCE.read_text() == text
+
+    def test_solve_json_bytes(self, capsys):
+        code, out, err = run(capsys, "svp", "solve", "--delta", "5", "--json", str(self.SOURCE))
+        expected = (FIXTURES / "solve_scrambled_lower_bound_5.json").read_text()
+        assert (code, out, err) == (0, expected, "")
+
+    def test_golden_is_the_written_out_layered_scan(self):
+        payload = json.loads((FIXTURES / "solve_scrambled_lower_bound_5.json").read_text())
+        entries = [[int(x) for x in line.split()] for line in self.SOURCE.read_text().splitlines()[1:]]
+        z, y, norm = layered_least_minimizer(entries)
+        assert (payload["z"], payload["y"], payload["norm"]) == (
+            [str(x) for x in z], [str(x) for x in y], norm
+        )
+
+    def test_box_oracle_refuses(self, capsys):
+        code, out, err = run(capsys, "svp", "oracle", "--json", str(self.SOURCE))
+        assert (code, out) == (3, "")
+        assert err == "error: box enumeration of size 1387488001 exceeds budget 10000000\n"
 
 
 class TestTextGolden:

@@ -423,10 +423,11 @@ class TestTableau:
         assert threshold.solve_svp(a, 3) == outcome
         assert calls == {"tableau": len(transitions) + 1}
 
-    def test_solve_svp_below_threshold_eliminates_twice(self, monkeypatch):
+    def test_solve_svp_below_threshold_eliminates_once(self, monkeypatch):
         """Full rank below the threshold: the dispatcher's one tableau is
-        the rank test and gives the box radius, and brute_force_svp's own
-        rank guard is the only other elimination."""
+        the rank test and gives the scan its basis and box radius (this
+        input's box has fewer points than its layers); nothing else
+        eliminates."""
         from deltasvp import threshold
 
         a = M([[1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 1, -2], [1, 2, -1]])
@@ -434,7 +435,19 @@ class TestTableau:
         assert expected.norm == 1
         calls = self._count_eliminations(monkeypatch)
         assert threshold.solve_svp(a, 5) == expected
-        assert calls == {"tableau": 1, "rank": 1}
+        assert calls == {"tableau": 1}
+
+    def test_solve_svp_layered_scan_eliminates_once(self, monkeypatch):
+        """The same on an input whose layers have fewer points than its
+        box: the layered scan runs on the dispatcher's tableau."""
+        from deltasvp import threshold
+
+        a = lower_bound_instance(4)
+        expected = threshold.solve_svp(a, 4)
+        assert expected.norm == 2
+        calls = self._count_eliminations(monkeypatch)
+        assert threshold.solve_svp(a, 4) == expected
+        assert calls == {"tableau": 1}
 
 
 class TestPackedWidths:

@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 from deltasvp import oracle
 from deltasvp.errors import BudgetExceededError, DomainError, InvariantError, RankError
 from deltasvp.generators import lower_bound_instance, random_full_column_rank
-from deltasvp.linalg import IntMatrix, Tableau
+from deltasvp.linalg import IntMatrix, Tableau, max_abs_full_rank_subdet, tableau
 from deltasvp.oracle import (
+    OracleResult,
     brute_force_svp,
     certifies_lower_bound,
     enum_bound,
+    layered_svp,
+    scan_svp,
     shortest_is_at_least_2,
 )
 
@@ -21,6 +24,7 @@ from oracles import (
     cofactor_det,
     fraction_rank,
     greedy_rows,
+    layered_least_minimizer,
     preimage_first_witness,
 )
 
@@ -224,3 +228,116 @@ class TestCertifiesLowerBound:
 
     def test_wrong_delta_disqualifies(self):
         assert not certifies_lower_bound(lower_bound_instance(3), 2)
+
+
+def record_layers(monkeypatch) -> list[int]:
+    """The radius of every layer the layered scan opens, in order."""
+    opened = []
+    real = oracle._layer
+
+    def recording(a, t, r):
+        opened.append(r)
+        return real(a, t, r)
+
+    monkeypatch.setattr(oracle, "_layer", recording)
+    return opened
+
+
+class TestLayeredSvp:
+    """The layered scan against the box scan at the derived radius, whose
+    lexicographically first minimizer it must return exactly."""
+
+    @staticmethod
+    def check(a: IntMatrix) -> OracleResult:
+        result = layered_svp(a, tableau(a))
+        assert result == brute_force_svp(a, enum_bound(a))
+        return result
+
+    @settings(max_examples=200, deadline=None)
+    @given(full_rank_entries(bound=6))
+    def test_matches_box_scan(self, entries):
+        a = M(entries)
+        assume((2 * enum_bound(a) + 1) ** a.cols <= 20_000)
+        self.check(a)
+        assert scan_svp(a, tableau(a)) == brute_force_svp(a, enum_bound(a))
+
+    def test_layers_up_to_the_optimum_and_at_most_delta(self, monkeypatch):
+        """The scan opens layers 1 .. optimum, and the optimum is at most
+        the largest maximal minor (Cramer's rule on any column of N)."""
+        opened = record_layers(monkeypatch)
+        rng = random.Random(41)
+        above_one = 0
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            a = random_full_column_rank(rng, rng.randint(n, n + 3), n, -7, 7)
+            if (2 * enum_bound(a) + 1) ** n > 100_000:
+                continue
+            opened.clear()
+            result = self.check(a)
+            assert opened == list(range(1, result.norm + 1))
+            assert result.norm <= max_abs_full_rank_subdet(a)[0]
+            above_one += result.norm >= 2
+        assert above_one >= 10
+
+    @pytest.mark.parametrize("delta", [3, 4, 5])
+    def test_lower_bound_instances(self, delta, monkeypatch):
+        """Against the written-out layered scan (the box at delta = 5 has
+        1,185,921 points)."""
+        a = lower_bound_instance(delta)
+        opened = record_layers(monkeypatch)
+        result = layered_svp(a, tableau(a))
+        assert (result.z, result.y, result.norm) == layered_least_minimizer(a.entries)
+        assert result.norm == 2 and opened == [1, 2]
+
+    def test_single_column_beyond_the_box_radius(self, monkeypatch):
+        """[[30], [50]]: the box radius is 1 and R = 50, so the scan runs
+        fifty layers to the only nonzero norms, 50 and up."""
+        a = M([[30], [50]])
+        assert enum_bound(a) == 1
+        opened = record_layers(monkeypatch)
+        assert self.check(a) == OracleResult((-1,), (-30, -50), 50)
+        assert opened == list(range(1, 51))
+
+    def test_budget_refuses_before_the_scan(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_box_halves", no_table)
+        a = lower_bound_instance(5)
+        # layers 1 and 2 of a 4-column matrix: 3^4 + 5^4 points at least
+        with pytest.raises(BudgetExceededError, match="^layered scan of size"):
+            layered_svp(a, tableau(a), budget=3**4 + 5**4 - 1)
+
+    def test_minimizer_is_rechecked(self, monkeypatch):
+        """A tableau whose N = A adj(B) lost its last row keeps every
+        preimage of layer 1; the recomputed A z refuses the long one."""
+        a = M([[1, 0], [0, 1], [3, 3]])
+        real = tableau(a)
+        forged = Tableau(real.rows, real.adj, real.det, M([[1, 0], [0, 1], [0, 0]]))
+        with pytest.raises(InvariantError, match="^layer 1 minimizer has norm 6$"):
+            layered_svp(a, forged)
+
+
+class TestScanSvp:
+    """The choice between the layers and the box: the one with fewer
+    points, with the same answer either way."""
+
+    def test_layers_when_fewer_points(self, monkeypatch):
+        a = lower_bound_instance(4)
+        expected = brute_force_svp(a, enum_bound(a))
+        opened = record_layers(monkeypatch)
+        monkeypatch.setattr(oracle, "box_images", no_table)
+        assert scan_svp(a, tableau(a)) == expected
+        assert opened == [1, 2]
+
+    def test_box_when_fewer_points(self, monkeypatch):
+        """A single column of large entries: 3 box points against about a
+        million in the layers up to R = 960."""
+        opened = record_layers(monkeypatch)
+        a = M([[960], [881], [-842]])
+        assert scan_svp(a, tableau(a)) == OracleResult((-1,), (-960, -881, 842), 960)
+        assert opened == []
+
+    def test_box_gate_refuses_when_neither_fits(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_box_halves", no_table)
+        monkeypatch.setattr(oracle, "box_images", no_table)
+        a = lower_bound_instance(5)
+        with pytest.raises(BudgetExceededError, match="^box enumeration of size"):
+            scan_svp(a, tableau(a), budget=10)

@@ -4,6 +4,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from deltasvp import threshold
 from deltasvp.errors import (
@@ -14,8 +16,8 @@ from deltasvp.errors import (
     ZeroLatticeError,
 )
 from deltasvp.generators import lower_bound_instance, random_delta_modular
-from deltasvp.linalg import IntMatrix, Tableau, det, max_abs_full_rank_subdet, tableau
-from deltasvp.oracle import OracleResult, shortest_is_at_least_2
+from deltasvp.linalg import IntMatrix, Tableau, det, hnf, max_abs_full_rank_subdet, tableau
+from deltasvp.oracle import OracleResult, brute_force_svp, enum_bound, shortest_is_at_least_2
 from deltasvp.textio import parse_matrix
 from deltasvp.threshold import (
     PATH_BLOCK,
@@ -31,7 +33,7 @@ from deltasvp.threshold import (
     threshold_step,
 )
 
-from oracles import cofactor_det
+from oracles import cofactor_det, fraction_rank, unimodular_scramble
 
 M = IntMatrix.from_rows
 
@@ -462,6 +464,102 @@ class TestSolveSvp:
             assert isinstance(outcome, ShortVector)
             decided, _ = shortest_is_at_least_2(a)
             assert not decided  # the oracle agrees a norm-1 vector exists
+
+
+def box_solve(a: IntMatrix) -> OracleResult | None:
+    """The below-threshold answer of the box scan alone: brute_force_svp at
+    enum_bound on the nonzero columns of the Hermite normal form when A
+    lacks full column rank, z mapped back to A's columns; None when the
+    box has more than 100,000 points."""
+    work, u, nonzero = a, None, range(a.cols)
+    if fraction_rank(a.entries) < a.cols:
+        h, u = hnf(a)
+        nonzero = [j for j in range(a.cols) if any(h.column(j))]
+        work = h.submatrix(range(a.rows), nonzero)
+    k = enum_bound(work)
+    if (2 * k + 1) ** work.cols > 100_000:
+        return None
+    result = brute_force_svp(work, k)
+    if u is None:
+        return result
+    return replace(result, z=u.submatrix(range(a.cols), nonzero).matvec(result.z))
+
+
+@st.composite
+def below_threshold_inputs(draw):
+    """(A, delta) with 1..4 columns, entries in [-6, 6], any rank but 0,
+    and delta high enough that the columns are below its threshold."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, n + 3))
+    row = st.lists(st.integers(-6, 6), min_size=n, max_size=n)
+    entries = draw(st.lists(row, min_size=m, max_size=m))
+    assume(any(x for r in entries for x in r))
+    return M(entries), draw(st.integers(4, 9))
+
+
+class TestBelowThreshold:
+    """solve_svp below the dimension threshold against the box scan it
+    replaced, and under changes of basis of the same lattice."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(below_threshold_inputs())
+    def test_same_vector_as_the_box_scan(self, case):
+        a, delta = case
+        expected = box_solve(a)
+        assume(expected is not None)
+        assert solve_svp(a, delta) == expected
+
+    def test_rank_deficient_and_long_optima(self):
+        """Enough rank-deficient inputs and optima of norm >= 2 that both
+        show, against the box scan."""
+        rng = random.Random(2024)
+        deficient = long = 0
+        for _ in range(150):
+            n = rng.randint(1, 4)
+            m = rng.randint(1, n + 2)
+            entries = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
+            a = M(entries)
+            if not any(x for r in entries for x in r):
+                continue
+            expected = box_solve(a)
+            if expected is None:
+                continue
+            assert solve_svp(a, 9) == expected
+            deficient += fraction_rank(entries) < n
+            long += expected.norm >= 2
+        assert deficient >= 30 and long >= 30
+
+    def test_single_column_beyond_the_box_radius(self):
+        a = M([[30], [50]])
+        assert solve_svp(a, 3) == brute_force_svp(a, enum_bound(a)) == OracleResult(
+            (-1,), (-30, -50), 50
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 7), st.integers(2, 4), st.integers(0, 2**32 - 1),
+           st.integers(1, 6), st.sampled_from([1, 2, 8, 20, 70]))
+    def test_scramble_keeps_the_norm(self, delta, n, seed, steps, bits):
+        """A unimodular change of basis leaves the lattice, every maximal
+        minor and so the layers' reach unchanged: the same norm comes back,
+        however wide the scrambled entries."""
+        n = min(n, dimension_threshold(delta))
+        a = random_delta_modular(delta, n + 2, n, seed)
+        scrambled = M(unimodular_scramble(a.entries, seed, steps, bits))
+        assert solve_svp(scrambled, delta).norm == solve_svp(a, delta).norm
+
+    @pytest.mark.parametrize("delta", [3, 4, 5])
+    @pytest.mark.parametrize("bits", [2, 20, 70])
+    def test_scrambled_lower_bound_instances(self, delta, bits):
+        """The box radius grows with the entries and the parent box scan
+        refused these; the layers answer norm 2 in two layers."""
+        a = lower_bound_instance(delta)
+        scrambled = M(unimodular_scramble(a.entries, delta, 6, bits))
+        if bits == 70:
+            assert max(abs(x) for row in scrambled.entries for x in row) >= 2**64
+        assert (2 * enum_bound(scrambled) + 1) ** scrambled.cols > 10**7
+        result = solve_svp(scrambled, delta)
+        assert result.norm == 2
+        assert scrambled.matvec(result.z) == result.y
 
 
 class TestStateValidation:
