@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
              ("--bound", {"type": int, "default": None, "help": "box radius (default: derived)"}),
              delta=False, budget=oracle.DEFAULT_BOX_BUDGET, file=True)
     _command(svp, "atleast2", "decide: no lattice vector of norm < 2", _cmd_svp_atleast2,
-             delta=False, budget=oracle.DEFAULT_PREIMAGE_BUDGET, file=True)
+             delta=False, budget=oracle.DEFAULT_BOX_BUDGET, file=True)
 
     gen = group("gen", "instance generators")
     _command(gen, "lower-bound", "delta-modular matrix with no norm-1 vector",

@@ -4,11 +4,12 @@ Everything here works with Python's arbitrary-precision integers; there is
 no floating point anywhere.  All exact elimination goes through one
 fraction-free pivot (Bareiss 1968, in the pivot form of Edmonds 1967):
 every intermediate entry is a minor of the input, so values stay
-polynomially bounded.  Determinants, rank and the greedy invertible row set
-use forward elimination.  ``Tableau(rows, adj, det, numerators)`` holds the
-basis rows, adj(B), det(B) and N = A*adj(B); it is the only route to an
-inverse, B^-1 = adj / det.  Only the n x n transform +-adj(B)^T is
-eliminated, each row of A entering it as it is scanned.  The transform is
+polynomially bounded.  Determinants (one ``_det`` for every square minor)
+and rank use forward elimination.  ``Tableau(rows, adj, det, numerators)``
+holds the basis rows, adj(B), det(B) and N = A*adj(B); it is the only
+route to an inverse, B^-1 = adj / det, and its rows are the greedy
+invertible row set.  Only the n x n transform +-adj(B)^T is eliminated,
+each row of A entering it as it is scanned.  The transform is
 column-packed (Kronecker substitution): each column is one big integer
 whose signed base-2^w digits are its entries, so a scanned row's column and
 each pivot's update are a few big-integer products per column.  The word
@@ -214,11 +215,16 @@ def _eliminate(
     return pivots, sign * prev
 
 
+def _det(work: list[list[int]]) -> int:
+    """det(work) for square work, eliminated in place; 0 if a pivot is missing."""
+    pivots, value = _eliminate(work, range(len(work)), reduce=False)
+    return value if len(pivots) == len(work) else 0
+
+
 def det(m: IntMatrix) -> int:
     """Exact determinant by fraction-free forward elimination."""
-    n = _require_square(m)
-    pivots, d = _eliminate([list(row) for row in m.entries], range(n), reduce=False)
-    return d if len(pivots) == n else 0
+    _require_square(m)
+    return _det([list(row) for row in m.entries])
 
 
 @dataclass(frozen=True)
@@ -244,12 +250,8 @@ class Tableau:
         det(B) * det M[J, J] and |det B'| = |det N[I, J]| / |det B|^(k-1)
         for k = |J|.  InvariantError when that division is inexact.
         """
-        k = len(swaps)
         minor = [[self.numerators.entries[i][j] for j in swaps] for i in swaps.values()]
-        pivots, value = _eliminate(minor, range(k), reduce=False)
-        if len(pivots) < k:
-            return 0
-        quotient, remainder = divmod(abs(value), abs(self.det) ** (k - 1))
+        quotient, remainder = divmod(abs(_det(minor)), abs(self.det) ** (len(swaps) - 1))
         if remainder:
             raise InvariantError("determinant ratio is not an integer")
         return quotient
@@ -285,10 +287,11 @@ def tableau(a: IntMatrix, rows: Sequence[int] | None = None) -> Tableau:
     they are repacked at the least multiple of 64 bits that holds it.
 
     With rows=None the candidates are A's rows in order, so the pivots are
-    the greedy invertible row set, exactly find_invertible_rows(a), and
-    RankError is raised below full column rank.  Otherwise step k pivots on
-    row rows[k], so B = a[rows] keeps that row order, and
-    SingularMatrixError is raised when it is singular.  At the end row
+    the greedy invertible row set (find_invertible_rows reads it off here)
+    and RankError("full column rank required") is raised below full column
+    rank.  Otherwise step k pivots on row rows[k], so B = a[rows] keeps that
+    row order, and SingularMatrixError is raised when it is singular.  At
+    the end row
     slots[k] of R * B^T is p * e_k with p = s * det(B) the last pivot, so
     adj(B)[j][k] = s * R[slots[k]][j].  N is read off the packed product
     A * adj(B) that _certify computes, which also certifies
@@ -365,7 +368,7 @@ def tableau(a: IntMatrix, rows: Sequence[int] | None = None) -> Tableau:
         prev = p
     if len(pivots) < n:
         if rows is None:
-            raise RankError(f"matrix has rank {len(pivots)} < {n} columns")
+            raise RankError("full column rank required")
         raise SingularMatrixError("selected basis rows are singular")
     words = _unpack(columns, n, width)
     if sign < 0:
@@ -427,8 +430,7 @@ def _certify(a: IntMatrix, rows: Sequence[int], adj: IntMatrix, d: int) -> IntMa
         map(abs, chain.from_iterable(adj.entries))
     )
     width = max(_WORD, -(-(2 * reach).bit_length() // 8) * 8)
-    bias = ((1 << (width * n)) - 1) // ((1 << width) - 1) << (width - 1)
-    size = n * width // 8
+    bias, size = _bias(n, width), n * width // 8
     raw = _write_words(chain.from_iterable(adj.entries), width)
     packed = [
         (int.from_bytes(raw[k : k + size], "little") ^ bias) - bias
@@ -547,13 +549,10 @@ def find_invertible_rows(a: IntMatrix) -> tuple[int, ...]:
 
     Rows are scanned in ascending index order; a row is kept iff it strictly
     increases the rank of the rows kept so far.  The result has exactly
-    cols(a) indices with det(a[rows]) != 0.  Those rows are the pivot
-    columns of the forward elimination of the transpose.
+    cols(a) indices with det(a[rows]) != 0: the basis rows of the greedy
+    tableau.
     """
-    pivots, _ = _eliminate([list(col) for col in zip(*a.entries)], range(a.rows), reduce=False)
-    if len(pivots) < a.cols:
-        raise RankError(f"matrix has rank {len(pivots)} < {a.cols} columns")
-    return tuple(pivots)
+    return tableau(a).rows
 
 
 def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -566,41 +565,36 @@ def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     asymptotic cleverness.
     """
     m, n = a.rows, a.cols
-    h = [list(row) for row in a.entries]
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def combine(c: int, j: int, x: int, y: int, p: int, q: int) -> None:
-        # (col_c, col_j) <- (x*col_c + y*col_j, p*col_j - q*col_c); det = xp + yq = 1
-        for mat in (h, u):
-            for row in mat:
-                vc, vj = row[c], row[j]
-                row[c] = x * vc + y * vj
-                row[j] = p * vj - q * vc
-
+    # [A; I]: each column operation runs once on both, H above and U below
+    work = [list(row) for row in a.entries] + [[int(i == j) for j in range(n)] for i in range(n)]
     col = 0
-    for r in range(m):
+    for h in work[:m]:
         if col >= n:
             break
         for j in range(col + 1, n):
-            if h[r][j] == 0:
+            if h[j] == 0:
                 continue
-            g, x, y = _ext_gcd(h[r][col], h[r][j])
-            combine(col, j, x, y, h[r][col] // g, h[r][j] // g)
-        if h[r][col] == 0:
+            g, x, y = _ext_gcd(h[col], h[j])
+            p, q = h[col] // g, h[j] // g
+            # (col, j) <- (x*col + y*j, p*j - q*col); det = xp + yq = 1
+            for row in work:
+                vc, vj = row[col], row[j]
+                row[col] = x * vc + y * vj
+                row[j] = p * vj - q * vc
+        if h[col] == 0:
             continue
-        if h[r][col] < 0:
-            for mat in (h, u):
-                for row in mat:
-                    row[col] = -row[col]
-        pivot = h[r][col]
+        if h[col] < 0:
+            for row in work:
+                row[col] = -row[col]
+        pivot = h[col]
         for j in range(col):
-            q = h[r][j] // pivot
+            q = h[j] // pivot
             if q != 0:
-                for mat in (h, u):
-                    for row in mat:
-                        row[j] -= q * row[col]
+                for row in work:
+                    row[j] -= q * row[col]
         col += 1
-    return IntMatrix._trusted(tuple(map(tuple, h))), IntMatrix._trusted(tuple(map(tuple, u)))
+    h, u = tuple(map(tuple, work[:m])), tuple(map(tuple, work[m:]))
+    return IntMatrix._trusted(h), IntMatrix._trusted(u)
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -634,8 +628,7 @@ def _minors(
     lexicographic order, lazily: one forward elimination per subset of the
     k-vectors it selects, and 0 for a singular subset."""
     for subset in combinations(range(len(vectors)), k):
-        pivots, value = _eliminate([list(vectors[i]) for i in subset], range(k), reduce=False)
-        yield subset, value if len(pivots) == k else 0
+        yield subset, _det([list(vectors[i]) for i in subset])
 
 
 def max_abs_full_rank_subdet(

@@ -33,7 +33,6 @@ from .linalg import (
 )
 
 DEFAULT_BOX_BUDGET = 10_000_000
-DEFAULT_PREIMAGE_BUDGET = 3**13
 
 
 @dataclass(frozen=True)
@@ -43,14 +42,6 @@ class OracleResult:
     z: tuple[int, ...]
     y: tuple[int, ...]
     norm: int
-
-
-def _greedy_tableau(a: IntMatrix) -> Tableau:
-    """The tableau of A on its greedy invertible row set B."""
-    try:
-        return tableau(a)
-    except RankError:
-        raise RankError("full column rank required") from None
 
 
 def _radius(a: IntMatrix, t: Tableau) -> int:
@@ -70,7 +61,7 @@ def _radius(a: IntMatrix, t: Tableau) -> int:
 def enum_bound(a: IntMatrix) -> int:
     """Box radius K certain to contain a global minimizer of ||A z||_inf,
     taken on the greedy invertible row set of A."""
-    return _radius(a, _greedy_tableau(a))
+    return _radius(a, tableau(a))
 
 
 def brute_force_svp(
@@ -181,7 +172,7 @@ def scan_svp(a: IntMatrix, t: Tableau, budget: int = DEFAULT_BOX_BUDGET) -> Orac
 
 
 def shortest_is_at_least_2(
-    a: IntMatrix, budget: int = DEFAULT_PREIMAGE_BUDGET
+    a: IntMatrix, budget: int = DEFAULT_BOX_BUDGET
 ) -> tuple[bool, tuple[int, ...] | None]:
     """Exact decision: does every nonzero lattice vector have norm >= 2?
 
@@ -191,7 +182,7 @@ def shortest_is_at_least_2(
     short, decides the question.  Returns (True, None) or (False, witness
     z), the witness of the lexicographically first such v.
     """
-    t = _greedy_tableau(a)
+    t = tableau(a)
     _check_budget(3**a.cols, budget, "preimage scan")
     z = next(_layer(a, t, 1), None)
     if z is None:
@@ -205,7 +196,7 @@ def certifies_lower_bound(
     a: IntMatrix,
     delta: int,
     minor_budget: int = DEFAULT_MINOR_BUDGET,
-    preimage_budget: int = DEFAULT_PREIMAGE_BUDGET,
+    preimage_budget: int = DEFAULT_BOX_BUDGET,
 ) -> bool:
     """True iff A is exactly delta-modular and has no lattice vector of
     norm below 2, witnessing that cols(A) dimensions are not enough

@@ -242,8 +242,10 @@ def integer_hull_vertices(
     as a convex combination of the other kept points.  A dropped point lies
     in the hull of the others, so removing it leaves conv(kept) equal to
     conv(points), and each later test decides extremality in P_I itself.
+    The budget covers (number of points)^2, the pairs the tests may visit.
     """
     points = integer_points(p, budget)
+    _check_budget(len(points) ** 2, budget, "integer hull scan")
     kept = dict.fromkeys(points)
     hull = []
     for v in points:

@@ -131,3 +131,61 @@ def test_cli_budget_zero_still_refuses_a_scan_with_exit_code_3(capsys):
     assert (code, captured.out) == (3, "")
     assert captured.err.startswith("error: box enumeration of size ")
     assert captured.err.endswith(" exceeds budget 0\n")
+
+
+def _hull_lps(monkeypatch, dim):
+    """Records the hull-membership programs (length dim + 1; the one
+    boundedness program has length dim)."""
+    calls = []
+    real = polyhedra._has_nonneg_combination
+
+    def counted(columns, rhs):
+        if len(rhs) == dim + 1:
+            calls.append(tuple(rhs))
+        return real(columns, rhs)
+
+    monkeypatch.setattr(polyhedra, "_has_nonneg_combination", counted)
+    return calls
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_hull_gate_refuses_a_large_box_before_any_hull_program(capsys, monkeypatch, extra):
+    """0 <= x, y <= 150 has 151^2 = 22,801 lattice points: within the
+    point budget, but the hull step tests each against the kept ones."""
+    calls = _hull_lps(monkeypatch, 2)
+    path = FIXTURES / "facedim_box_151.txt"
+    code = cli.main(["verify", "facedim", "--delta", "1", *extra, str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == (
+        "error: integer hull scan of size 519885601 exceeds budget 10000000\n"
+    )
+    assert calls == []
+
+
+def test_hull_gate_admits_exactly_the_square_of_the_points(monkeypatch):
+    """BOX_2 has 7^2 = 49 lattice points, so its hull scan has size 2401."""
+    assert polyhedra.integer_hull_vertices(BOX_2, 2401) == [
+        (-3, -3), (-3, 3), (3, -3), (3, 3)
+    ]
+    calls = _hull_lps(monkeypatch, 2)
+    with pytest.raises(BudgetExceededError) as info:
+        polyhedra.integer_hull_vertices(BOX_2, 2400)
+    assert str(info.value) == "integer hull scan of size 2401 exceeds budget 2400"
+    assert calls == []
+
+
+def test_layer_one_has_the_box_default():
+    """svp atleast2 and shortest_is_at_least_2 gate the solver's layer-1
+    scan, so they share its default budget."""
+    args = cli.build_parser().parse_args(["svp", "atleast2", "a.txt"])
+    assert args.budget == oracle.DEFAULT_BOX_BUDGET
+    assert oracle.shortest_is_at_least_2.__defaults__ == (oracle.DEFAULT_BOX_BUDGET,)
+    assert oracle.certifies_lower_bound.__defaults__ == (
+        linalg.DEFAULT_MINOR_BUDGET, oracle.DEFAULT_BOX_BUDGET
+    )
+
+
+def test_layer_one_answers_fourteen_dimensions():
+    """3^14 = 4,782,969 preimages are within the default budget."""
+    assert oracle.shortest_is_at_least_2(IntMatrix.identity(14)) == (False, (-1,) * 14)

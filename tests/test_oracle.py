@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 from deltasvp import oracle
 from deltasvp.errors import BudgetExceededError, DomainError, InvariantError, RankError
 from deltasvp.generators import lower_bound_instance, random_full_column_rank
-from deltasvp.linalg import IntMatrix, Tableau, max_abs_full_rank_subdet, tableau
+from deltasvp.linalg import (
+    IntMatrix,
+    Tableau,
+    find_invertible_rows,
+    max_abs_full_rank_subdet,
+    tableau,
+)
 from deltasvp.oracle import (
     OracleResult,
     brute_force_svp,
@@ -341,3 +347,24 @@ class TestScanSvp:
         a = lower_bound_instance(5)
         with pytest.raises(BudgetExceededError, match="^box enumeration of size"):
             scan_svp(a, tableau(a), budget=10)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        tableau,
+        find_invertible_rows,
+        enum_bound,
+        shortest_is_at_least_2,
+        lambda a: brute_force_svp(a, 1),
+        max_abs_full_rank_subdet,
+    ],
+    ids=["tableau", "find_invertible_rows", "enum_bound", "shortest_is_at_least_2",
+         "brute_force_svp", "max_abs_full_rank_subdet"],
+)
+def test_one_rank_message(call):
+    """Every entry point that needs an invertible row set refuses a
+    rank-deficient matrix with the same words."""
+    with pytest.raises(RankError) as info:
+        call(M([[1, 2], [2, 4]]))
+    assert str(info.value) == "full column rank required"
