@@ -11,12 +11,19 @@ generator version 1 and any change to the sampling sequence would bump it.
 
 from __future__ import annotations
 
+import math
 import random
 
 from .errors import DimensionError, DomainError
-from .linalg import IntMatrix, det, rank
+from .linalg import IntMatrix, _check_budget, det, rank
 
 GENERATOR_VERSION = 1
+
+#: Most work one construction does (rows * cols^2 for the random matrix,
+#: C(delta, 2) * (delta - 1)^2 for the lower-bound product, m * n entries for
+#: the sparsity system; at most about a second); a larger construction is
+#: refused before it starts.
+MAX_CONSTRUCTION_WORK = 1_000_000
 
 
 def complete_digraph_incidence(k: int, ordered: bool) -> IntMatrix:
@@ -52,6 +59,7 @@ def lower_bound_instance(delta: int) -> IntMatrix:
     if delta < 2:
         raise DomainError("construction needs delta >= 2")
     size = delta - 1
+    _check_budget(math.comb(delta, 2) * size**2, MAX_CONSTRUCTION_WORK, "lower-bound construction")
     incidence = complete_digraph_incidence(delta, ordered=False)
     t = incidence.submatrix(range(incidence.rows), range(size))
     b_rows = [[1 if i == j else 0 for j in range(size)] for i in range(size - 1)]
@@ -71,6 +79,7 @@ def sparsity_instance(delta: int) -> tuple[IntMatrix, tuple[int, ...]]:
         raise DomainError("construction needs delta >= 2")
     m = (delta - 1) ** 2 + 1
     n = m + delta - 1
+    _check_budget(m * n, MAX_CONSTRUCTION_WORK, "sparsity construction")
     k = delta - 1
     rows = []
     # coupling rows: x_i + x_{k+i} = 2
@@ -112,6 +121,7 @@ def random_delta_modular(
         raise DomainError("delta must be >= 1")
     if cols < 1 or rows < cols:
         raise DimensionError("need rows >= cols >= 1")
+    _check_budget(rows * cols**2, MAX_CONSTRUCTION_WORK, "random construction")
     rng = random.Random(seed)
 
     t_rows = [[0] * cols for _ in range(rows - cols)]

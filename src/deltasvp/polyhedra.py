@@ -12,8 +12,11 @@ elimination per row subset and is tested against A x <= b over the common
 denominator, lattice points come from a scan of the bounding box whose last
 coordinate is clipped to P, a lattice point leaves the integer hull on an integer midpoint certificate or
 else on the same phase-1 simplex (Bland's rule on an integer tableau),
-kernel lattice bases come from the Hermite normal form, and the kernel
-identity reads each maximal minor once off ``linalg._minors``.
+standard-form programs are solved by dynamic programming over partial
+images (Papadimitriou 1981) whose value-to-go table answers the support
+verifier directly and lists every optimizer by a forward walk, kernel
+lattice bases come from the Hermite normal form, and the kernel identity
+reads each maximal minor once off ``linalg._minors``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from operator import mul, sub
+from operator import add, le, mul, sub
 from typing import Sequence
 
 from .errors import (
@@ -354,32 +357,88 @@ def verify_kernel_identity(a: IntMatrix, budget: int = DEFAULT_MINOR_BUDGET) -> 
     return all(x * g_w == y * g_a for x, y in zip(lhs, rhs))
 
 
+def _ilp_stages(ilp: StandardFormILP, box: Sequence[int], budget: int):
+    """Checks the box and the budget, then returns ``_value_to_go``'s stages."""
+    if len(box) != ilp.a.cols:
+        raise DimensionError("box length must match variable count")
+    if any(x < 0 for x in box):
+        raise DomainError("box entries must be nonnegative")
+    # the DP makes at most about 2 * prod(box + 1) transitions, so the box
+    # size still bounds its work
+    _check_budget(math.prod(x + 1 for x in box), budget, "ILP scan")
+    return _value_to_go(ilp, box)
+
+
+def _value_to_go(ilp: StandardFormILP, box: Sequence[int]):
+    """Stages n, n - 1, ..., 0 of the DP over partial images, lazily.
+
+    Stage j maps each tail image t = A[:, j:] x[j:] with 0 <= x[j:] <= box[j:]
+    for which b - t is, row by row, within the interval the head variables
+    x[:j] can reach, to (best c[j:] x[j:], number of tails attaining it,
+    least support among those).  Value and support add along the variables,
+    so merging equal images is exact; stage 0 holds at most the key b.
+    """
+    columns = list(zip(*ilp.a.entries))
+    low, high = [[0] * ilp.a.rows], [[0] * ilp.a.rows]
+    for column, u in zip(columns, box):
+        low.append([r + min(0, a * u) for r, a in zip(low[-1], column)])
+        high.append([r + max(0, a * u) for r, a in zip(high[-1], column)])
+    stage = {tuple([0] * ilp.a.rows): (0, 1, 0)}
+    yield stage
+    for j in reversed(range(len(box))):
+        least = [bi - r for bi, r in zip(ilp.b, high[j])]
+        most = [bi - r for bi, r in zip(ilp.b, low[j])]
+        steps = [
+            (tuple(a * x for a in columns[j]), ilp.c[j] * x, x > 0) for x in range(box[j] + 1)
+        ]
+        previous, stage = stage, {}
+        for tail, (value, count, support) in previous.items():
+            for shift, gain, used in steps:
+                image = tuple(map(add, tail, shift))
+                if not (all(map(le, least, image)) and all(map(le, image, most))):
+                    continue
+                value_here = value + gain
+                old = stage.get(image)
+                if old is None or value_here > old[0]:
+                    stage[image] = (value_here, count, support + used)
+                elif value_here == old[0]:
+                    stage[image] = (value_here, old[1] + count, min(old[2], support + used))
+        yield stage
+
+
 def solve_standard_form_ilp(
     ilp: StandardFormILP,
     box: Sequence[int],
     budget: int = DEFAULT_POINT_BUDGET,
 ) -> list[tuple[int, ...]]:
-    """All optimal solutions of the program within the given box, by
-    complete enumeration of 0 <= x <= box.  Empty list means infeasible in
-    the box; the caller owns box completeness.
+    """All optimal solutions of the program within 0 <= x <= box, in
+    lexicographic order.  Empty list means infeasible in the box; the caller
+    owns box completeness.
+
+    A forward walk over the value-to-go table of ``_value_to_go`` takes each
+    x_j in ascending order and keeps it iff the remaining image is a tail
+    whose best value completes the optimum, so every branch it enters ends
+    in an optimizer.
     """
-    if len(box) != ilp.a.cols:
-        raise DimensionError("box length must match variable count")
-    if any(x < 0 for x in box):
-        raise DomainError("box entries must be nonnegative")
-    _check_budget(math.prod(x + 1 for x in box), budget, "ILP scan")
-    best_value: int | None = None
-    best: list[tuple[int, ...]] = []
-    for x, image in box_images(ilp.a, [range(b + 1) for b in box]):
-        if image != ilp.b:
+    stages = list(_ilp_stages(ilp, box, budget))[::-1]
+    columns = list(zip(*ilp.a.entries))
+    found: list[tuple[int, ...]] = []
+    pending = [(ilp.b, ())] if ilp.b in stages[0] else []
+    while pending:
+        rest, prefix = pending.pop()
+        j = len(prefix)
+        if j == len(box):
+            found.append(prefix)
             continue
-        value = sum(ci * xi for ci, xi in zip(ilp.c, x))
-        if best_value is None or value > best_value:
-            best_value = value
-            best = [x]
-        elif value == best_value:
-            best.append(x)
-    return best
+        goal = stages[j][rest][0]
+        branches = []
+        for x in range(box[j] + 1):
+            tail = tuple(r - a * x for r, a in zip(rest, columns[j]))
+            entry = stages[j + 1].get(tail)
+            if entry is not None and entry[0] + ilp.c[j] * x == goal:
+                branches.append((tail, prefix + (x,)))
+        pending.extend(reversed(branches))
+    return found
 
 
 def support_size(x: Sequence[int]) -> int:
@@ -417,14 +476,18 @@ def verify_support_bound(
     budget: int = DEFAULT_POINT_BUDGET,
 ) -> SupportReport:
     """Checks some optimal solution has support at most m plus the
-    threshold bound for delta (vacuous when infeasible in the box)."""
+    threshold bound for delta (vacuous when infeasible in the box).
+
+    The optimum, the optimizer count and the least support are read off
+    stage 0 of the DP's table at b; no optimizer is listed.
+    """
     bound = ilp.a.rows + dimension_threshold(delta)
-    optimizers = solve_standard_form_ilp(ilp, box, budget)
-    if not optimizers:
+    for stage in _ilp_stages(ilp, box, budget):
+        pass  # only stage 0 is read, so earlier stages are not kept
+    if ilp.b not in stage:
         return SupportReport(delta, bound, None, None, 0, True)
-    value = sum(ci * xi for ci, xi in zip(ilp.c, optimizers[0]))
-    smallest = min(support_size(x) for x in optimizers)
-    return SupportReport(delta, bound, value, smallest, len(optimizers), smallest <= bound)
+    value, count, smallest = stage[ilp.b]
+    return SupportReport(delta, bound, value, smallest, count, smallest <= bound)
 
 
 def derive_box(a: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:

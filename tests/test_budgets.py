@@ -48,7 +48,7 @@ GATES = [
     ),
     (
         lambda: polyhedra.solve_standard_form_ilp(ILP, (9, 9), 99),
-        (polyhedra, "box_images"),
+        (polyhedra, "_value_to_go"),
         "ILP scan of size 100 exceeds budget 99",
     ),
     (
@@ -81,6 +81,23 @@ def test_gate_refuses_before_the_scan(monkeypatch, scan, entered, message):
     with pytest.raises(BudgetExceededError) as info:
         scan()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda budget: polyhedra.solve_standard_form_ilp(ILP, (4, 5), budget),
+        lambda budget: polyhedra.verify_support_bound(ILP, 1, (4, 5), budget),
+    ],
+    ids=["solve_standard_form_ilp", "verify_support_bound"],
+)
+def test_ilp_gate_counts_box_points(monkeypatch, solve):
+    """The DP is admitted at a budget of exactly prod(u_j + 1) box points,
+    and one less is refused before any DP state is built."""
+    solve(30)
+    monkeypatch.setattr(polyhedra, "_value_to_go", _never)
+    with pytest.raises(BudgetExceededError, match="^ILP scan of size 30 exceeds budget 29$"):
+        solve(29)
 
 
 def test_cli_reports_the_gate_with_exit_code_3(capsys):

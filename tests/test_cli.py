@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from deltasvp import polyhedra
 from deltasvp.cli import build_parser, main
 from deltasvp.generators import lower_bound_instance, random_delta_modular
 from deltasvp.linalg import IntMatrix
@@ -67,6 +68,23 @@ class TestGen:
         code, out, _ = run(capsys, "gen", "random", "--delta", "5", "--rows", "72",
                            "--cols", "24", "--seed", "1")
         assert (code, out) == (0, (FIXTURES / "dense_24.txt").read_text())
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["random", "--delta", "3", "--rows", "3000", "--cols", "300", "--seed", "1"],
+             "random construction of size 270000000 exceeds budget 1000000"),
+            (["sparsity", "--delta", "40"],
+             "sparsity construction of size 2375842 exceeds budget 1000000"),
+            (["lower-bound", "--delta", "80"],
+             "lower-bound construction of size 19721560 exceeds budget 1000000"),
+        ],
+        ids=["random", "sparsity", "lower_bound"],
+    )
+    def test_oversized_construction_exit_code_3(self, capsys, argv, message):
+        """Constructions that took seconds or hundreds of MiB are refused
+        up front: exit code 3, one error line, nothing on stdout."""
+        assert run(capsys, "gen", *argv) == (3, "", f"error: {message}\n")
 
     def test_identical_invocations_identical_bytes(self, capsys):
         _, first, _ = run(capsys, "gen", "random", "--delta", "3", "--rows", "6",
@@ -194,6 +212,25 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "support", "--delta", "2", str(path))
         assert code == 0
         assert "min support 3" in out
+
+    def test_ilp_verifiers_skip_the_box_scan(self, capsys, monkeypatch):
+        """verify support and verify sparsity answer with the box scan
+        disabled, byte for byte as their goldens."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the box scan was started")
+
+        monkeypatch.setattr(polyhedra, "box_images", refuse)
+        for argv, expected in [
+            (["verify", "support", "--delta", "2", "--json", str(FIXTURES / "sparsity_2.txt")],
+             "support_sparsity_2.json"),
+            (["verify", "support", "--delta", "2", "--box", "4", "--json",
+              str(FIXTURES / "ilp_five_optima.txt")], "support_ilp_five_optima.json"),
+            (["verify", "support", "--delta", "2", str(FIXTURES / "sparsity_2.txt")],
+             "support_sparsity_2.out"),
+            (["verify", "sparsity", "--delta", "3"], "verify_sparsity_3.out"),
+        ]:
+            assert run(capsys, *argv) == (0, (FIXTURES / expected).read_text(), "")
 
     def test_sparsity_json(self, capsys):
         code, out, _ = run(capsys, "verify", "sparsity", "--delta", "3", "--json")

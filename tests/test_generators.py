@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from deltasvp.errors import DimensionError, DomainError
+from deltasvp.errors import BudgetExceededError, DimensionError, DomainError
 from deltasvp.generators import (
+    MAX_CONSTRUCTION_WORK,
     complete_digraph_incidence,
     lower_bound_instance,
     random_delta_modular,
@@ -147,3 +148,27 @@ class TestRejectionSamplers:
         for _ in range(20):
             m = random_full_row_rank(rng, 2, 5, -5, 5)
             assert rank(m) == 2
+
+
+class TestConstructionCap:
+    """Each construction's work is gated by MAX_CONSTRUCTION_WORK before it
+    builds anything: the largest admitted size builds, the next is refused."""
+
+    @pytest.mark.parametrize(
+        "build, admitted, shape, refused, work",
+        [
+            # rows * cols^2 = 625 * 40^2 is exactly the cap
+            (lambda rows: random_delta_modular(3, rows, 40, 1), 625, (625, 40), 626, 626 * 40**2),
+            # C(delta, 2) * (delta - 1)^2: 962,407 at 38, 1,070,004 at 39
+            (lower_bound_instance, 38, (703, 37), 39, 741 * 38**2),
+            # m * n with m = (delta - 1)^2 + 1, n = m + delta - 1: 955,266 at 32
+            (lambda delta: sparsity_instance(delta)[0], 32, (962, 993), 33, 1025 * 1057),
+        ],
+        ids=["random", "lower_bound", "sparsity"],
+    )
+    def test_cap(self, build, admitted, shape, refused, work):
+        assert MAX_CONSTRUCTION_WORK == 1_000_000
+        assert build(admitted).shape == shape
+        with pytest.raises(BudgetExceededError) as info:
+            build(refused)
+        assert str(info.value).endswith(f" of size {work} exceeds budget 1000000")

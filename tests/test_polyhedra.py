@@ -49,6 +49,25 @@ from oracles import (
 M = IntMatrix.from_rows
 
 
+@st.composite
+def small_programs(draw):
+    """(A, b, c, box) with full row rank A of at most 3 rows and 6 columns,
+    entries in [-2, 3] and box entries in [0, 3]; b is the image of a box
+    point, shifted off it in about a quarter of the draws."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(m, 6))
+    row = st.lists(st.integers(-2, 3), min_size=n, max_size=n)
+    entries = draw(st.lists(row, min_size=m, max_size=m))
+    assume(fraction_rank(entries) == m)
+    box = tuple(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    x0 = [draw(st.integers(0, u)) for u in box]
+    b = [sum(a * x for a, x in zip(r, x0)) for r in entries]
+    if draw(st.integers(0, 3)) == 0:
+        b = [value + draw(st.integers(-2, 2)) for value in b]
+    c = tuple(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+    return entries, tuple(b), c, box
+
+
 def box_polyhedron(n, radius=1):
     rows = []
     for i in range(n):
@@ -448,21 +467,23 @@ class TestStandardFormIlp:
         assert solve_standard_form_ilp(ilp, (2, 2)) == [(0, 2), (1, 1), (2, 0)]
 
     @settings(max_examples=120, deadline=None)
-    @given(st.data())
-    def test_matches_plain_scan(self, data):
+    @given(small_programs())
+    def test_matches_plain_scan(self, program):
         """The whole optimizer list against a plain scan of the box, on
-        programs made feasible by a point of the box."""
-        m = data.draw(st.integers(1, 2))
-        n = data.draw(st.integers(m, 4))
-        row = st.lists(st.integers(-2, 3), min_size=n, max_size=n)
-        entries = data.draw(st.lists(row, min_size=m, max_size=m))
-        assume(fraction_rank(entries) == m)
-        box = tuple(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
-        x0 = [data.draw(st.integers(0, u)) for u in box]
-        b = tuple(sum(a * x for a, x in zip(r, x0)) for r in entries)
-        c = tuple(data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+        programs with up to 3 rows and 6 variables, box entries from 0, and
+        a right-hand side that a point of the box may or may not reach."""
+        entries, b, c, box = program
         optimizers = solve_standard_form_ilp(StandardFormILP(M(entries), b, c), box)
         assert optimizers == ilp_optimizers(entries, b, c, box)
+
+    @pytest.mark.parametrize("k", [0, 1, 4, 30])
+    def test_many_optima(self, k):
+        """[[1, -1]] x = 0 on the box (k, k): every point of the diagonal
+        is optimal for c = (1, -1), in lexicographic order."""
+        ilp = StandardFormILP(M([[1, -1]]), (0,), (1, -1))
+        assert solve_standard_form_ilp(ilp, (k, k)) == [(i, i) for i in range(k + 1)]
+        report = verify_support_bound(ilp, 1, (k, k))
+        assert (report.optimal_value, report.optimizer_count, report.min_support) == (0, k + 1, 0)
 
     def test_infeasible_empty(self):
         ilp = StandardFormILP(M([[2, 2]]), (3,), (1, 0))
@@ -479,6 +500,27 @@ class TestStandardFormIlp:
 
 
 class TestSupportBound:
+    @settings(max_examples=120, deadline=None)
+    @given(small_programs(), st.integers(1, 3))
+    def test_matches_plain_scan(self, program, delta):
+        """Value, optimizer count and least support against the optimizers
+        of a plain scan of the box."""
+        entries, b, c, box = program
+        report = verify_support_bound(StandardFormILP(M(entries), b, c), delta, box)
+        optimizers = ilp_optimizers(entries, b, c, box)
+        if not optimizers:
+            assert (report.optimal_value, report.optimizer_count, report.min_support) == (
+                None, 0, None
+            )
+            assert report.passed
+            return
+        value = sum(ci * xi for ci, xi in zip(c, optimizers[0]))
+        smallest = min(sum(1 for xi in x if xi) for x in optimizers)
+        assert (report.optimal_value, report.optimizer_count, report.min_support) == (
+            value, len(optimizers), smallest
+        )
+        assert report.passed == (smallest <= report.bound)
+
     def test_sparsity_instance_meets_bound_exactly(self):
         a, b = sparsity_instance(2)
         report = verify_support_bound(StandardFormILP(a, b, (1, 1, 1)), 2, (2, 2, 2))
