@@ -6,8 +6,10 @@ matrix measurements and identity sweeps, ``verify`` for the polyhedral
 verifiers, and ``matrix`` for plain utilities.  Output is deterministic:
 identical invocations produce identical bytes (JSON metadata gains a
 timestamp only under ``--stamp``).  Row and column indices in all output
-are 0-based.  Each handler builds its JSON payload and its text and hands
-both to ``_emit``, which picks one and maps the verdict to the exit code.
+are 0-based.  Only this module writes output: the library returns plain
+data (the verifiers' and sweeps' reports too), each handler builds a JSON
+payload and a text side by side, ``_emit`` picks one and maps the verdict
+to the exit code, and ``_verdict`` writes a verdict's ``result:`` line.
 ``_command`` adds every subcommand and its options, and ``main`` turns every
 anticipated error into one ``error:`` line and its exit code.
 
@@ -70,6 +72,13 @@ def _emit(args, payload: dict, text: str, passed: bool = True) -> int:
     else:
         sys.stdout.write(text)
     return EXIT_OK if passed else EXIT_FAILED_VERIFICATION
+
+
+def _verdict(args, payload: dict, lines: list[str]) -> int:
+    """Emits a verifier's or sweep's payload, or its lines closed by the
+    one verdict line; the payload's ``passed`` sets the exit code."""
+    result = f"result: {'PASS' if payload['passed'] else 'FAIL'}"
+    return _emit(args, payload, _text([*lines, result]), payload["passed"])
 
 
 def _read_text(path: str) -> str:
@@ -184,7 +193,10 @@ def _sweep(args, report: sweeps.SweepReport) -> int:
         "first_failure": report.first_failure,
         "passed": report.passed,
     }
-    return _emit(args, payload, _text(report.lines()), report.passed)
+    lines = [f"{report.name}: {report.trials} trials, {report.failures} failure(s)"]
+    if report.first_failure is not None:
+        lines.append(f"  first failing trial index: {report.first_failure}")
+    return _verdict(args, payload, lines)
 
 
 def _cmd_check_detratio(args) -> int:
@@ -208,14 +220,18 @@ def _cmd_verify_facedim(args) -> int:
         ],
         "passed": report.passed,
     }
-    return _emit(args, payload, _text(report.lines()), report.passed)
+    lines = [
+        f"face-dimension bound for delta={report.delta}: dimensions must be <= {report.bound}"
+    ]
+    for vertex, dim in report.entries:
+        verdict = "ok" if dim <= report.bound else "VIOLATION"
+        lines.append(f"  hull vertex {list(vertex)}: face dimension {dim} [{verdict}]")
+    return _verdict(args, payload, lines)
 
 
 def _cmd_verify_support(args) -> int:
     a, b, c = textio.parse_standard_form(_read_text(args.file))
-    if c is None:
-        c = tuple([0] * a.cols)
-    ilp = polyhedra.StandardFormILP(a, b, c)
+    ilp = polyhedra.StandardFormILP(a, b, (0,) * a.cols if c is None else c)
     box = polyhedra.derive_box(a, b) if args.box is None else tuple([args.box] * a.cols)
     if box is None:
         raise DeltaSvpError(
@@ -231,8 +247,15 @@ def _cmd_verify_support(args) -> int:
         "optimizer_count": report.optimizer_count,
         "passed": report.passed,
     }
-    text = _text([f"enumeration box: {list(box)}", *report.lines()])
-    return _emit(args, payload, text, report.passed)
+    lines = [
+        f"enumeration box: {list(box)}",
+        f"support bound for delta={report.delta}: min support must be <= {report.bound}",
+        "  infeasible within the box (vacuously fine)" if report.min_support is None else (
+            f"  optimal value {report.optimal_value}, "
+            f"{report.optimizer_count} optimizer(s), min support {report.min_support}"
+        ),
+    ]
+    return _verdict(args, payload, lines)
 
 
 def _cmd_verify_sparsity(args) -> int:
@@ -248,7 +271,18 @@ def _cmd_verify_sparsity(args) -> int:
         "totally_delta_modular": report.totally_modular,
         "passed": report.passed,
     }
-    return _emit(args, payload, _text(report.lines()), report.passed)
+    lines = [
+        f"dense-support construction for delta={report.delta}: "
+        f"{report.m} equations, {report.n} variables",
+        f"  derived enumeration box: {list(report.box)}",
+        f"  nonnegative integer solutions found: {len(report.solutions)}",
+    ]
+    if report.support is not None:
+        lines.append(
+            f"  unique solution support {report.support} (expected {report.expected_support})"
+        )
+    lines.append(f"  totally {report.delta}-modular: {report.totally_modular}")
+    return _verdict(args, payload, lines)
 
 
 def _cmd_matrix_det(args) -> int:

@@ -288,17 +288,6 @@ class FaceDimensionReport:
     entries: tuple[tuple[tuple[int, ...], int], ...]
     passed: bool
 
-    def lines(self) -> list[str]:
-        out = [
-            f"face-dimension bound for delta={self.delta}: "
-            f"dimensions must be <= {self.bound}"
-        ]
-        for vertex, dim in self.entries:
-            verdict = "ok" if dim <= self.bound else "VIOLATION"
-            out.append(f"  hull vertex {list(vertex)}: face dimension {dim} [{verdict}]")
-        out.append(f"result: {'PASS' if self.passed else 'FAIL'}")
-        return out
-
 
 def verify_face_dimension_bound(
     p: PolyhedronH, delta: int, budget: int = DEFAULT_POINT_BUDGET
@@ -456,18 +445,6 @@ class SupportReport:
     optimizer_count: int
     passed: bool
 
-    def lines(self) -> list[str]:
-        out = [f"support bound for delta={self.delta}: min support must be <= {self.bound}"]
-        if self.min_support is None:
-            out.append("  infeasible within the box (vacuously fine)")
-        else:
-            out.append(
-                f"  optimal value {self.optimal_value}, "
-                f"{self.optimizer_count} optimizer(s), min support {self.min_support}"
-            )
-        out.append(f"result: {'PASS' if self.passed else 'FAIL'}")
-        return out
-
 
 def verify_support_bound(
     ilp: StandardFormILP,
@@ -491,40 +468,29 @@ def verify_support_bound(
 
 
 def derive_box(a: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
-    """Per-variable upper bounds implied by A x = b, x >= 0, by iterated
-    interval propagation over the rows.  Returns None when some variable
-    stays unbounded by this reasoning.
+    """Per-variable upper bounds implied by A x = b, x >= 0, or None when
+    some variable stays unbounded: up to n + 1 rounds over the rows in
+    order, in which a row whose negative terms all have bounds u_t bounds
+    each x_j with a_ij > 0 by its one slack, b_i - sum of a_it u_t over
+    a_it < 0, over a_ij; each bound is tightened in place.
     """
-    m, n = a.rows, a.cols
-    upper: list[int | None] = [None] * n
-    for _ in range(n + 1):
-        changed = False
-        for i in range(m):
-            row = a.row(i)
-            for j in range(n):
-                if row[j] <= 0:
-                    continue
-                slack = b[i]
-                ok = True
-                for t in range(n):
-                    if t == j or row[t] == 0:
-                        continue
-                    if row[t] < 0:
-                        if upper[t] is None:
-                            ok = False
-                            break
-                        slack -= row[t] * upper[t]
-                if not ok:
-                    continue
-                candidate = max(slack // row[j], 0)
-                if upper[j] is None or candidate < upper[j]:
-                    upper[j] = candidate
-                    changed = True
-        if not changed:
+    upper: list[int | None] = [None] * a.cols
+    for _ in range(a.cols + 1):
+        before = list(upper)
+        for row, bound in zip(a.entries, b):
+            slack = bound
+            for x, u in zip(row, upper):
+                if x < 0:
+                    if u is None:
+                        break  # a negative term without a bound: no slack
+                    slack -= x * u
+            else:
+                for j, x in enumerate(row):
+                    if x > 0 and (upper[j] is None or slack // x < upper[j]):
+                        upper[j] = max(slack // x, 0)
+        if upper == before:
             break
-    if any(u is None for u in upper):
-        return None
-    return tuple(u for u in upper if u is not None)
+    return None if None in upper else tuple(upper)
 
 
 @dataclass(frozen=True)
@@ -540,22 +506,6 @@ class SparsityReport:
     expected_support: int
     totally_modular: bool
     passed: bool
-
-    def lines(self) -> list[str]:
-        out = [
-            f"dense-support construction for delta={self.delta}: "
-            f"{self.m} equations, {self.n} variables",
-            f"  derived enumeration box: {list(self.box)}",
-            f"  nonnegative integer solutions found: {len(self.solutions)}",
-        ]
-        if self.support is not None:
-            out.append(
-                f"  unique solution support {self.support} "
-                f"(expected {self.expected_support})"
-            )
-        out.append(f"  totally {self.delta}-modular: {self.totally_modular}")
-        out.append(f"result: {'PASS' if self.passed else 'FAIL'}")
-        return out
 
 
 def verify_sparsity_construction(
@@ -576,15 +526,12 @@ def verify_sparsity_construction(
     box = derive_box(a, b)
     if box is None:
         raise InvariantError("construction rows must bound every variable")
-    objective = tuple([0] * a.cols)
-    ilp = StandardFormILP(a, b, objective)
+    ilp = StandardFormILP(a, b, (0,) * a.cols)
     solutions = tuple(solve_standard_form_ilp(ilp, box, budget))
-    all_ones = tuple([1] * a.cols)
-    unique = solutions == (all_ones,)
     support = support_size(solutions[0]) if len(solutions) == 1 else None
     totally = is_totally_delta_modular(a, delta, minor_budget)
     expected = a.rows + delta - 1
-    passed = unique and support == expected and totally
+    passed = solutions == ((1,) * a.cols,) and support == expected and totally
     return SparsityReport(
         delta, a.rows, a.cols, box, solutions, support, expected, totally, passed
     )

@@ -31,13 +31,6 @@ class SweepReport:
     def passed(self) -> bool:
         return self.failures == 0
 
-    def lines(self) -> list[str]:
-        out = [f"{self.name}: {self.trials} trials, {self.failures} failure(s)"]
-        if self.first_failure is not None:
-            out.append(f"  first failing trial index: {self.first_failure}")
-        out.append(f"result: {'PASS' if self.passed else 'FAIL'}")
-        return out
-
 
 def _sweep(
     name: str, trials: int, seed: int, trial: Callable[[random.Random], bool]

@@ -227,6 +227,43 @@ def ilp_optimizers(entries, b, c, box) -> list[tuple[int, ...]]:
     return best
 
 
+def propagated_box(entries, b) -> tuple[int, ...] | None:
+    """Per-variable bounds from A x = b, x >= 0 by interval propagation,
+    the slack recomputed for every (row, positive coefficient) pair: up to
+    n + 1 rounds over the rows in order, each bound tightened in place.
+    None when some variable is left without a bound."""
+    rows = [tuple(r) for r in entries]
+    n = len(rows[0]) if rows else 0
+    upper: list[int | None] = [None] * n
+    for _ in range(n + 1):
+        changed = False
+        for row, bound in zip(rows, b):
+            for j in range(n):
+                if row[j] <= 0:
+                    continue
+                slack = bound
+                ok = True
+                for t in range(n):
+                    if t == j or row[t] == 0:
+                        continue
+                    if row[t] < 0:
+                        if upper[t] is None:
+                            ok = False
+                            break
+                        slack -= row[t] * upper[t]
+                if not ok:
+                    continue
+                candidate = max(slack // row[j], 0)
+                if upper[j] is None or candidate < upper[j]:
+                    upper[j] = candidate
+                    changed = True
+        if not changed:
+            break
+    if any(u is None for u in upper):
+        return None
+    return tuple(upper)
+
+
 def polytope_points(entries, b, radius: int) -> list[tuple[int, ...]]:
     """Lattice points x of [-radius, radius]^n with A x <= b, sorted."""
     rows = [tuple(r) for r in entries]

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from deltasvp import polyhedra
+from deltasvp import polyhedra, sweeps
 from deltasvp.cli import build_parser, main
 from deltasvp.generators import lower_bound_instance, random_delta_modular
 from deltasvp.linalg import IntMatrix
@@ -584,6 +584,41 @@ class TestTextGolden:
         path.write_text("3 2\n1 2\n2 4\n3 6\n")
         code, out, err = run(capsys, *command, str(path))
         assert (code, out, err) == (2, "", "error: full column rank required\n")
+
+
+class TestFailTextGolden:
+    """Exact text stdout of the verdicts other than a plain pass, pinned
+    byte for byte in tests/fixtures: the [VIOLATION] lines of a face
+    dimension above the bound, a support above it, a program infeasible
+    within its box, and a sweep's first failing trial index.  The exit code
+    is the same with --json.  CI diffs the three verifier goldens against
+    the installed console script."""
+
+    @pytest.mark.parametrize(
+        "argv,source,code,expected",
+        [
+            (["verify", "facedim", "--delta", "1"], "facedim_hull_25.txt", 4,
+             "facedim_hull_25_delta_1.out"),
+            (["verify", "support", "--delta", "1"], "sparsity_2.txt", 4,
+             "support_sparsity_2_delta_1.out"),
+            (["verify", "support", "--delta", "2", "--box", "0"], "sparsity_2.txt", 0,
+             "support_sparsity_2_box_0.out"),
+        ],
+        ids=["facedim_violation", "support_above_bound", "support_infeasible_in_box"],
+    )
+    def test_stdout_bytes(self, capsys, argv, source, code, expected):
+        path = str(FIXTURES / source)
+        assert run(capsys, *argv, path) == (code, (FIXTURES / expected).read_text(), "")
+        assert run(capsys, *argv, "--json", path)[0] == code
+
+    def test_sweep_first_failing_trial(self, capsys, monkeypatch):
+        """A kernel sweep whose identity fails on every two-row draw."""
+        monkeypatch.setattr(sweeps, "verify_kernel_identity", lambda a: a.rows != 2)
+        argv = ("check", "kernel", "--trials", "20", "--seed", "1")
+        expected = (FIXTURES / "check_kernel_fail_20.out").read_text()
+        assert run(capsys, *argv) == (4, expected, "")
+        payload = json.loads(run(capsys, *argv, "--json")[1])
+        assert (payload["failures"], payload["first_failure"], payload["passed"]) == (7, 1, False)
 
 
 class TestParserReuse:

@@ -9,18 +9,26 @@ headers and counts, tokens that ``int()`` would take or that look like
 numbers, comment and blank lines, characters that ``str.split`` and
 ``str.splitlines`` treat as separators, a byte-order mark, stray ``b:`` and
 ``c:`` lines, and bytes that are not UTF-8.
+
+A second sweep gives every integer option but ``--budget`` values up to
+10^30 in size, of either sign, on fixed small inputs.  Each run must end
+in a documented exit within a per-example deadline, with no traceback and
+at most one ``error:`` line: a value beyond a command's reach meets a
+budget or a domain check instead of running.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+from datetime import timedelta
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from deltasvp import textio
+from deltasvp import generators, sweeps, textio
 from deltasvp.cli import main
 from deltasvp.linalg import IntMatrix
 
@@ -111,3 +119,64 @@ def test_any_file_ends_in_a_documented_exit(tmp_path_factory, case):
         # textio hands its rows over unchecked; the checked constructor must
         # accept them as they are
         assert IntMatrix(matrix.entries) == matrix
+
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+#: (subcommand with its fixed flags, its integer options, input file or None);
+#: --budget stays at a small fixed value wherever the subcommand has one
+INTEGER_OPTIONS = [
+    (["svp", "solve"], ["--delta"], "lower_bound_4.txt"),
+    (["svp", "oracle", "--budget", "5000"], ["--bound"], "lower_bound_4.txt"),
+    (["check", "delta", "--total", "--budget", "5000"], ["--delta"], "lower_bound_4.txt"),
+    (["check", "detratio"], ["--trials", "--seed"], None),
+    (["check", "kernel"], ["--trials", "--seed"], None),
+    (["gen", "lower-bound"], ["--delta"], None),
+    (["gen", "sparsity"], ["--delta"], None),
+    (["gen", "random"], ["--delta", "--rows", "--cols", "--seed"], None),
+    (["verify", "facedim", "--budget", "3000"], ["--delta"], "facedim_box.txt"),
+    (["verify", "support", "--budget", "5000"], ["--delta", "--box"], "sparsity_2.txt"),
+    (["verify", "support", "--budget", "5000"], ["--delta", "--box"], "ilp_five_optima.txt"),
+    (["verify", "sparsity", "--budget", "5000"], ["--delta"], None),
+]
+#: small values, any value up to 10^30 in size, and 10^k +- 2 with k drawn
+#: uniformly in 0..30, so that every order of magnitude comes up
+HUGE = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(10**30), 10**30),
+    st.builds(lambda k, d, sign: sign * (10**k + d), st.integers(0, 30), st.integers(-2, 2),
+              st.sampled_from([1, -1])),
+)
+
+
+@st.composite
+def option_runs(draw) -> list[str]:
+    """One subcommand with a drawn value for each of its integer options
+    (--box, the only optional one, is sometimes left out)."""
+    command, options, source = draw(st.sampled_from(INTEGER_OPTIONS))
+    argv = list(command)
+    for flag in options:
+        if flag != "--box" or draw(st.booleans()):
+            argv += [flag, str(draw(HUGE))]
+    return argv + ([] if source is None else [str(FIXTURES / source)])
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=2))
+@given(argv=option_runs())
+def test_any_integer_option_meets_a_budget(argv):
+    """The fixed caps of the sweeps and the generators are lowered so that
+    every run they let through is short; values above them, up to 10^30,
+    are refused as they are at the shipped caps."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(sweeps, "MAX_TRIALS", 50))
+        stack.enter_context(mock.patch.object(generators, "MAX_CONSTRUCTION_WORK", 5000))
+        stack.enter_context(contextlib.redirect_stdout(out))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        code = main(argv)
+    event(f"{argv[0]} {argv[1]}: exit {code}")
+    assert code in {0, 1, 2, 3, 4}
+    assert "Traceback" not in err.getvalue()
+    assert sum("error: " in line for line in err.getvalue().splitlines()) <= 1
+    if code in {2, 3}:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

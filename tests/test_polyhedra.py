@@ -44,9 +44,20 @@ from oracles import (
     ilp_optimizers,
     polyhedron_vertices,
     polytope_points,
+    propagated_box,
 )
 
 M = IntMatrix.from_rows
+
+
+@st.composite
+def equation_systems(draw, max_rows: int, max_cols: int):
+    """(entries, b) with at most max_rows x max_cols entries in [-3, 3] and
+    b in [-5, 12]."""
+    m, n = draw(st.integers(1, max_rows)), draw(st.integers(1, max_cols))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    entries = draw(st.lists(row, min_size=m, max_size=m))
+    return entries, draw(st.lists(st.integers(-5, 12), min_size=m, max_size=m))
 
 
 @st.composite
@@ -559,6 +570,26 @@ class TestDeriveBox:
 
     def test_underivable(self):
         assert derive_box(M([[1, -1]]), (0,)) is None
+
+    @settings(max_examples=400, deadline=None)
+    @given(equation_systems(4, 6))
+    def test_matches_the_per_pair_reference(self, system):
+        """One slack per row gives the bounds that recomputing it for
+        every positive coefficient gives, None included."""
+        entries, b = system
+        assert derive_box(M(entries), tuple(b)) == propagated_box(entries, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(equation_systems(3, 3))
+    def test_every_solution_lies_in_the_box(self, system):
+        """Each nonnegative solution that a plain scan of a cube reaching
+        past the box finds satisfies x <= box."""
+        entries, b = system
+        box = derive_box(M(entries), tuple(b))
+        assume(box is not None and max(box) <= 20)
+        reach = [max(box) + 2] * len(box)
+        for x in ilp_optimizers(entries, b, [0] * len(box), reach):
+            assert all(xi <= u for xi, u in zip(x, box))
 
 
 class TestSparsityConstruction:
