@@ -19,7 +19,12 @@ bound reaches 2^(w-1) the columns are read exactly and repacked wider if
 they need it.  N is read off the packed product A*adj(B) that certifies
 the tableau: the words read must write back to the product's bytes, so N
 is A*adj(B) exactly, and N == det(B)*I at the basis rows, which proves
-B*adj(B) == det(B)*I.
+B*adj(B) == det(B)*I.  The tableau keeps the packed rows of adj(B) and N,
+and ``Tableau.swapped`` builds the tableau of a basis with k rows replaced
+from them by one exact block pivot (Sylvester's identity): k + 1 products
+and one division per packed row, with no new elimination or product.  The
+divisions are checked exact digit by digit, which carries the certificate
+over to the new tableau.
 The other eliminations, the polyhedral verifiers among them, use the list
 pivot ``_pivot``.
 Every maximal-minor scan reads its minors off one iterator, ``_minors``
@@ -36,7 +41,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, combinations, product
 from operator import add, itemgetter, mul, neg
 from typing import Iterable, Iterator, Sequence
@@ -234,12 +239,20 @@ class Tableau:
 
     det keeps its sign and is never reduced against adj or N: the solver
     reads residues of their entries modulo |det(B)| itself.
+
+    packed holds the rows of X = [adj; N] as packed integers (each row's
+    entries the signed base-2^w digits of one integer), w and a proved
+    bound on every |digit|.  Only tableau and swapped set it, so a tableau
+    built or replaced by hand has none and swapped packs its entries.
     """
 
     rows: tuple[int, ...]
     adj: IntMatrix
     det: int
     numerators: IntMatrix
+    packed: tuple[list[int], int, int] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def swapped_det(self, swaps: dict[int, int]) -> int:
         """|det B'| for B' = B with row swaps[j] of A at position j, by the
@@ -255,6 +268,71 @@ class Tableau:
         if remainder:
             raise InvariantError("determinant ratio is not an integer")
         return quotient
+
+    def swapped(self, swaps: dict[int, int]) -> "Tableau":
+        """The tableau of B' = B with row swaps[j] of A at position j, by one
+        exact block pivot on X = [adj(B); N] (Bareiss 1968).
+
+        With C = N[I, J], k = |J| and d = det(B), B' = M * B as in
+        swapped_det, so [adj(B'); A * adj(B')] = (det(B') / d) * X * M^-1:
+        columns J become X_J * adj(C) / d^(k-1), every other column l
+        becomes (det(C) * X_l - X_J * adj(C) * N[I, l]) / d^k, and det(B') =
+        det(C) / d^(k-1).  adj(C) and det(C) come from C's own tableau, so
+        SingularMatrixError is raised when det(C) == 0.
+
+        Both are one step on the packed rows: with E_t = d * 2^(w*J[t]) -
+        (packed row I[t] of N) and F = adj(C) * E, row x of X becomes
+        (det(C) * x + x_J * F) / d^k, k + 1 products and one division per
+        row.  Every digit of the numerator is at most r = (|det(C)| + 2 *
+        sum_s max|X[:, J[s]]| * ||adj(C)[s]||_1) * bound, since E's digits are
+        at most 2 * bound; when r reaches 2^(w-2) the entries are read for an
+        exact bound, and packed wider if r still reaches it.  The division
+        must leave no remainder and every quotient digit q must satisfy
+        |q| < 2^t for 2^(t-1) <= r // |d^k|, one mask test per row: then
+        |d^k * q| < 2^(w-1), so d^k * q is the numerator's digit and X' is
+        exactly the block pivot of the certified X.  That proves N' =
+        A * adj(B') with no new product, and r // |d^k| bounds X'.
+        N'[rows'] == det(B') * I is checked as in _certify.
+        """
+        rows = tuple(swaps.get(p, r) for p, r in enumerate(self.rows))
+        cols, picks, numerators = list(swaps), list(swaps.values()), self.numerators.entries
+        minor = IntMatrix._trusted(tuple(tuple(numerators[i][j] for j in cols) for i in picks))
+        inner = tableau(minor, range(len(cols)))
+        n, d, det_c, adj_c = len(rows), self.det, inner.det, inner.adj.entries
+        entries = self.adj.entries + numerators
+        x_cols = [[x[j] for x in entries] for j in cols]
+        spread = abs(det_c) + 2 * sum(
+            max(map(abs, c)) * sum(map(abs, a)) for c, a in zip(x_cols, adj_c)
+        )
+        packed, width, bound = self.packed or (None, 0, 0)
+        if packed is None or (spread * bound) >> (width - 2):
+            bound = max(map(abs, chain.from_iterable(entries)))
+            if packed is None or (spread * bound) >> (width - 2):
+                width = -(-((spread * bound).bit_length() + 2) // _WORD) * _WORD
+                packed = _pack(list(chain.from_iterable(entries)), n, width)
+        steps = [(d << (width * j)) - packed[n + i] for j, i in zip(cols, picks)]
+        f = [sum(map(mul, a, steps)) for a in adj_c]
+        scale = d ** len(cols)
+        bound = spread * bound // abs(scale)
+        ones = _bias(n, width) >> (width - 1)
+        lift = ones << bound.bit_length()  # 2^t in each digit
+        drop = ~(2 * lift - ones)  # every bit but the low t + 1 of each digit
+        out = []
+        for x, x_j in zip(packed, zip(*x_cols)):
+            q, remainder = divmod(det_c * x + sum(map(mul, x_j, f)), scale)
+            if remainder or (q + lift) & drop:
+                raise InvariantError("block pivot is not exact")
+            out.append(q)
+        words = _unpack(out, n, width)
+        stacked = tuple(tuple(words[t : t + n]) for t in range(0, len(words), n))
+        # det(C) / d^(k-1) is N'[I[0]][J[0]], a digit the division proved exact
+        new_det = det_c // d ** (len(cols) - 1)
+        _check_basis(stacked[n:], rows, new_det)
+        tab = Tableau(
+            rows, IntMatrix._trusted(stacked[:n]), new_det, IntMatrix._trusted(stacked[n:])
+        )
+        object.__setattr__(tab, "packed", (out, width, bound))
+        return tab
 
 
 def tableau(a: IntMatrix, rows: Sequence[int] | None = None) -> Tableau:
@@ -375,8 +453,7 @@ def tableau(a: IntMatrix, rows: Sequence[int] | None = None) -> Tableau:
         words = list(map(neg, words))
     pick = itemgetter(*slots) if n > 1 else tuple
     adj = IntMatrix._trusted(tuple(pick(words[j : j + n]) for j in range(0, n * n, n)))
-    d = sign * prev
-    return Tableau(tuple(pivots), adj, d, _certify(a, pivots, adj, d))
+    return _certify(a, pivots, adj, sign * prev)
 
 
 def _bias(n: int, width: int) -> int:
@@ -407,8 +484,9 @@ def _pack(words: Sequence[int], n: int, width: int) -> list[int]:
 _WORD = 64
 
 
-def _certify(a: IntMatrix, rows: Sequence[int], adj: IntMatrix, d: int) -> IntMatrix:
-    """N = A * adj, read off one packed product (Kronecker substitution).
+def _certify(a: IntMatrix, rows: Sequence[int], adj: IntMatrix, d: int) -> Tableau:
+    """The tableau with N = A * adj, read off one packed product (Kronecker
+    substitution), which carries the packed rows of adj and of A * adj.
 
     Raises InvariantError unless N[rows] == d * I, which with N = A * adj
     exact shows B * adj == d * I for B = A[rows].
@@ -436,12 +514,8 @@ def _certify(a: IntMatrix, rows: Sequence[int], adj: IntMatrix, d: int) -> IntMa
         (int.from_bytes(raw[k : k + size], "little") ^ bias) - bias
         for k in range(0, len(raw), size)
     ]
-    data = b"".join(
-        [
-            ((sum(map(mul, row, packed)) + bias) ^ bias).to_bytes(size, "little")
-            for row in a.entries
-        ]
-    )
+    products = [sum(map(mul, row, packed)) for row in a.entries]
+    data = b"".join([((x + bias) ^ bias).to_bytes(size, "little") for x in products])
     words = _read_words(data, width)
     try:
         exact = _write_words(words, width) == data
@@ -450,11 +524,18 @@ def _certify(a: IntMatrix, rows: Sequence[int], adj: IntMatrix, d: int) -> IntMa
     if not exact:
         raise InvariantError("A * adj(B) != N")
     numerators = [tuple(words[k : k + n]) for k in range(0, len(words), n)]
-    zero = (0,) * n
+    _check_basis(numerators, rows, d)
+    tab = Tableau(tuple(rows), adj, d, IntMatrix._trusted(tuple(numerators)))
+    object.__setattr__(tab, "packed", (packed + products, width, reach))
+    return tab
+
+
+def _check_basis(numerators: Sequence[tuple[int, ...]], rows: Sequence[int], d: int) -> None:
+    """InvariantError unless numerators[rows] == d * I."""
+    zero = (0,) * len(rows)
     for k, i in enumerate(rows):
         if numerators[i] != zero[:k] + (d,) + zero[k + 1 :]:
             raise InvariantError("B * adj(B) != det(B) * I")
-    return IntMatrix._trusted(tuple(numerators))
 
 
 def _read_words(data: bytes, width: int) -> list[int]:
@@ -691,7 +772,8 @@ def subdet_ratio_check(
     With B = a[base_rows] invertible and |I| = |J|, compares the |det B'|
     that Tableau.swapped_det reads off the tableau of B, for B' = B with
     row i_rows[t] of A at position j_cols[t], against |det B'| computed
-    from scratch.
+    from scratch, and the tableau that Tableau.swapped builds for B'
+    against a fresh one; both raising SingularMatrixError agree.
     """
     n = a.cols
     if len(base_rows) != n:
@@ -708,4 +790,10 @@ def subdet_ratio_check(
         return True  # degenerate: B' = B
     swaps = dict(zip(j_cols, i_rows))
     rows = [swaps.get(p, r) for p, r in enumerate(base_rows)]
-    return tab.swapped_det(swaps) == abs(det(a.submatrix_rows(rows)))
+    built = []
+    for build in (lambda: tab.swapped(swaps), lambda: tableau(a, rows)):
+        try:
+            built.append(build())
+        except SingularMatrixError:
+            built.append(None)
+    return built[0] == built[1] and tab.swapped_det(swaps) == abs(det(a.submatrix_rows(rows)))

@@ -16,10 +16,13 @@ disproving the caller's delta.  Termination needs the column count to
 exceed a threshold depending only on delta, since only then does the
 pigeonhole over residue classes always produce enough same-class columns.
 
-Each pass (``threshold_step``) reads everything off one certified tableau
-(``linalg.tableau``: adj(B) and det(B) from a fraction-free elimination of
-the n x n transform alone, and N = A*adj(B) read off the packed product
-that certifies it), in this order: the entry scan of N; the scan of
+Each pass (``threshold_step``) reads everything off one tableau: the run's
+first comes from ``linalg.tableau`` (adj(B) and det(B) from a fraction-free
+elimination of the n x n transform alone, and N = A*adj(B) read off the
+packed product that certifies it), and every later one from
+``Tableau.swapped`` of the one before (one exact block pivot on its packed
+rows, for entry, pair and block replacements alike).  A pass reads, in
+this order: the entry scan of N; the scan of
 the columns of adj(B) for an integral one, which computes each column's
 residues modulo |det B| on the way; one same-class selection from those
 residues; and a lazy scan of the test vectors, the differences of members
@@ -29,10 +32,10 @@ before it is returned.  The dispatcher's one greedy tableau is its rank
 test and then the starting basis of either the solver or the oracle's
 layered scan.
 
-Every replacement's new |det B| is read off the current, certified tableau
-by the determinant-ratio identity (``Tableau.swapped_det``) and must exceed
-the old one; the next pass's tableau, or the certificate's determinant when
-the new value already exceeds delta, must reproduce it exactly.  A test
+Every replacement's new |det B| is read off the current tableau by the
+determinant-ratio identity (``Tableau.swapped_det``) and must exceed the old
+one; the next pass's tableau, or the certificate's determinant when the new
+value already exceeds delta, must reproduce it exactly.  A test
 vector or image that is not integral or is zero, a collected row that does
 not split its pair by exactly 2, and anything else the construction rules
 out raise InvariantError.
@@ -41,11 +44,13 @@ A note on the selection size: the residue classes modulo 1 of the columns
 of B^-1 form a group of order d = |det B|.  A sum of d same-class columns
 is therefore always integral, while a sum of delta of them need not be when
 d < delta mid-run.  The selection consequently takes min(delta, d) columns,
-which equals d whenever the solver itself calls it.
+which equals d whenever the solver itself calls it.  When no class holds
+that many, it takes o columns of a class of order o that holds at least o.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from itertools import combinations
 from operator import sub
@@ -120,18 +125,26 @@ def _select_same_class(
     those large enough wins, each member's sign lands it on that key (+1 on
     self-negating ties), and the first members in ascending column order
     are returned.
+
+    When no class holds min(delta, d) columns, a class of order o (o times
+    its residue is 0 modulo d) needs only o, whose sum is integral too.
+    A residue group that is not cyclic has more classes than the cyclic
+    count behind the threshold (three, each of order 2, for Z_2 x Z_2 at
+    d = 4), and 7 columns then need not put 4 in one class; they always
+    put o in a class of order o.
     """
-    size = min(delta, d)
     groups: dict[tuple[int, ...], list[int]] = {}
     for j, res in enumerate(residues):
         groups.setdefault(min(res, tuple(-x % d for x in res)), []).append(j)
-    eligible = [key for key, cols in groups.items() if len(cols) >= size]
-    if not eligible:
-        raise InvariantError(
-            "no residue class holds enough columns; the dimension is below threshold"
-        )
-    target = min(eligible)
-    return [(j, 1 if residues[j] == target else -1) for j in groups[target][:size]]
+    for need in (lambda key: min(delta, d), lambda key: d // math.gcd(d, *key)):
+        eligible = [key for key, cols in groups.items() if len(cols) >= need(key)]
+        if eligible:
+            target = min(eligible)
+            members = groups[target][: need(target)]
+            return [(j, 1 if residues[j] == target else -1) for j in members]
+    raise InvariantError(
+        "no residue class holds enough columns; the dimension is below threshold"
+    )
 
 
 def _exact(numerators: Iterable[int], d_signed: int, what: str) -> tuple[int, ...]:
@@ -263,8 +276,10 @@ def _solve(
 ) -> tuple[SvpOutcome, tuple[Transition, ...]]:
     """The solver loop from the certified tableau of a starting basis.
 
-    Each replacement's det_after is checked against the next tableau or,
-    once it exceeds delta, against the certificate's own determinant.
+    Each next tableau is Tableau.swapped of the current one, so _certify
+    runs once per run.  Each replacement's det_after is checked against the
+    next tableau or, once it exceeds delta, against the certificate's own
+    determinant.
     """
     transitions: list[Transition] = []
     rows, d = tab.rows, abs(tab.det)
@@ -277,7 +292,7 @@ def _solve(
             raise InvariantError("iteration count exceeded delta")
         rows, d = step.rows, step.det_after
         if d <= delta:
-            tab = tableau(a, rows)
+            tab = tab.swapped({p: r for p, (r, s) in enumerate(zip(rows, tab.rows)) if r != s})
             if abs(tab.det) != d:
                 raise InvariantError("ratio identity disagrees with the next tableau")
     rows = tuple(sorted(rows))

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from datetime import datetime
@@ -12,8 +13,10 @@ from deltasvp.cli import build_parser, main
 from deltasvp.generators import lower_bound_instance, random_delta_modular
 from deltasvp.linalg import IntMatrix
 from deltasvp.textio import format_polyhedron, parse_matrix
+from deltasvp.threshold import PATH_ENTRY, solve_threshold_trace
 
 from oracles import layered_least_minimizer, unimodular_scramble
+from test_solve_traces import _unit_first_walk
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 WORKED_TEXT = "3 2\n1 0\n1 2\n2 2\n"
@@ -391,7 +394,7 @@ class TestEnumerationGolden:
     facedim polytope is criterion-7 style (delta 2, [A; -A] with b >= 0)
     with four fractional LP vertices; the box is unimodular; the segment
     0.3 <= x <= 0.6 has no lattice point, so it passes with no vertex.
-    Five inputs are solved above the threshold: two replacements, then a
+    Six inputs are solved above the threshold: two replacements, then a
     short vector; the pair- and block-swap exercisers of the acceptance
     suite, which end in certificates; dense_24, the 72 x 24 output of
     `gen random --delta 5 --rows 72 --cols 24 --seed 1`, whose dense rows
@@ -399,10 +402,12 @@ class TestEnumerationGolden:
     rows before its basis is complete; and scrambled_wide, a unimodular
     scramble of a 4-modular 24 x 8 matrix (see test_scrambled_wide_input)
     with entries up to 86 bits, whose tableau widens its words to 256 bits
-    mid-elimination.  The maximal-minor scans are pinned
+    mid-elimination.  walk_unit_first_34, a 103 x 34 unit-rows-first walk
+    (see test_walk_unit_first_34_input), is solved by two entry swaps.  The
+    maximal-minor scans are pinned
     by `check delta --total` on lower_bound_5 (maximum 5 at rows [0, 1, 2,
     3], not totally 5-modular) and by a 50-trial kernel identity sweep.  CI
-    diffs these seven, the atleast2 witness and the three facedim polytopes
+    diffs these eight, the atleast2 witness and the three facedim polytopes
     against the installed console script."""
 
     @pytest.mark.parametrize(
@@ -430,6 +435,8 @@ class TestEnumerationGolden:
             (["svp", "solve", "--delta", "5"], "dense_24.txt", "solve_dense_24.json"),
             (["svp", "solve", "--delta", "4"], "scrambled_wide.txt",
              "solve_scrambled_wide.json"),
+            (["svp", "solve", "--delta", "9"], "walk_unit_first_34.txt",
+             "solve_walk_unit_first_34.json"),
             (["check", "delta", "--delta", "5", "--total"], "lower_bound_5.txt",
              "check_delta_lower_bound_5.json"),
         ],
@@ -437,7 +444,8 @@ class TestEnumerationGolden:
              "support_five_optima", "solve_below_threshold", "solve_early_exit",
              "facedim_fractional_lp", "facedim_unimodular_box", "facedim_no_lattice",
              "solve_walk_to_short_vector", "solve_pair_swap", "solve_block_swap",
-             "solve_dense_24", "solve_scrambled_wide", "check_delta_total"],
+             "solve_dense_24", "solve_scrambled_wide", "solve_walk_unit_first_34",
+             "check_delta_total"],
     )
     def test_json_bytes(self, capsys, argv, source, expected):
         code, out, err = run(capsys, *argv, "--json", str(FIXTURES / source))
@@ -450,6 +458,19 @@ class TestEnumerationGolden:
         text = "24 8\n" + "".join(" ".join(map(str, row)) + "\n" for row in entries)
         assert (FIXTURES / "scrambled_wide.txt").read_text() == text
         assert max(abs(x) for row in entries for x in row) > 2**64
+
+    def test_walk_unit_first_34_input(self):
+        """The fixture is the unit-rows-first walk of tests/test_solve_traces.py
+        drawn with delta 9 and n 34 from seed 3; its run makes two entry
+        swaps, so the second pass's tableau comes from the first's packed
+        rows."""
+        rows = _unit_first_walk(random.Random(3), 9, 34)
+        text = f"{len(rows)} 34\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows)
+        assert (FIXTURES / "walk_unit_first_34.txt").read_text() == text
+        _, trace = solve_threshold_trace(IntMatrix.from_rows(rows), 9)
+        assert [(t.path, t.det_before, t.det_after) for t in trace] == [
+            (PATH_ENTRY, 1, 2), (PATH_ENTRY, 2, 6)
+        ]
 
     def test_kernel_sweep_json_bytes(self, capsys):
         code, out, err = run(capsys, "check", "kernel", "--trials", "50", "--seed", "1", "--json")

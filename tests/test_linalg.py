@@ -18,6 +18,7 @@ from deltasvp import linalg
 from deltasvp.generators import lower_bound_instance
 from deltasvp.linalg import (
     IntMatrix,
+    Tableau,
     _certify,
     _read_words,
     box_images,
@@ -412,7 +413,8 @@ class TestTableau:
 
     def test_solve_svp_runs_one_tableau_per_pass(self, monkeypatch):
         """Full rank above the threshold: the dispatcher's rank test is the
-        first pass's tableau, every later pass makes one, no rank call."""
+        first pass's tableau, the only one of the run; every later pass
+        gets its tableau by one swap of the one before; no rank call."""
         from deltasvp import threshold
 
         a = M([[1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 1, -2], [1, 2, -1]])
@@ -420,8 +422,15 @@ class TestTableau:
         assert isinstance(outcome, threshold.ShortVector)
         assert len(transitions) == 2
         calls = self._count_eliminations(monkeypatch)
+        swapped = Tableau.swapped
+
+        def counted(tab, swaps):
+            calls["swapped"] += 1
+            return swapped(tab, swaps)
+
+        monkeypatch.setattr(Tableau, "swapped", counted)
         assert threshold.solve_svp(a, 3) == outcome
-        assert calls == {"tableau": len(transitions) + 1}
+        assert calls == {"tableau": 1, "swapped": len(transitions)}
 
     def test_solve_svp_below_threshold_eliminates_once(self, monkeypatch):
         """Full rank below the threshold: the dispatcher's one tableau is
@@ -448,6 +457,115 @@ class TestTableau:
         calls = self._count_eliminations(monkeypatch)
         assert threshold.solve_svp(a, 4) == expected
         assert calls == {"tableau": 1}
+
+
+class TestSwapped:
+    """Tableau.swapped against the cofactor oracles: the tableau of B with
+    rows I of A put at positions J, k = |J| = 1...4, twice in a row (the
+    second swap runs on the packed rows the first one carries), on entries
+    up to 2^70 and on unimodular scrambles with 70- to 90-bit factors,
+    whose swaps often pack their words wider."""
+
+    @staticmethod
+    def swap_and_check(entries, tab, swaps):
+        """tab.swapped(swaps) checked against the oracles; None when B' is
+        singular, which must raise SingularMatrixError."""
+        rows = [swaps.get(p, r) for p, r in enumerate(tab.rows)]
+        if cofactor_det([entries[i] for i in rows]) == 0:
+            with pytest.raises(SingularMatrixError):
+                tab.swapped(swaps)
+            return None
+        new = tab.swapped(swaps)
+        TestTableau.check(entries, rows, new)
+        return new
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_chained_swaps_match_oracles(self, data):
+        entries = TestTableau.draw_entries(data)
+        m, cols = len(entries), len(entries[0])
+        if cols > 1 and data.draw(st.booleans()):
+            bits = data.draw(st.integers(70, 90))
+            entries = unimodular_scramble(entries, data.draw(st.integers(0, 99)), 2 * cols, bits)
+        try:
+            tab = tableau(M(entries))
+        except RankError:
+            return
+        for _ in range(2):
+            k = data.draw(st.integers(1, min(4, cols)))
+            positions = data.draw(st.permutations(range(cols)))[:k]
+            picks = data.draw(st.permutations(range(m)))[:k]
+            tab = self.swap_and_check(entries, tab, dict(zip(positions, picks)))
+            if tab is None:
+                return
+
+    def test_wide_scramble_widens_the_words(self):
+        """Every single swap of a scrambled input, chained on the first;
+        some must pack their words wider than the certificate did."""
+        entries = unimodular_scramble(
+            [[2, 1, 0, -1], [1, 3, 1, 0], [0, 1, 4, 2], [5, -2, 7, 1], [-3, 3, 1, 1], [1, 0, 2, 6]],
+            3, 8, 80,
+        )
+        assert max(abs(x) for row in entries for x in row) > 2**63
+        tab = tableau(M(entries))
+        widened = 0
+        for j, i in product(range(4), range(6)):
+            new = self.swap_and_check(entries, tab, {j: i})
+            if new is None:
+                continue
+            widened += new.packed[1] > tab.packed[1]
+            again = self.swap_and_check(entries, new, {(j + 1) % 4: tab.rows[j]})
+            if again is not None:
+                widened += again.packed[1] > new.packed[1]
+        assert widened
+
+    @pytest.mark.parametrize(
+        "swaps",
+        [{1: 0}, {0: 2, 1: 0}, {1: 3}, {0: 3, 1: 4}],
+        ids=["basis_row_again", "basis_row_again_in_a_pair", "dependent_row", "dependent_pair"],
+    )
+    def test_singular_swap_rejected(self, swaps):
+        """det N[I, J] == 0: a basis row put at a second position, or rows
+        that span less than the positions they replace."""
+        entries = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 0, 0], [4, 0, 0]]
+        tab = tableau(M(entries))
+        assert tab.rows == (0, 1, 2)
+        assert self.swap_and_check(entries, tab, swaps) is None
+
+    def test_hand_built_tableau_packs_its_entries(self):
+        """A tableau built or replaced by hand carries no packed rows, so a
+        stale packing can never follow a changed entry."""
+        entries = [[1, 0, 2], [0, 1, -1], [3, 1, 0], [1, 1, 1], [2, -1, 5]]
+        tab = tableau(M(entries))
+        assert tab.packed is not None
+        for bare in (Tableau(tab.rows, tab.adj, tab.det, tab.numerators), replace(tab)):
+            assert bare.packed is None
+            assert bare.swapped({0: 3}) == tab.swapped({0: 3})
+
+    @pytest.mark.parametrize("column", [0, 2])
+    def test_inexact_pivot_is_a_bug(self, column):
+        """One entry of N off by one outside the swapped column: its
+        numerator is no longer a multiple of d^k, which the remainder shows
+        at the lowest digit and the quotient's digit range at the others."""
+        a = M([[1, 0, 0], [0, 2, 0], [0, 0, 1], [1, 1, 1], [3, 1, 1]])
+        tab = tableau(a, (0, 1, 2))
+        assert (tab.det, tab.numerators.entries[3][1]) == (2, 1)
+        assert tab.swapped({1: 3}).det == 1
+        bumped = [list(row) for row in tab.numerators.entries]
+        bumped[4][column] += 1
+        corrupted = replace(tab, numerators=M(bumped))
+        with pytest.raises(InvariantError, match="block pivot"):
+            corrupted.swapped({1: 3})
+
+    def test_basis_row_off_the_identity_is_a_bug(self):
+        """A basis row of N off by d outside the swapped column divides
+        exactly, so only N'[rows'] == det(B') * I shows it."""
+        a = M([[1, 0, 0], [0, 2, 0], [0, 0, 1], [1, 1, 1], [3, 1, 1]])
+        tab = tableau(a, (0, 1, 2))
+        bumped = [list(row) for row in tab.numerators.entries]
+        bumped[0][2] += tab.det
+        with pytest.raises(InvariantError, match=r"B \* adj\(B\) != det\(B\) \* I"):
+            replace(tab, numerators=M(bumped)).swapped({1: 3})
 
 
 class TestPackedWidths:
@@ -601,7 +719,7 @@ class TestCertify:
         assert adj.entries == cofactor_adjugate(basis)
         assert d == cofactor_det(basis)
         assert numerators.entries == plain_product(a.entries, adj.entries)
-        assert _certify(a, rows, adj, d) == numerators
+        assert _certify(a, rows, adj, d).numerators == numerators
 
     @pytest.mark.parametrize("by", [1, -1])
     def test_adjugate_entry(self, parts_of, by):
@@ -676,7 +794,7 @@ class TestCertify:
             a, rows, adj, d, numerators = self.parts(a)
         except RankError:
             return
-        assert _certify(a, rows, adj, d) == numerators
+        assert _certify(a, rows, adj, d).numerators == numerators
         by = data.draw(st.sampled_from([1, -1, 2, -2, 3]))
         if data.draw(st.booleans()):
             i, j = data.draw(st.integers(0, a.cols - 1)), data.draw(st.integers(0, a.cols - 1))
@@ -856,6 +974,20 @@ class TestSubdetRatioCheck:
             j_cols = sorted(rng.sample(range(n), k))
             assert subdet_ratio_check(a, base, i_rows, j_cols)
             checked += 1
+
+    def test_singular_swap_agrees(self):
+        """Row 1 again at position 0: swapped and the fresh tableau both
+        raise SingularMatrixError, and both determinants are 0."""
+        a = M([[1, 0], [1, 2], [2, 2]])
+        assert subdet_ratio_check(a, (0, 1), (1,), (0,))
+
+    def test_swap_disagreeing_with_fresh_tableau_fails(self, monkeypatch):
+        """A swap that returns the old tableau has the right ratio-identity
+        determinant here (|det| stays 2) but the wrong rows and N."""
+        a = M([[1, 0], [1, 2], [1, -2]])
+        assert subdet_ratio_check(a, (0, 1), (2,), (1,))
+        monkeypatch.setattr(Tableau, "swapped", lambda tab, swaps: tab)
+        assert not subdet_ratio_check(a, (0, 1), (2,), (1,))
 
     def test_singular_base_rejected(self):
         with pytest.raises(SingularMatrixError):

@@ -1,6 +1,9 @@
 import math
 import random
+from collections import Counter
 from dataclasses import replace
+from itertools import combinations
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -174,6 +177,31 @@ class TestSelectSameClass:
         with pytest.raises(InvariantError, match="no residue class"):
             threshold._select_same_class([(0, 1), (1, 0)], 2, 2)
 
+    def test_class_of_smaller_order_when_no_class_holds_d(self):
+        """Z_2 x Z_2 at d = 4: seven columns in three classes of order 2,
+        none with four members; the smallest key with two members wins."""
+        residues = [(2, 0), (0, 2), (2, 2), (2, 0), (2, 2), (2, 0), (0, 2)]
+        assert threshold._select_same_class(residues, 4, 4) == [(1, 1), (6, 1)]
+        with pytest.raises(InvariantError, match="no residue class"):
+            threshold._select_same_class(residues[:3], 4, 4)
+
+    def test_non_cyclic_residue_group_solves(self):
+        """A 4-modular 12 x 7 input whose greedy basis has |det B| = 4 and
+        the residue group Z_2 x Z_2, with no class of four columns: a
+        selection that demands d members raises InvariantError here."""
+        a = M([[1, 1, 0, 1, -1, 2, -2], [-2, -1, -1, -1, 0, -1, 4], [1, 1, 1, 1, 0, 0, -2],
+               [0, -1, 1, 2, 1, 0, 0], [-2, -1, -1, -2, 0, -1, 4], [-1, -1, 0, 0, 1, -2, 4],
+               [0, -1, 0, -1, 0, 0, 0], [1, 1, 0, 0, 0, 0, -2], [1, 1, 0, 0, -1, 1, -2],
+               [1, 0, 1, 2, 0, 2, -4], [0, -1, 0, 0, 0, 1, 0], [1, 1, 0, 0, -1, 1, -2]])
+        assert max_abs_full_rank_subdet(a)[0] == 4 and a.cols > dimension_threshold(4)
+        tab = tableau(a)
+        assert abs(tab.det) == 4
+        residues = {tuple(x % 4 for x in col) for col in zip(*tab.adj.entries)}
+        assert all(2 * x % 4 == 0 for res in residues for x in res)  # every class has order 2
+        outcome, trace = solve_threshold_trace(a, 4)
+        assert trace == () and isinstance(outcome, ShortVector)
+        assert outcome.z == (0, 0, 1, 0, -2, -1, 0)
+
 
 class TestBuildTestVectors:
     """The lazy test-vector scan: differences (i, j), i < j, in
@@ -270,29 +298,27 @@ class TestThresholdStep:
             solve_threshold_trace(WORKED, 3)
 
     def test_next_tableau_disagreeing_with_ratio_detected(self, monkeypatch):
-        # every tableau after the first comes back scaled by 2, which the
-        # tableau's own certificate cannot tell apart; only the cross-check
-        # against the ratio-identity determinant can
-        original = threshold.tableau
+        # every swapped tableau comes back scaled by 2, which the swap's own
+        # checks cannot tell apart; only the cross-check against the
+        # ratio-identity determinant can
+        original = Tableau.swapped
         built = []
 
         def double(m):
             return M([[2 * x for x in row] for row in m.entries])
 
-        def scaled(a, rows=None):
-            tab = original(a, rows)
-            built.append(tab)
-            if len(built) == 1:
-                return tab
+        def scaled(tab, swaps):
+            new = original(tab, swaps)
+            built.append(new)
             return replace(
-                tab, adj=double(tab.adj), det=2 * tab.det, numerators=double(tab.numerators)
+                new, adj=double(new.adj), det=2 * new.det, numerators=double(new.numerators)
             )
 
-        monkeypatch.setattr(threshold, "tableau", scaled)
+        monkeypatch.setattr(Tableau, "swapped", scaled)
         a = parse_matrix((FIXTURES / "walk_to_short_vector.txt").read_text())
         with pytest.raises(InvariantError, match="ratio identity"):
             solve_threshold_trace(a, 3)
-        assert len(built) == 2
+        assert len(built) == 1
 
 
 class TestSolveThreshold:
@@ -570,3 +596,81 @@ class TestStateValidation:
     def test_short_vector_must_be_nonzero(self):
         with pytest.raises(InvariantError):
             ShortVector((0, 0), (0, 0), 1)
+
+
+def half_integral_walk(rng: random.Random) -> tuple[IntMatrix, Tableau, int]:
+    """(A, start tableau, delta) for a run that walks through block swaps.
+
+    A has n = 7...10 columns: unit rows e_0 ... e_(n-2), the row
+    (1, ..., 1, 2), the rows e_0 +- e_1 and up to three more pairs
+    e_i +- e_j with i, j < n - 1.  On the first n rows |det B| = 2 and
+    every column of B^-1 lies in one class of order 2; e_0 +- e_1 make the
+    difference and the sum of the first two columns long, so the pass
+    replaces both at once and |det B| grows to 4.  Half the draws start
+    there, the other half on the greedy basis of a shuffled row order.
+    delta is overstated: drawn from |det B| up to the largest value whose
+    threshold n still exceeds.
+    """
+    n = rng.randint(7, 10)
+    rows = [[int(i == j) for j in range(n)] for i in range(n - 1)] + [[1] * (n - 1) + [2]]
+    pairs = [(0, 1)] + rng.sample(list(combinations(range(n - 1), 2)), rng.randint(0, 3))
+    for i, j in pairs:
+        for sign in (1, -1):
+            rows.append([1 if t == i else sign if t == j else 0 for t in range(n)])
+    a = M(rows)
+    if rng.random() < 0.5:
+        start = range(n)
+    else:
+        order = rng.sample(range(a.rows), a.rows)
+        start = [order[i] for i in tableau(a.submatrix_rows(order)).rows]
+    tab = tableau(a, start)
+    top = max(d for d in range(1, n) if n > dimension_threshold(d))
+    return a, tab, rng.randint(min(abs(tab.det), top), top)
+
+
+class TestWalkingSwaps:
+    """Runs of the solver loop from a prescribed basis, threshold._solve(a,
+    delta, tableau(a, start)), over half_integral_walk: every tableau after
+    the first is Tableau.swapped of the one before, on its carried packed
+    rows, and must equal a fresh tableau of its rows."""
+
+    @staticmethod
+    def walk(a: IntMatrix, tab: Tableau, delta: int) -> tuple[Transition, ...]:
+        original = Tableau.swapped
+
+        def checked(old, swaps):
+            new = original(old, swaps)
+            assert new == tableau(a, new.rows)
+            return new
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Tableau, "swapped", checked)
+            outcome, trace = threshold._solve(a, delta, tab)
+        if isinstance(outcome, ShortVector):
+            assert any(outcome.z)
+            assert outcome.y == tuple(sum(map(mul, row, outcome.z)) for row in a.entries)
+            assert max(map(abs, outcome.y)) == 1
+        else:
+            value = cofactor_det(a.submatrix_rows(outcome.rows).entries)
+            assert outcome.det_value == value and abs(value) > delta
+        assert len(trace) <= delta
+        dets = [abs(tab.det)] + [t.det_after for t in trace]
+        assert [t.det_before for t in trace] == dets[:-1]
+        assert all(x < y for x, y in zip(dets, dets[1:]))
+        return trace
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_walks_are_sound(self, rng):
+        self.walk(*half_integral_walk(rng))
+
+    def test_seeded_walks_reach_block_swaps_within_delta(self):
+        """Seeds 0...59: at least one replacement of two or more rows whose
+        det_after <= delta, so its swap built the next pass's tableau."""
+        inside = Counter()
+        for seed in range(60):
+            a, tab, delta = half_integral_walk(random.Random(seed))
+            for t in self.walk(a, tab, delta):
+                if t.path != PATH_ENTRY and t.det_after <= delta:
+                    inside[t.path] += 1
+        assert inside[PATH_BLOCK] + inside[PATH_PAIR] >= 1
