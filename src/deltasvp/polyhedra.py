@@ -7,16 +7,20 @@ Everything is exact integer arithmetic on the fraction-free pivot of
 ``linalg``; rationals appear only in the returned vertices.  Boundedness is
 decided by a rank test and one phase-1 program (Gordan: the rows of A
 positively span R^n iff they span R^n and some strictly positive
-combination of them is 0), each vertex candidate comes from one reduced
-elimination per row subset and is tested against A x <= b over the common
-denominator, lattice points come from a scan of the bounding box whose last
-coordinate is clipped to P, a lattice point leaves the integer hull on an integer midpoint certificate or
-else on the same phase-1 simplex (Bland's rule on an integer tableau),
-standard-form programs are solved by dynamic programming over partial
-images (Papadimitriou 1981) whose value-to-go table answers the support
-verifier directly and lists every optimizer by a forward walk, kernel
-lattice bases come from the Hermite normal form, and the kernel identity
-reads each maximal minor once off ``linalg._minors``.
+combination of them is 0), the vertices are the ends of the lines that
+n - 1 independent rows cut, each line from one reduced elimination and
+clipped to P by one pass over the rows, lattice points come from a scan of
+the bounding box whose last coordinate is clipped to P, a lattice point is
+tested only against the kept points on its own minimal face of P (for a
+face F of P, F meet P_I is a face of P_I) and leaves the integer hull on
+an integer midpoint certificate or else on the same phase-1 simplex
+(Bland's rule on an integer tableau), standard-form programs are solved
+by dynamic programming over partial images (Papadimitriou 1981) whose
+value-to-go table answers the support verifier directly and lists every
+optimizer by a forward walk, kernel lattice bases come from the Hermite
+normal form, and the kernel identity reads each maximal minor once off
+``linalg._minors``.  Both face facts are in Schrijver (1986), "Theory of
+Linear and Integer Programming".
 """
 
 from __future__ import annotations
@@ -110,10 +114,20 @@ def vertices_of_polyhedron(
 ) -> list[RationalPoint]:
     """All vertices of a bounded nonempty polyhedron, sorted, exact.
 
-    One reduced fraction-free elimination of [A_I | b_I] per invertible
-    n-row subset I gives the candidate x = r / d, with d the last pivot
-    made positive; it is kept when A r <= b d holds in integers.
-    Unbounded or empty input raises a typed error.
+    Every vertex has n independent tight rows, so any n - 1 of them cut a
+    line through it on which it is an endpoint of the segment in P: the
+    remaining row a has a u != 0 for the line's direction u, and it is
+    tight at the vertex.  Conversely each endpoint adds one tight row with
+    a u != 0 to the n - 1, so it has n independent tight rows.  So the scan
+    visits the row sets S of size n - 1: one reduced fraction-free
+    elimination of [A_S | b_S] gives the line x = (r + lambda u) / d with
+    d > 0 the last pivot, and one pass over the rows gives alpha = a u and
+    beta = b d - a r, so that the row reads lambda alpha <= beta.  The least
+    beta / alpha over alpha > 0 and the greatest over alpha < 0, compared
+    by cross products, bound the segment; a row with alpha = 0 and
+    beta < 0 misses the line.  The budget gate still admits the C(m, n)
+    vertex candidates, while the scan visits C(m, n - 1) lines of m rows
+    each.  Unbounded or empty input raises a typed error.
     """
     a, b = p.a.entries, p.b
     m, n = p.a.rows, p.dim
@@ -122,17 +136,44 @@ def vertices_of_polyhedron(
     _check_budget(math.comb(m, n), budget, "vertex enumeration")
     _assert_bounded(p)
     seen = set()
-    for rows in combinations(range(m), n):
+    for rows in combinations(range(m), n - 1):
         work = [list(a[i]) + [b[i]] for i in rows]
         pivots, _ = _eliminate(work, range(n), reduce=True)
-        if len(pivots) < n:
+        if len(pivots) < n - 1:
             continue
-        sign = 1 if work[0][0] > 0 else -1
-        d = sign * work[0][0]
-        r = [sign * row[n] for row in work]
-        if all(sum(map(mul, row, r)) <= bound * d for row, bound in zip(a, b)):
-            g = math.gcd(d, *r)
-            seen.add((d // g, *(x // g for x in r)))
+        free = next(j for j in range(n) if j not in pivots)
+        d = work[0][pivots[0]] if work else 1
+        r, u = [0] * n, [0] * n
+        for row, j in zip(work, pivots):
+            r[j], u[j] = row[n], -row[free]
+        u[free] = d
+        if d < 0:
+            d, r, u = -d, [-x for x in r], [-x for x in u]
+        upper = lower = None  # (beta, alpha) of the tightest row each way
+        for row, bound in zip(a, b):
+            alpha = sum(map(mul, row, u))
+            beta = bound * d - sum(map(mul, row, r))
+            if alpha > 0:
+                if upper is None or beta * upper[1] < upper[0] * alpha:
+                    upper = (beta, alpha)
+            elif alpha < 0:
+                if lower is None or beta * lower[1] > lower[0] * alpha:
+                    lower = (beta, alpha)
+            elif beta < 0:
+                break
+        else:
+            if upper is None or lower is None:
+                raise InvariantError("a line through a bounded polyhedron has two ends")
+            # empty when beta_l / alpha_l > beta_u / alpha_u; alpha_l alpha_u < 0
+            if lower[0] * upper[1] < upper[0] * lower[1]:
+                continue
+            for beta, alpha in (upper, lower):
+                x = [alpha * ri + beta * ui for ri, ui in zip(r, u)]
+                den = alpha * d
+                if den < 0:
+                    den, x = -den, [-xi for xi in x]
+                g = math.gcd(den, *x)
+                seen.add((den // g, *(xi // g for xi in x)))
     if not seen:
         raise EmptyPolyhedronError("polyhedron contains no points")
     return sorted(tuple(Fraction(x, d) for x in r) for d, *r in seen)
@@ -239,22 +280,37 @@ def integer_hull_vertices(
 ) -> list[tuple[int, ...]]:
     """Vertices of the convex hull of the lattice points of P, sorted.
 
-    The points are taken in sorted order against the points still kept.  A
-    point v is dropped when 2v - q is a kept point for some kept q != v (an
-    integer midpoint), or else when the integer phase-1 simplex writes it
-    as a convex combination of the other kept points.  A dropped point lies
-    in the hull of the others, so removing it leaves conv(kept) equal to
-    conv(points), and each later test decides extremality in P_I itself.
-    The budget covers (number of points)^2, the pairs the tests may visit.
+    The points are taken in sorted order against the points still kept,
+    each tested only against the kept points on its own minimal face of P:
+    those whose tight rows include all of its tight rows.  That loses
+    nothing: if v = sum lambda_q q with every lambda_q > 0 and every q in
+    P, then each q is tight wherever v is, so only points on v's face can
+    remove v (for a face F of P, F meet P_I is a face of P_I).  A face
+    holding no other kept point makes v a vertex of P_I with no test; that
+    covers every integral vertex of P.  Otherwise v is dropped when 2v - q
+    is a kept point for some face point q (an integer midpoint), or else
+    when the integer phase-1 simplex writes it as a convex combination of
+    the face points.  A dropped point lies in the hull of the others, so
+    removing it leaves conv(kept) equal to conv(points), and each later
+    test decides extremality in P_I itself.  The budget covers
+    (number of points)^2, the pairs the tests may visit.
     """
     points = integer_points(p, budget)
     _check_budget(len(points) ** 2, budget, "integer hull scan")
-    kept = dict.fromkeys(points)
+    rows = list(zip(p.a.entries, p.b))
+    # each kept point with the bitmask of its tight rows
+    kept = {
+        q: sum(1 << i for i, (row, bound) in enumerate(rows) if sum(map(mul, row, q)) == bound)
+        for q in points
+    }
     hull = []
     for v in points:
+        tight = kept[v]
+        face = [q for q, mask in kept.items() if mask & tight == tight and q != v]
         twice = [2 * x for x in v]
-        if any(q != v and tuple(map(sub, twice, q)) in kept for q in kept) or (
-            _has_nonneg_combination([q + (1,) for q in kept if q != v], list(v) + [1])
+        if face and (
+            any(tuple(map(sub, twice, q)) in kept for q in face)
+            or _has_nonneg_combination([q + (1,) for q in face], list(v) + [1])
         ):
             del kept[v]
         else:

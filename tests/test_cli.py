@@ -393,7 +393,10 @@ class TestEnumerationGolden:
     comes through the residue join; lower_bound_5 has no witness.  The
     facedim polytope is criterion-7 style (delta 2, [A; -A] with b >= 0)
     with four fractional LP vertices; the box is unimodular; the segment
-    0.3 <= x <= 0.6 has no lattice point, so it passes with no vertex.
+    0.3 <= x <= 0.6 has no lattice point, so it passes with no vertex;
+    facedim_hull_5_n4 is the catalog polytope hull/5-d1-n4 (m = 12, n = 4,
+    60 lattice points, 16 hull vertices), whose vertex scan cuts lines with
+    3-row sets.
     Six inputs are solved above the threshold: two replacements, then a
     short vector; the pair- and block-swap exercisers of the acceptance
     suite, which end in certificates; dense_24, the 72 x 24 output of
@@ -407,7 +410,7 @@ class TestEnumerationGolden:
     maximal-minor scans are pinned
     by `check delta --total` on lower_bound_5 (maximum 5 at rows [0, 1, 2,
     3], not totally 5-modular) and by a 50-trial kernel identity sweep.  CI
-    diffs these eight, the atleast2 witness and the three facedim polytopes
+    diffs these eight, the atleast2 witness and the four facedim polytopes
     against the installed console script."""
 
     @pytest.mark.parametrize(
@@ -428,6 +431,8 @@ class TestEnumerationGolden:
             (["verify", "facedim", "--delta", "1"], "facedim_box.txt", "facedim_box.json"),
             (["verify", "facedim", "--delta", "1"], "facedim_no_lattice.txt",
              "facedim_no_lattice.json"),
+            (["verify", "facedim", "--delta", "1"], "facedim_hull_5_n4.txt",
+             "facedim_hull_5_n4.json"),
             (["svp", "solve", "--delta", "3"], "walk_to_short_vector.txt",
              "solve_walk_to_short_vector.json"),
             (["svp", "solve", "--delta", "3"], "pair_swap.txt", "solve_pair_swap.json"),
@@ -443,7 +448,7 @@ class TestEnumerationGolden:
         ids=["oracle", "atleast2_witness", "atleast2_none", "support_derived_box",
              "support_five_optima", "solve_below_threshold", "solve_early_exit",
              "facedim_fractional_lp", "facedim_unimodular_box", "facedim_no_lattice",
-             "solve_walk_to_short_vector", "solve_pair_swap", "solve_block_swap",
+             "facedim_4d", "solve_walk_to_short_vector", "solve_pair_swap", "solve_block_swap",
              "solve_dense_24", "solve_scrambled_wide", "solve_walk_unit_first_34",
              "check_delta_total"],
     )

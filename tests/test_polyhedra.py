@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,6 +13,7 @@ from deltasvp.errors import (
     DimensionError,
     DomainError,
     EmptyPolyhedronError,
+    InvariantError,
     RankError,
     UnboundedPolyhedronError,
 )
@@ -45,6 +47,7 @@ from oracles import (
     polyhedron_vertices,
     polytope_points,
     propagated_box,
+    unimodular_scramble,
 )
 
 M = IntMatrix.from_rows
@@ -153,6 +156,42 @@ class TestVertices:
         p = PolyhedronH(M([[1, 0], [-1, 0]]), (1, 0))
         with pytest.raises(UnboundedPolyhedronError):
             polyhedra._assert_bounded(p)
+
+    @pytest.mark.parametrize(
+        "entries,b,expected",
+        [
+            (  # a square pyramid: the apex (0, 0, 1) has four tight rows
+                [[0, 0, -1], [1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]],
+                [0, 1, 1, 1, 1],
+                [(-1, -1, 0), (-1, 1, 0), (0, 0, 1), (1, -1, 0), (1, 1, 0)],
+            ),
+            # -4/3 <= x <= 3/2: n = 1, so the one line comes from no rows
+            ([[2], [-3]], [3, 4], [(Fraction(-4, 3),), (Fraction(3, 2),)]),
+            (  # the line x = 2 of the redundant last row misses x <= 1
+                [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 0]],
+                [1, 0, 1, 0, 2],
+                [(0, 0), (0, 1), (1, 0), (1, 1)],
+            ),
+            (  # 32 corners at the dimension cap, n = 5
+                box_polyhedron(polyhedra.MAX_VERTEX_DIMENSION).a.entries,
+                box_polyhedron(polyhedra.MAX_VERTEX_DIMENSION).b,
+                list(product((-1, 1), repeat=polyhedra.MAX_VERTEX_DIMENSION)),
+            ),
+        ],
+        ids=["pyramid_apex", "segment", "parallel_cut", "box_at_dimension_cap"],
+    )
+    def test_line_scan_cases(self, entries, b, expected):
+        vertices = vertices_of_polyhedron(PolyhedronH(M(entries), tuple(b)))
+        assert vertices == polyhedron_vertices(entries, b) == [
+            tuple(Fraction(x) for x in v) for v in expected
+        ]
+
+    def test_line_without_two_ends_is_an_invariant_error(self, monkeypatch):
+        """Unreachable behind _assert_bounded: with the check switched off,
+        the line x = 1 of {x <= 1, y <= 1} has no lower end."""
+        monkeypatch.setattr(polyhedra, "_assert_bounded", lambda p: None)
+        with pytest.raises(InvariantError):
+            vertices_of_polyhedron(PolyhedronH(M([[1, 0], [0, 1]]), (1, 1)))
 
     def test_matches_fraction_reference(self):
         """Vertex list or error type against the Fraction solve of every row
@@ -333,18 +372,30 @@ class TestHullWork:
         return integer_hull_vertices(p), calls
 
     def test_midpoints_run_no_lp(self, monkeypatch):
+        """Each corner is alone on its face of P and every other point is
+        a midpoint on its own face, so no LP runs."""
         hull, calls = self.hull_lps(monkeypatch, box_polyhedron(2))
         assert hull == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
-        assert [point for point, _ in calls] == hull
+        assert calls == []
 
     def test_proved_points_leave_later_lps(self, monkeypatch):
-        """Lattice points (0,0), (1,1), (1,2), (2,1): (1,1) is interior but
-        no midpoint, so an LP drops it and the two LPs after it see two
-        columns, not three."""
+        """Lattice points (0,0), (1,1), (1,2), (2,1): (0,0), (1,2) and (2,1)
+        are vertices of P, alone on their faces, and (1,1) is interior but
+        no midpoint, so one LP over the three other points drops it."""
         p = PolyhedronH(M([[1, -2], [-2, 1], [1, 1]]), (0, 0, 3))
         hull, calls = self.hull_lps(monkeypatch, p)
         assert hull == [(0, 0), (1, 2), (2, 1)]
-        assert calls == [((0, 0), 3), ((1, 1), 3), ((1, 2), 2), ((2, 1), 2)]
+        assert calls == [((1, 1), 3)]
+
+    def test_each_lp_sees_its_face_only(self, monkeypatch):
+        """x, y >= 0, 2x + 2y <= 5: (0,2) and (2,0) are not vertices of P,
+        and each is tested against the one kept point left on its edge,
+        (0,0), since the midpoint (0,1) or (1,0) was dropped before it;
+        (1,1) is a midpoint too, so no LP sees the whole triangle."""
+        p = PolyhedronH(M([[-1, 0], [0, -1], [2, 2]]), (0, 0, 5))
+        hull, calls = self.hull_lps(monkeypatch, p)
+        assert hull == [(0, 0), (0, 2), (2, 0)]
+        assert calls == [((0, 2), 1), ((2, 0), 1)]
 
 
 class TestMinFaceDimension:
@@ -396,6 +447,55 @@ class TestFaceDimensionBound:
         report = verify_face_dimension_bound(p, 1)
         assert not report.passed
         assert report.bound == 0
+
+
+@st.composite
+def criterion_7_polytopes(draw):
+    """(P, delta): [A; -A] x <= b with A a random delta-modular m x n
+    matrix (n in {2, 3}, m <= n + 2) whose stacked maximum is delta, b in
+    [0, 3], and at most 60 lattice points in a bounding box of at most
+    20,000."""
+    delta, n = draw(st.integers(1, 3)), draw(st.integers(2, 3))
+    m = n + draw(st.integers(0, 2))
+    a = random_delta_modular(delta, m, n, draw(st.integers(0, 2**32 - 1)))
+    stacked = M(list(a.entries) + [tuple(-x for x in row) for row in a.entries])
+    assume(max_abs_full_rank_subdet(stacked)[0] == delta)
+    b = tuple(draw(st.lists(st.integers(0, 3), min_size=2 * m, max_size=2 * m)))
+    p = PolyhedronH(stacked, b)
+    try:
+        assume(len(integer_points(p, budget=20_000)) <= 60)
+    except BudgetExceededError:
+        assume(False)  # the rare draw whose bounding box is huge
+    return p, delta
+
+
+class TestFaceDimensionMetamorphic:
+    """verify facedim depends on P, not on its presentation: a row
+    permutation and x -> U x + t with U unimodular (A -> A U and
+    b -> b + A U t) keep the multiset of face dimensions and the verdict."""
+
+    @staticmethod
+    def summary(p, delta):
+        report = verify_face_dimension_bound(p, delta)
+        return sorted(dim for _, dim in report.entries), report.passed
+
+    @settings(max_examples=40, deadline=None)
+    @given(criterion_7_polytopes(), st.data())
+    def test_row_permutation(self, case, data):
+        p, delta = case
+        order = data.draw(st.permutations(range(p.a.rows)))
+        permuted = PolyhedronH(p.a.submatrix_rows(order), tuple(p.b[i] for i in order))
+        assert self.summary(permuted, delta) == self.summary(p, delta)
+
+    @settings(max_examples=40, deadline=None)
+    @given(criterion_7_polytopes(), st.data())
+    def test_unimodular_affine_map(self, case, data):
+        p, delta = case
+        seed, steps = data.draw(st.integers(0, 2**16)), data.draw(st.integers(1, 3))
+        a = unimodular_scramble(p.a.entries, seed, steps, data.draw(st.integers(1, 2)))
+        t = data.draw(st.lists(st.integers(-2, 2), min_size=p.dim, max_size=p.dim))
+        b = tuple(bound + sum(x * y for x, y in zip(row, t)) for row, bound in zip(a, p.b))
+        assert self.summary(PolyhedronH(M(a), b), delta) == self.summary(p, delta)
 
 
 class TestKernelLatticeBasis:
