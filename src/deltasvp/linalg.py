@@ -470,7 +470,7 @@ def _unpack(packed: Sequence[int], n: int, width: int) -> list[int]:
     )
 
 
-def _pack(words: Sequence[int], n: int, width: int) -> list[int]:
+def _pack(words: Iterable[int], n: int, width: int) -> list[int]:
     """The inverse of _unpack."""
     bias, size = _bias(n, width), n * width // 8
     raw = _write_words(words, width)
@@ -509,11 +509,7 @@ def _certify(a: IntMatrix, rows: Sequence[int], adj: IntMatrix, d: int) -> Table
     )
     width = max(_WORD, -(-(2 * reach).bit_length() // 8) * 8)
     bias, size = _bias(n, width), n * width // 8
-    raw = _write_words(chain.from_iterable(adj.entries), width)
-    packed = [
-        (int.from_bytes(raw[k : k + size], "little") ^ bias) - bias
-        for k in range(0, len(raw), size)
-    ]
+    packed = _pack(chain.from_iterable(adj.entries), n, width)
     products = [sum(map(mul, row, packed)) for row in a.entries]
     data = b"".join([((x + bias) ^ bias).to_bytes(size, "little") for x in products])
     words = _read_words(data, width)

@@ -1,7 +1,6 @@
+import inspect
 import json
-import os
 import random
-import subprocess
 import sys
 from datetime import datetime
 from pathlib import Path
@@ -15,18 +14,11 @@ from deltasvp.linalg import IntMatrix
 from deltasvp.textio import format_polyhedron, parse_matrix
 from deltasvp.threshold import PATH_ENTRY, solve_threshold_trace
 
+from cli_goldens import CASES, COLUMNS, FIXTURES, case_argv, mismatches
 from oracles import layered_least_minimizer, unimodular_scramble
 from test_solve_traces import _unit_first_walk
 
-FIXTURES = Path(__file__).resolve().parent / "fixtures"
-WORKED_TEXT = "3 2\n1 0\n1 2\n2 2\n"
-
-
-@pytest.fixture
-def worked_file(tmp_path):
-    path = tmp_path / "worked.txt"
-    path.write_text(WORKED_TEXT)
-    return str(path)
+WORKED = str(FIXTURES / "worked.txt")
 
 
 def run(capsys, *argv):
@@ -98,38 +90,38 @@ class TestGen:
 
 
 class TestSvp:
-    def test_solve_short_vector(self, capsys, worked_file):
-        code, out, _ = run(capsys, "svp", "solve", "--delta", "2", worked_file)
+    def test_solve_short_vector(self, capsys):
+        code, out, _ = run(capsys, "svp", "solve", "--delta", "2", WORKED)
         assert code == 0
         assert "z = [1, -1]" in out and "norm = 1" in out
 
-    def test_solve_certificate(self, capsys, worked_file):
-        code, out, _ = run(capsys, "svp", "solve", "--delta", "1", worked_file)
+    def test_solve_certificate(self, capsys):
+        code, out, _ = run(capsys, "svp", "solve", "--delta", "1", WORKED)
         assert code == 0
         assert "|det| = 2" in out
 
-    def test_solve_json_schema(self, capsys, worked_file):
-        code, out, _ = run(capsys, "svp", "solve", "--delta", "2", "--json", worked_file)
+    def test_solve_json_schema(self, capsys):
+        code, out, _ = run(capsys, "svp", "solve", "--delta", "2", "--json", WORKED)
         payload = json.loads(out)
         assert payload == {"kind": "short_vector", "z": ["1", "-1"],
                            "y": ["1", "-1", "0"], "norm": 1}
-        code, out, _ = run(capsys, "svp", "solve", "--delta", "1", "--json", worked_file)
+        code, out, _ = run(capsys, "svp", "solve", "--delta", "1", "--json", WORKED)
         payload = json.loads(out)
         assert payload == {"kind": "certificate", "rows": [0, 1], "det": "2"}
 
-    def test_oracle_default_bound(self, capsys, worked_file):
-        code, out, _ = run(capsys, "svp", "oracle", worked_file)
+    def test_oracle_default_bound(self, capsys):
+        code, out, _ = run(capsys, "svp", "oracle", WORKED)
         assert code == 0
         assert "norm = 1" in out
 
-    def test_oracle_json(self, capsys, worked_file):
-        code, out, _ = run(capsys, "svp", "oracle", "--json", worked_file)
+    def test_oracle_json(self, capsys):
+        code, out, _ = run(capsys, "svp", "oracle", "--json", WORKED)
         payload = json.loads(out)
         assert payload["kind"] == "oracle_minimum"
         assert payload["norm"] == 1
 
-    def test_atleast2(self, capsys, worked_file, tmp_path):
-        code, out, _ = run(capsys, "svp", "atleast2", worked_file)
+    def test_atleast2(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "svp", "atleast2", WORKED)
         assert code == 0 and "witness" in out
         path = tmp_path / "lb.txt"
         main(["gen", "lower-bound", "--delta", "4"])
@@ -140,16 +132,16 @@ class TestSvp:
 
 
 class TestCheck:
-    def test_delta_measurement(self, capsys, worked_file):
-        code, out, _ = run(capsys, "check", "delta", "--delta", "2", "--total", worked_file)
+    def test_delta_measurement(self, capsys):
+        code, out, _ = run(capsys, "check", "delta", "--delta", "2", "--total", WORKED)
         assert code == 0
         assert "max |full-rank subdeterminant| = 2 at rows [0, 1]" in out
         assert "totally delta-modular for delta = 2: yes" in out
 
     @pytest.mark.parametrize("extra", [[], ["--json"], ["--total"]], ids=["text", "json", "total"])
     @pytest.mark.parametrize("delta", ["0", "-3"])
-    def test_delta_below_one(self, capsys, worked_file, extra, delta):
-        code, out, err = run(capsys, "check", "delta", "--delta", delta, *extra, worked_file)
+    def test_delta_below_one(self, capsys, extra, delta):
+        code, out, err = run(capsys, "check", "delta", "--delta", delta, *extra, WORKED)
         assert (code, out, err) == (2, "", "error: delta must be >= 1\n")
 
     def test_delta_checked_after_the_file_is_read(self, capsys):
@@ -251,17 +243,17 @@ class TestMatrixUtilities:
         code, out, _ = run(capsys, "matrix", "det", str(path))
         assert code == 0 and out.strip() == "-2"
 
-    def test_rank(self, capsys, worked_file):
-        code, out, _ = run(capsys, "matrix", "rank", worked_file)
+    def test_rank(self, capsys):
+        code, out, _ = run(capsys, "matrix", "rank", WORKED)
         assert code == 0 and out.strip() == "2"
 
-    def test_hnf_text_sections_parse(self, capsys, worked_file):
-        code, out, _ = run(capsys, "matrix", "hnf", worked_file)
+    def test_hnf_text_sections_parse(self, capsys):
+        code, out, _ = run(capsys, "matrix", "hnf", WORKED)
         assert code == 0
         h_text, u_text = out.split("# U\n")
         h = parse_matrix(h_text)
         u = parse_matrix(u_text)
-        original = parse_matrix(WORKED_TEXT)
+        original = parse_matrix(Path(WORKED).read_text())
         assert original.matmul(u) == h
 
 
@@ -296,165 +288,109 @@ class TestHugeIntegers:
         assert code == 0 and out == "1\n"
 
 
+# Every pinned invocation is a case of tests/fixtures/cli_goldens.json (see
+# tests/cli_goldens.py).  A case's id names the test below that runs it:
+# `Class::test[param]` for one parameter of a test, `Class::test` for a
+# test of its own.
+BY_ID = {case["id"]: case for case in CASES}
+#: the one input the manifest names that must not exist
+MISSING = "no_such_file.txt"
+#: fixtures read by other tests: the monkeypatched sweep's golden and data files
+OTHER_READERS = {
+    "check_kernel_fail_20.out", "cli_goldens.json", "hnf_corpus.json", "parser_structure.json",
+    "path_exercisers.json", "solve_traces.json", "sweep_draws.json",
+}
+
+
+def pytest_generate_tests(metafunc):
+    """A test that asks for `pinned` runs each manifest case whose id is its
+    own id plus a parameter, or else the one case whose id is its own."""
+    if "pinned" in metafunc.fixturenames:
+        own = metafunc.definition.nodeid.partition("::")[2] + "["
+        params = [i[len(own) : -1] for i in BY_ID if i.startswith(own)]
+        if params:
+            metafunc.parametrize("pinned", params, indirect=True)
+
+
+@pytest.fixture
+def pinned(request, capsys, monkeypatch):
+    """Runs the manifest case of this test through cli.main, in
+    tests/fixtures with COLUMNS set as the console-script run sets it, and
+    asserts its exit code, stdout and stderr."""
+    case = BY_ID[request.node.nodeid.partition("::")[2]]
+
+    def check():
+        monkeypatch.chdir(FIXTURES)
+        monkeypatch.setenv("COLUMNS", COLUMNS)
+        code = main(case_argv(case))
+        report = mismatches(case, code, *capsys.readouterr())
+        assert not report, "".join(report)
+
+    return check
+
+
+def test_manifest_pins_each_invocation_once():
+    """Every case runs under a test of this module, every golden is read by
+    a case, and no invocation is pinned twice."""
+    assert len(BY_ID) == len(CASES), "two cases share an id"
+    invocations = {(tuple(case["argv"]), case["input"]) for case in CASES}
+    assert len(invocations) == len(CASES), "two cases pin the same argv and input"
+    for case_id in BY_ID:
+        owner, name = case_id.partition("[")[0].split("::")
+        test = getattr(globals().get(owner), name, None)
+        assert test and "pinned" in inspect.signature(test).parameters, f"no test runs {case_id}"
+    parametrized = {case_id.partition("[")[0] for case_id in BY_ID if "[" in case_id}
+    assert not parametrized & BY_ID.keys(), "a parametrized test also has a case of its own"
+    named = {case[key] for case in CASES for key in ("input", "stdout")} - {None}
+    assert not (FIXTURES / MISSING).exists()
+    assert [name for name in named - {MISSING} if not (FIXTURES / name).is_file()] == []
+    goldens = {path.name for path in FIXTURES.iterdir() if path.suffix in (".out", ".json")}
+    assert goldens - named == OTHER_READERS
+
+
 class TestExitCodes:
-    def test_usage_error(self, capsys, worked_file):
-        code, _, _ = run(capsys, "svp", "solve", worked_file)
-        assert code == 1
+    def test_usage_error(self, pinned):
+        pinned()
 
-    def test_parse_error(self, capsys, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("not a matrix\n")
-        code, _, err = run(capsys, "matrix", "det", str(path))
-        assert code == 1
+    def test_parse_error(self, pinned):
+        pinned()
 
-    def test_non_decimal_integer(self, capsys, tmp_path):
-        # int() reads "1_0" as 10 and a fullwidth 3 as 3; the format does not
-        path = tmp_path / "digits.txt"
-        path.write_text("2 2\n1_0 0\n0 \uff13\n", encoding="utf-8")
-        code, out, err = run(capsys, "matrix", "det", str(path))
-        assert (code, out) == (1, "")
-        assert err == "error: row 0: invalid literal for int() with base 10: '1_0'\n"
+    def test_non_decimal_integer(self, pinned):
+        pinned()
 
-    def test_missing_file(self, capsys):
-        code, _, _ = run(capsys, "matrix", "det", "/nonexistent/file.txt")
-        assert code == 1
+    def test_missing_file(self, pinned):
+        pinned()
 
-    @pytest.mark.parametrize(
-        "command",
-        [
-            ("svp", "solve", "--delta", "1"),
-            ("verify", "facedim", "--delta", "2"),
-            ("verify", "support", "--delta", "2"),
-        ],
-    )
-    def test_non_utf8_file(self, capsys, tmp_path, command):
-        path = tmp_path / "utf16.txt"
-        path.write_bytes(b"\xff\xfe" + WORKED_TEXT.encode())
-        code, out, err = run(capsys, *command, str(path))
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+    def test_non_utf8_file(self, pinned):
+        pinned()
 
-    def test_precondition_error(self, capsys, worked_file):
-        code, _, err = run(capsys, "matrix", "det", worked_file)  # non-square
-        assert code == 2
+    def test_precondition_error(self, pinned):
+        pinned()
 
-    def test_budget_error(self, capsys, worked_file):
-        code, _, _ = run(capsys, "svp", "oracle", "--bound", "50", "--budget", "100",
-                         worked_file)
-        assert code == 3
+    def test_budget_error(self, pinned):
+        pinned()
 
-    def test_domain_error(self, capsys, worked_file):
-        code, _, _ = run(capsys, "svp", "solve", "--delta", "0", worked_file)
-        assert code == 2
+    def test_domain_error(self, pinned):
+        pinned()
 
-
-def _certificate_json(det, rows):
-    listed = ",\n".join(f"    {r}" for r in rows)
-    return f'{{\n  "det": "{det}",\n  "kind": "certificate",\n  "rows": [\n{listed}\n  ]\n}}\n'
-
-
-def _short_vector_json(y, z):
-    def listed(values):
-        return ",\n".join(f'    "{v}"' for v in values)
-
-    return (f'{{\n  "kind": "short_vector",\n  "norm": 1,\n  "y": [\n{listed(y)}\n  ],\n'
-            f'  "z": [\n{listed(z)}\n  ]\n}}\n')
+    def test_error_bytes(self, pinned):
+        pinned()
 
 
 class TestSolveGolden:
-    """Exact `svp solve --json` stdout, pinned byte for byte.  The first
-    input is the entry-swap PATH_EXERCISER of the acceptance suite (the
-    pair and block exercisers are fixtures of TestEnumerationGolden); then
-    a certificate at the starting basis and a rank-deficient input solved
-    on its Hermite normal form."""
-
-    @pytest.mark.parametrize(
-        "delta,rows,expected",
-        [
-            (1, [[1, 0], [0, 1], [3, 1]], _certificate_json(-3, [1, 2])),
-            (1, [[1, 0], [1, 2], [2, 2]], _certificate_json(2, [0, 1])),
-            (1, [[1, 0, 1], [0, 1, 1], [1, 1, 2]], _short_vector_json([1, 0, 1], [1, 0, 0])),
-        ],
-        ids=["entry_swap", "certificate_at_start", "rank_deficient"],
-    )
-    def test_json_bytes(self, capsys, tmp_path, delta, rows, expected):
-        path = tmp_path / "a.txt"
-        path.write_text(f"{len(rows)} {len(rows[0])}\n"
-                        + "".join(" ".join(map(str, r)) + "\n" for r in rows))
-        code, out, err = run(capsys, "svp", "solve", "--delta", str(delta), "--json", str(path))
-        assert (code, out, err) == (0, expected, "")
+    def test_json_bytes(self, pinned):
+        pinned()
 
 
 class TestEnumerationGolden:
-    """Exact `--json` stdout of the complete enumerations, pinned byte for
-    byte in tests/fixtures (input file, expected stdout).  The witness
-    instance has |det B| = 96 on its greedy basis, so its atleast2 witness
-    comes through the residue join; lower_bound_5 has no witness.  The
-    facedim polytope is criterion-7 style (delta 2, [A; -A] with b >= 0)
-    with four fractional LP vertices; the box is unimodular; the segment
-    0.3 <= x <= 0.6 has no lattice point, so it passes with no vertex;
-    facedim_hull_5_n4 is the catalog polytope hull/5-d1-n4 (m = 12, n = 4,
-    60 lattice points, 16 hull vertices), whose vertex scan cuts lines with
-    3-row sets.
-    Six inputs are solved above the threshold: two replacements, then a
-    short vector; the pair- and block-swap exercisers of the acceptance
-    suite, which end in certificates; dense_24, the 72 x 24 output of
-    `gen random --delta 5 --rows 72 --cols 24 --seed 1`, whose dense rows
-    (about 14 nonzeros of 24) make the greedy scan pass over 33 dependent
-    rows before its basis is complete; and scrambled_wide, a unimodular
-    scramble of a 4-modular 24 x 8 matrix (see test_scrambled_wide_input)
-    with entries up to 86 bits, whose tableau widens its words to 256 bits
-    mid-elimination.  walk_unit_first_34, a 103 x 34 unit-rows-first walk
-    (see test_walk_unit_first_34_input), is solved by two entry swaps.  The
-    maximal-minor scans are pinned
-    by `check delta --total` on lower_bound_5 (maximum 5 at rows [0, 1, 2,
-    3], not totally 5-modular) and by a 50-trial kernel identity sweep.  CI
-    diffs these eight, the atleast2 witness and the four facedim polytopes
-    against the installed console script."""
+    def test_json_bytes(self, pinned):
+        pinned()
 
-    @pytest.mark.parametrize(
-        "argv,source,expected",
-        [
-            (["svp", "oracle"], "lower_bound_4.txt", "oracle_lower_bound_4.json"),
-            (["svp", "atleast2"], "atleast2_witness.txt", "atleast2_witness.json"),
-            (["svp", "atleast2"], "lower_bound_5.txt", "atleast2_lower_bound_5.json"),
-            (["verify", "support", "--delta", "2"], "sparsity_2.txt",
-             "support_sparsity_2.json"),
-            (["verify", "support", "--delta", "2", "--box", "4"], "ilp_five_optima.txt",
-             "support_ilp_five_optima.json"),
-            (["svp", "solve", "--delta", "4"], "lower_bound_4.txt", "solve_lower_bound_4.json"),
-            (["svp", "solve", "--delta", "96"], "atleast2_witness.txt",
-             "solve_atleast2_witness.json"),
-            (["verify", "facedim", "--delta", "2"], "facedim_hull_25.txt",
-             "facedim_hull_25.json"),
-            (["verify", "facedim", "--delta", "1"], "facedim_box.txt", "facedim_box.json"),
-            (["verify", "facedim", "--delta", "1"], "facedim_no_lattice.txt",
-             "facedim_no_lattice.json"),
-            (["verify", "facedim", "--delta", "1"], "facedim_hull_5_n4.txt",
-             "facedim_hull_5_n4.json"),
-            (["svp", "solve", "--delta", "3"], "walk_to_short_vector.txt",
-             "solve_walk_to_short_vector.json"),
-            (["svp", "solve", "--delta", "3"], "pair_swap.txt", "solve_pair_swap.json"),
-            (["svp", "solve", "--delta", "2"], "block_swap.txt", "solve_block_swap.json"),
-            (["svp", "solve", "--delta", "5"], "dense_24.txt", "solve_dense_24.json"),
-            (["svp", "solve", "--delta", "4"], "scrambled_wide.txt",
-             "solve_scrambled_wide.json"),
-            (["svp", "solve", "--delta", "9"], "walk_unit_first_34.txt",
-             "solve_walk_unit_first_34.json"),
-            (["check", "delta", "--delta", "5", "--total"], "lower_bound_5.txt",
-             "check_delta_lower_bound_5.json"),
-        ],
-        ids=["oracle", "atleast2_witness", "atleast2_none", "support_derived_box",
-             "support_five_optima", "solve_below_threshold", "solve_early_exit",
-             "facedim_fractional_lp", "facedim_unimodular_box", "facedim_no_lattice",
-             "facedim_4d", "solve_walk_to_short_vector", "solve_pair_swap", "solve_block_swap",
-             "solve_dense_24", "solve_scrambled_wide", "solve_walk_unit_first_34",
-             "check_delta_total"],
-    )
-    def test_json_bytes(self, capsys, argv, source, expected):
-        code, out, err = run(capsys, *argv, "--json", str(FIXTURES / source))
-        assert (code, out, err) == (0, (FIXTURES / expected).read_text(), "")
+    def test_kernel_sweep_json_bytes(self, pinned):
+        pinned()
+
+    def test_facedim_precondition_bytes(self, pinned):
+        pinned()
 
     def test_scrambled_wide_input(self):
         """The fixture is random_delta_modular(4, 24, 8, seed=2) times a
@@ -477,30 +413,11 @@ class TestEnumerationGolden:
             (PATH_ENTRY, 1, 2), (PATH_ENTRY, 2, 6)
         ]
 
-    def test_kernel_sweep_json_bytes(self, capsys):
-        code, out, err = run(capsys, "check", "kernel", "--trials", "50", "--seed", "1", "--json")
-        assert (code, out, err) == (0, (FIXTURES / "check_kernel_50.json").read_text(), "")
-
-    @pytest.mark.parametrize(
-        "source,message",
-        [
-            ("facedim_unbounded.txt", "polyhedron has a nonzero recession direction"),
-            ("facedim_empty.txt", "polyhedron contains no points"),
-        ],
-        ids=["unbounded", "empty"],
-    )
-    def test_facedim_precondition_bytes(self, capsys, source, message):
-        code, out, err = run(capsys, "verify", "facedim", "--delta", "1", "--json",
-                             str(FIXTURES / source))
-        assert (code, out, err) == (2, "", f"error: {message}\n")
-
 
 class TestScrambledLowerBound:
     """scrambled_lower_bound_5 is lower_bound_instance(5) times a unimodular
     matrix of 3 column operations with 2-bit factors: the same lattice, with
-    no vector of norm 1.  Its box radius is 96 (a box of 1,387,488,001
-    points, over the budget), while two layers of 3^4 + 5^4 points find
-    norm 2.  CI diffs the golden against the installed console script."""
+    no vector of norm 1."""
 
     SOURCE = FIXTURES / "scrambled_lower_bound_5.txt"
 
@@ -509,10 +426,8 @@ class TestScrambledLowerBound:
         text = "10 4\n" + "".join(" ".join(map(str, row)) + "\n" for row in entries)
         assert self.SOURCE.read_text() == text
 
-    def test_solve_json_bytes(self, capsys):
-        code, out, err = run(capsys, "svp", "solve", "--delta", "5", "--json", str(self.SOURCE))
-        expected = (FIXTURES / "solve_scrambled_lower_bound_5.json").read_text()
-        assert (code, out, err) == (0, expected, "")
+    def test_solve_json_bytes(self, pinned):
+        pinned()
 
     def test_golden_is_the_written_out_layered_scan(self):
         payload = json.loads((FIXTURES / "solve_scrambled_lower_bound_5.json").read_text())
@@ -522,57 +437,13 @@ class TestScrambledLowerBound:
             [str(x) for x in z], [str(x) for x in y], norm
         )
 
-    def test_box_oracle_refuses(self, capsys):
-        code, out, err = run(capsys, "svp", "oracle", "--json", str(self.SOURCE))
-        assert (code, out) == (3, "")
-        assert err == "error: box enumeration of size 1387488001 exceeds budget 10000000\n"
+    def test_box_oracle_refuses(self, pinned):
+        pinned()
 
 
 class TestTextGolden:
-    """Exact text stdout of every subcommand with a rendering of its own,
-    pinned byte for byte in tests/fixtures (argv, input file or None,
-    expected stdout), plus the JSON of the two commands the JSON goldens
-    above leave out.  CI diffs verify_sparsity_3.out, gen_sparsity_2.json
-    and hnf_lower_bound_4.json against the installed console script."""
-
-    @pytest.mark.parametrize(
-        "argv,source,expected",
-        [
-            (["svp", "solve", "--delta", "3"], "walk_to_short_vector.txt",
-             "solve_walk_to_short_vector.out"),
-            (["svp", "solve", "--delta", "3"], "pair_swap.txt", "solve_pair_swap.out"),
-            (["svp", "solve", "--delta", "4"], "lower_bound_4.txt", "solve_lower_bound_4.out"),
-            (["svp", "oracle"], "lower_bound_4.txt", "oracle_lower_bound_4.out"),
-            (["svp", "atleast2"], "atleast2_witness.txt", "atleast2_witness.out"),
-            (["svp", "atleast2"], "lower_bound_5.txt", "atleast2_lower_bound_5.out"),
-            (["check", "delta", "--delta", "5", "--total"], "lower_bound_5.txt",
-             "check_delta_lower_bound_5.out"),
-            (["check", "detratio", "--trials", "40", "--seed", "9"], None,
-             "check_detratio_40.out"),
-            (["check", "kernel", "--trials", "50", "--seed", "1"], None, "check_kernel_50.out"),
-            (["verify", "facedim", "--delta", "2"], "facedim_hull_25.txt",
-             "facedim_hull_25.out"),
-            (["verify", "support", "--delta", "2"], "sparsity_2.txt", "support_sparsity_2.out"),
-            (["verify", "sparsity", "--delta", "2"], None, "verify_sparsity_2.out"),
-            (["verify", "sparsity", "--delta", "3"], None, "verify_sparsity_3.out"),
-            (["gen", "lower-bound", "--delta", "6"], None, "gen_lower_bound_6.out"),
-            (["gen", "sparsity", "--delta", "3"], None, "gen_sparsity_3.out"),
-            (["gen", "random", "--delta", "3", "--rows", "6", "--cols", "3", "--seed", "5"],
-             None, "gen_random_6x3.out"),
-            (["matrix", "hnf"], "lower_bound_4.txt", "hnf_lower_bound_4.out"),
-            (["gen", "sparsity", "--delta", "2", "--json"], None, "gen_sparsity_2.json"),
-            (["matrix", "hnf", "--json"], "lower_bound_4.txt", "hnf_lower_bound_4.json"),
-        ],
-        ids=["solve_short_vector", "solve_certificate", "solve_oracle_minimum", "oracle",
-             "atleast2_witness", "atleast2_none", "check_delta_total", "check_detratio",
-             "check_kernel", "verify_facedim", "verify_support", "verify_sparsity_2",
-             "verify_sparsity_3", "gen_lower_bound", "gen_sparsity", "gen_random",
-             "matrix_hnf", "gen_sparsity_json", "matrix_hnf_json"],
-    )
-    def test_stdout_bytes(self, capsys, argv, source, expected):
-        inputs = [] if source is None else [str(FIXTURES / source)]
-        code, out, err = run(capsys, *argv, *inputs)
-        assert (code, out, err) == (0, (FIXTURES / expected).read_text(), "")
+    def test_stdout_bytes(self, pinned):
+        pinned()
 
     @pytest.mark.parametrize(
         "argv",
@@ -613,29 +484,8 @@ class TestTextGolden:
 
 
 class TestFailTextGolden:
-    """Exact text stdout of the verdicts other than a plain pass, pinned
-    byte for byte in tests/fixtures: the [VIOLATION] lines of a face
-    dimension above the bound, a support above it, a program infeasible
-    within its box, and a sweep's first failing trial index.  The exit code
-    is the same with --json.  CI diffs the three verifier goldens against
-    the installed console script."""
-
-    @pytest.mark.parametrize(
-        "argv,source,code,expected",
-        [
-            (["verify", "facedim", "--delta", "1"], "facedim_hull_25.txt", 4,
-             "facedim_hull_25_delta_1.out"),
-            (["verify", "support", "--delta", "1"], "sparsity_2.txt", 4,
-             "support_sparsity_2_delta_1.out"),
-            (["verify", "support", "--delta", "2", "--box", "0"], "sparsity_2.txt", 0,
-             "support_sparsity_2_box_0.out"),
-        ],
-        ids=["facedim_violation", "support_above_bound", "support_infeasible_in_box"],
-    )
-    def test_stdout_bytes(self, capsys, argv, source, code, expected):
-        path = str(FIXTURES / source)
-        assert run(capsys, *argv, path) == (code, (FIXTURES / expected).read_text(), "")
-        assert run(capsys, *argv, "--json", path)[0] == code
+    def test_stdout_bytes(self, pinned):
+        pinned()
 
     def test_sweep_first_failing_trial(self, capsys, monkeypatch):
         """A kernel sweep whose identity fails on every two-row draw."""
@@ -651,11 +501,11 @@ class TestParserReuse:
     """main builds the argument tree once per process; a reused tree must
     answer exactly as a fresh one, whatever ran before it."""
 
-    def test_reused_parser_gives_fresh_bytes(self, capsys, worked_file):
+    def test_reused_parser_gives_fresh_bytes(self, capsys):
         cases = [
-            ["svp", "solve", worked_file],  # usage error: --delta is missing
-            ["svp", "solve", "--delta", "3", "--json", worked_file],
-            ["svp", "solve", "--delta", "3", worked_file],
+            ["svp", "solve", WORKED],  # usage error: --delta is missing
+            ["svp", "solve", "--delta", "3", "--json", WORKED],
+            ["svp", "solve", "--delta", "3", WORKED],
         ]
         fresh = []
         for argv in cases:
@@ -667,26 +517,3 @@ class TestParserReuse:
         assert build_parser.cache_info().misses == 1
         assert fresh[0][0] == 1 and fresh[0][2].startswith("usage: deltasvp svp solve")
         assert [code for code, _, _ in fresh[1:]] == [0, 0]
-
-
-def python_m(*argv):
-    """`python -m deltasvp argv` in a child process on this checkout's src/."""
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "deltasvp", *argv], capture_output=True, env=env)
-
-
-class TestModuleEntryPoint:
-    def test_solve_golden_bytes(self):
-        done = python_m("svp", "solve", "--delta", "3", "--json",
-                        str(FIXTURES / "walk_to_short_vector.txt"))
-        expected = (FIXTURES / "solve_walk_to_short_vector.json").read_bytes()
-        assert (done.returncode, done.stdout, done.stderr) == (0, expected, b"")
-
-    def test_exit_code_passes_through(self, capsys):
-        argv = ("svp", "solve", "--delta", "3", str(FIXTURES / "no_such_file.txt"))
-        done = python_m(*argv)
-        code, out, err = run(capsys, *argv)
-        assert (done.returncode, done.stdout.decode(), done.stderr.decode()) == (code, out, err)
-        assert code != 0
