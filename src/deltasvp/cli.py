@@ -41,7 +41,14 @@ EXIT_FAILED_VERIFICATION = 4
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on usage errors; this CLI reserves 2 for
-    precondition violations, so remap usage errors to 1."""
+    precondition violations, so remap usage errors to 1.  argparse wraps
+    usage and help at the terminal's width less 2; here they wrap at 78
+    columns (an 80-column terminal) whatever the terminal, so their bytes
+    are stable."""
+
+    def __init__(self, **kwargs) -> None:
+        formatter = functools.partial(argparse.HelpFormatter, width=78)
+        super().__init__(formatter_class=formatter, **kwargs)
 
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)

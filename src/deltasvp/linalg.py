@@ -30,10 +30,13 @@ pivot ``_pivot``.
 Every maximal-minor scan reads its minors off one iterator, ``_minors``
 (each k-subset in lexicographic order, one forward elimination each), and
 every enumeration has one budget gate, ``_check_budget``, which refuses it
-up front rather than truncate.  Every box scan (the oracles, lattice
-points, standard-form programs) goes through ``box_images``, which splits
-the box into two halves and caches the images of the trailing one, so each
-point costs one vector addition instead of a full product A x.
+up front rather than truncate.  Every box scan (the oracles and the
+lattice points) goes through ``_box_halves``, which splits the box into
+two halves, packs each image A x into one integer at a proved word width
+(the Kronecker substitution above) and caches the images of the trailing
+half, so a point's image is one integer addition instead of a full
+product A x.  ``box_images`` reads each point's words; the oracle's norm
+scans test all of them at once with a few word operations.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain, combinations, product
-from operator import add, itemgetter, mul, neg
+from operator import itemgetter, mul, neg
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -562,57 +565,69 @@ def _write_words(words: Iterable[int], width: int) -> bytes:
 
 
 _Scan = Iterator[tuple[tuple[int, ...], tuple[int, ...]]]
+_Half = Iterator[tuple[tuple[int, ...], int]]
 
 
-def _images(columns: Sequence[Sequence[int]], ranges: Sequence[Sequence[int]], m: int) -> _Scan:
+def _images(columns: Sequence[int], ranges: Sequence[Sequence[int]]) -> _Half:
     """(x, sum of x[j] * columns[j]) for x over the product of ranges, in
-    lexicographic order, lazily; the image of the empty product is zero."""
-    multiples = [[(v, tuple(v * c for c in col)) for v in r] for col, r in zip(columns, ranges)]
-    zero = (0,) * m
-    for combo in product(*multiples):
-        yield tuple(v for v, _ in combo), tuple(map(sum, zip(zero, *(y for _, y in combo))))
+    lexicographic order, lazily; the image of the empty product is 0."""
+    multiples = [[v * c for v in r] for c, r in zip(columns, ranges)]
+    return zip(product(*ranges), map(sum, product(*multiples)))
 
 
 def _box_halves(
-    a: IntMatrix, ranges: Sequence[Sequence[int]]
-) -> tuple[_Scan, list[tuple[tuple[int, ...], tuple[int, ...]]]]:
+    a: IntMatrix, ranges: Sequence[Sequence[int]], limit: int = 0
+) -> tuple[int, _Half, list[tuple[tuple[int, ...], int]]]:
     """The box ranges[0] x ... x ranges[n-1] split into two halves, every
-    point with its image under A (Horowitz and Sahni 1974).
+    point with its packed image under A (Horowitz and Sahni 1974).
 
-    Returns (heads, tails).  tails is a list of (x, A x) over the trailing
-    coordinates, the longest suffix with at most sqrt(box size) points
-    (the last floor(n/2) for equal ranges), with A x in those coordinates
-    alone; heads yields the same over the leading coordinates, lazily.
-    Both are in lexicographic order, and every box point is head + tail
-    with image head_image + tail_image.
+    Returns (w, heads, tails).  The columns of A are packed by _pack at
+    width w, so an image A x is the one integer sum_i (A x)_i * 2^(w*i)
+    whose signed base-2^w digits are its entries, and the image of
+    head + tail is head_image + tail_image.  Every digit of such a sum is
+    at most reach = sum_j max(1, max|ranges[j]|) * max|A[:, j]| (the 1
+    keeps the entries themselves in range), and w is the least multiple
+    of 64 with reach + limit < 2^(w-1): a caller may add 2^(w-1) - limit - 1
+    or 2^(w-1) + limit to every digit and read each word on its own, with
+    no carry or borrow between words.
+    tails is a list of (x, image) over the trailing coordinates, the
+    longest suffix with at most sqrt(box size) points (the last floor(n/2)
+    for equal ranges), with the image of those coordinates alone; heads
+    yields the same over the leading coordinates, lazily.  Both are in
+    lexicographic order.
     """
     n = a.cols
     if len(ranges) != n:
         raise DimensionError(f"box needs {n} ranges, got {len(ranges)}")
     columns = tuple(zip(*a.entries))
+    reach = sum(max([1, *map(abs, r)]) * max(map(abs, c)) for r, c in zip(ranges, columns))
+    width = -(-((reach + limit).bit_length() + 1) // _WORD) * _WORD
+    packed = _pack(chain.from_iterable(columns), a.rows, width)
     size = math.prod(len(r) for r in ranges)
     split, count = n, 1
     while split > 0 and (count * len(ranges[split - 1])) ** 2 <= size:
         split -= 1
         count *= len(ranges[split])
-    tails = list(_images(columns[split:], ranges[split:], a.rows))
-    return _images(columns[:split], ranges[:split], a.rows), tails
+    tails = list(_images(packed[split:], ranges[split:]))
+    return width, _images(packed[:split], ranges[:split]), tails
 
 
 def box_images(a: IntMatrix, ranges: Sequence[Sequence[int]]) -> _Scan:
     """Every point x of the box ranges[0] x ... x ranges[n-1] with its
     image A x, in lexicographic order, lazily.
 
-    The images of the trailing half of the coordinates are computed once
-    and cached (at most sqrt(box size) of them), so each point costs one
-    vector addition instead of a full product A x.  The cache is built on
-    this call: check any budget before making it.
+    The packed images of the trailing half of the coordinates are computed
+    once and cached (at most sqrt(box size) of them), so each point costs
+    one integer addition and one read of its words instead of a full
+    product A x.  The cache is built on this call: check any budget before
+    making it.
     """
-    heads, tails = _box_halves(a, ranges)
+    width, heads, tails = _box_halves(a, ranges)
+    bias, size = _bias(a.rows, width), a.rows * width // 8
     return (
-        (head + tail, tuple(map(add, head_image, tail_image)))
-        for head, head_image in heads
-        for tail, tail_image in tails
+        (head + tail, tuple(_read_words(((h + t + bias) ^ bias).to_bytes(size, "little"), width)))
+        for head, h in heads
+        for tail, t in tails
     )
 
 

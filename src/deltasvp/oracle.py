@@ -7,26 +7,30 @@ dimension threshold) and its first layer, the exact decision of "no
 lattice vector of norm below 2".  Every scan is complete and visits points
 in a fixed order, so its witness is deterministic.  All run on the split
 scan of ``linalg``: the images of the trailing half of the coordinates are
-computed once, so a box point costs one vector addition, and a layer joins
-the two halves on the residue of adj(B) v modulo det(B), so only the
-integral preimages are looked at.  Neither split changes which point is
-found first.
+computed once, and each half-image is one packed integer, so a box point
+costs one integer addition and one exact word-parallel range test of
+every entry (``_kept``, shared by both norm scans); only the points that
+pass are read.  A layer joins the two halves on the residue of adj(B) v
+modulo det(B), so only the integral preimages are tested.  Neither split
+changes which point is found first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
-from typing import Iterator
+from operator import neg
+from typing import Iterable, Iterator
 
 from .errors import BudgetExceededError, DomainError, InvariantError, RankError
 from .linalg import (
     DEFAULT_MINOR_BUDGET,
     IntMatrix,
     Tableau,
+    _bias,
     _box_halves,
     _check_budget,
-    box_images,
+    _read_words,
+    _unpack,
     max_abs_full_rank_subdet,
     rank,
     tableau,
@@ -82,21 +86,61 @@ def brute_force_svp(
 
 
 def _box_scan(a: IntMatrix, k: int, budget: int) -> OracleResult:
-    """brute_force_svp on an A known to have full column rank."""
-    n = a.cols
+    """brute_force_svp on an A known to have full column rank.
+
+    A unit vector lies in the box, so the optimum is below best = the
+    least column norm + 1.  Each head keeps, by _kept, the tails whose
+    point has norm at most best - 1, and only those are read: the first
+    point below best becomes the new best, so the first minimizer in
+    lexicographic order is found as by a full scan.
+    """
+    n, m = a.cols, a.rows
     _check_budget((2 * k + 1) ** n, budget, "box enumeration")
-    best_norm: int | None = None
-    best: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-    for z, y in box_images(a, [range(-k, k + 1)] * n):
-        norm = max(map(abs, y))
-        # full column rank: only z = 0 has norm 0
-        if norm and (best_norm is None or norm < best_norm):
-            best_norm = norm
-            best = (z, y)
-            if norm == 1:
-                break
-    assert best is not None and best_norm is not None
-    return OracleResult(best[0], best[1], best_norm)
+    best = min(max(map(abs, col)) for col in zip(*a.entries)) + 1
+    width, heads, tails = _box_halves(a, [range(-k, k + 1)] * n, best)
+    for head, image in heads:
+        for tail, tail_image in _kept(image, tails, _window(m, 0, width, best - 1)):
+            y = tuple(_unpack([image + tail_image], m, width))
+            norm = max(map(abs, y))
+            # full column rank: only z = 0 has norm 0
+            if norm and norm < best:
+                best, found = norm, (head + tail, y)
+                if norm == 1:
+                    return OracleResult(*found, 1)
+    return OracleResult(*found, best)
+
+
+def _window(rows: int, skip: int, width: int, limit: int) -> tuple[int, int, int]:
+    """(lo, hi, top), the constants of _kept's test of digits skip ..
+    rows - 1 of a packed image at width w against limit: lo and hi hold
+    2^(w-1) in each of the first skip digits and 2^(w-1) - limit - 1 and
+    2^(w-1) + limit in each tested one, top the top bit of each tested
+    word."""
+    bias = _bias(rows, width)
+    top = bias - _bias(skip, width)
+    ones = top >> (width - 1)
+    return bias - (limit + 1) * ones, bias + limit * ones, top
+
+
+def _kept(
+    image: int, tails: Iterable[tuple[tuple[int, ...], int]], window: tuple[int, int, int]
+) -> list[tuple[tuple[int, ...], int]]:
+    """The (x, tail_image) of tails, in order, for which every tested digit
+    y of image + tail_image lies in [-limit, limit], window being
+    _window(rows, skip, width, limit) on images from _box_halves(...,
+    limit).
+
+    One exact range test per pair, on whole words (Lamport 1975): every
+    digit is at most reach and reach + limit < 2^(w-1), so each word of
+    image + tail_image + lo holds y + 2^(w-1) - limit - 1 in [0, 2^w) (a
+    digit below skip holds y + 2^(w-1)) and nothing carries from one word
+    into the next; its top bit is clear iff y <= limit.  Likewise each
+    word of image + tail_image + hi holds y + 2^(w-1) + limit, whose top
+    bit is set iff y >= -limit.
+    """
+    lo, hi, top = window
+    low, high = image + lo, image + hi
+    return [(x, t) for x, t in tails if not (low + t) & top and (high + t) & top == top]
 
 
 def _layer(a: IntMatrix, t: Tableau, r: int) -> Iterator[tuple[int, ...]]:
@@ -104,26 +148,38 @@ def _layer(a: IntMatrix, t: Tableau, r: int) -> Iterator[tuple[int, ...]]:
     in lexicographic order of v = B z, from the tableau t of B.
 
     v splits into a head and a tail half over the stacked matrix
-    [adj(B); N], N = A adj(B), and the tails are grouped by the residue of
-    adj(B) v_tail modulo det(B): each head meets only the tails that make
-    z = adj(B) v / det(B) integral, and keeps v when
-    ||N v||_inf <= r |det(B)|, which is ||A z||_inf <= r.
+    [adj(B); N], N = A adj(B), each half's image one packed integer whose
+    first n digits are adj(B) v and the rest N v.  The tails are grouped
+    by the residue of -adj(B) v_tail modulo det(B), read once per tail,
+    and each head meets the group of its own residue of adj(B) v_head,
+    read once per head: the tails that make z = adj(B) v / det(B)
+    integral.  It keeps v when every digit of N v lies in
+    [-r |det(B)|, r |det(B)|], which is ||A z||_inf <= r.  That is _kept's
+    range test on the N digits, exact because _box_halves sizes the words
+    for limit r |det(B)|; the adj digits carry the bias 2^(w-1), so no
+    borrow crosses into the N digits.  Only the pairs kept have adj(B) v
+    read.
     """
     n = a.cols
     d = t.det
     modulus = abs(d)
     stacked = IntMatrix._trusted(t.adj.entries + t.numerators.entries)
-    heads, tails = _box_halves(stacked, [range(-r, r + 1)] * n)
-    groups: dict[tuple[int, ...], list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
-    for _, image in tails:
-        key = tuple(x % modulus for x in image[:n])
-        groups.setdefault(key, []).append((image[:n], image[n:]))
-    for _, head_image in heads:
-        head_adj, head_n = head_image[:n], head_image[n:]
-        for tail_adj, tail_n in groups.get(tuple(-x % modulus for x in head_adj), ()):
-            if max(map(abs, map(add, head_n, tail_n))) > r * modulus:
-                continue
-            numerator = tuple(map(add, head_adj, tail_adj))
+    width, heads, tails = _box_halves(stacked, [range(-r, r + 1)] * n, r * modulus)
+    window = _window(stacked.rows, n, width, r * modulus)
+    bias, mask, size = _bias(n, width), (1 << (width * n)) - 1, n * width // 8
+
+    def adj(image: int) -> list[int]:
+        """The first n digits of a packed image: adj(B) v."""
+        return _read_words((((image + bias) & mask) ^ bias).to_bytes(size, "little"), width)
+
+    residue = modulus.__rmod__
+    groups: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+    for tail in tails:
+        groups.setdefault(tuple(map(residue, map(neg, adj(tail[1])))), []).append(tail)
+    for _, image in heads:
+        key = tuple(map(residue, adj(image)))
+        for _, tail_image in _kept(image, groups.get(key, ()), window):
+            numerator = adj(image + tail_image)
             if any(numerator):  # else v = 0
                 yield tuple(x // d for x in numerator)
 

@@ -295,6 +295,12 @@ def integer_hull_vertices(
     test decides extremality in P_I itself.  The budget covers
     (number of points)^2, the pairs the tests may visit.
     """
+    return list(_integer_hull(p, budget))
+
+
+def _integer_hull(p: PolyhedronH, budget: int) -> dict[tuple[int, ...], int]:
+    """integer_hull_vertices, each vertex with the bitmask of the rows of P
+    tight at it."""
     points = integer_points(p, budget)
     _check_budget(len(points) ** 2, budget, "integer hull scan")
     rows = list(zip(p.a.entries, p.b))
@@ -303,7 +309,6 @@ def integer_hull_vertices(
         q: sum(1 << i for i, (row, bound) in enumerate(rows) if sum(map(mul, row, q)) == bound)
         for q in points
     }
-    hull = []
     for v in points:
         tight = kept[v]
         face = [q for q, mask in kept.items() if mask & tight == tight and q != v]
@@ -313,9 +318,7 @@ def integer_hull_vertices(
             or _has_nonneg_combination([q + (1,) for q in face], list(v) + [1])
         ):
             del kept[v]
-        else:
-            hull.append(v)
-    return hull
+    return kept
 
 
 def min_face_dimension(p: PolyhedronH, point: Sequence[int]) -> int:
@@ -351,11 +354,18 @@ def verify_face_dimension_bound(
     """Checks every integer-hull vertex sits on a face of dimension at most
     the threshold bound for delta.  The caller vouches that the matrix of P
     is delta-modular; a failing report on certified input is build-breaking.
+    Each vertex's face dimension, dim minus the rank of its tight rows as in
+    min_face_dimension, is read off the tight-row mask that the hull scan
+    computed, and each distinct mask is ranked once.
     """
     bound = dimension_threshold(delta)
+    dims: dict[int, int] = {}
     entries = []
-    for vertex in integer_hull_vertices(p, budget):
-        entries.append((vertex, min_face_dimension(p, vertex)))
+    for vertex, tight in _integer_hull(p, budget).items():
+        if tight not in dims:
+            rows = [i for i in range(p.a.rows) if tight >> i & 1]
+            dims[tight] = p.dim - (rank(p.a.submatrix_rows(rows)) if rows else 0)
+        entries.append((vertex, dims[tight]))
     passed = all(dim <= bound for _, dim in entries)
     return FaceDimensionReport(delta, bound, tuple(entries), passed)
 

@@ -164,51 +164,39 @@ def _fraction_solve(rows, right) -> list[list[Fraction]] | None:
     return [row[n:] for row in work]
 
 
-def preimage_first_witness(entries):
-    """The 3^n preimage scan written out: B the greedy rows, z = B^-1 v in
-    Fractions for nonzero v over {-1, 0, 1}^n in lexicographic order; the
-    first integral z with ||A z||_inf <= 1, or None."""
-    rows = [tuple(r) for r in entries]
+def layer_preimages(entries, r: int):
+    """Layer r of the layered scan written out, lazily: B the greedy rows,
+    z = B^-1 v in Fractions for nonzero v over [-r, r]^n in lexicographic
+    order, every integral z with ||A z||_inf <= r."""
+    rows = [tuple(x) for x in entries]
     basis = greedy_rows(rows)
     n = len(rows[0])
     assert len(basis) == n, "full column rank required"
     inverse = _fraction_solve(basis, [[int(i == j) for j in range(n)] for i in range(n)])
-    for v in product((-1, 0, 1), repeat=n):
-        if not any(v):
-            continue
+    for v in product(range(-r, r + 1), repeat=n):
         z = [sum(a * b for a, b in zip(row, v)) for row in inverse]
-        if any(x.denominator != 1 for x in z):
+        if not any(v) or any(x.denominator != 1 for x in z):
             continue
         z = tuple(int(x) for x in z)
-        if max(abs(x) for x in _image(rows, z)) <= 1:
-            return z
-    return None
+        if max(abs(x) for x in _image(rows, z)) <= r:
+            yield z
+
+
+def preimage_first_witness(entries):
+    """The 3^n preimage scan: the first z of layer 1, or None."""
+    return next(layer_preimages(entries, 1), None)
 
 
 def layered_least_minimizer(entries):
-    """The layered scan written out: for r = 1, 2, ..., every nonzero
-    integral z = B^-1 v in Fractions over v in [-r, r]^n (B the greedy
-    rows) with ||A z||_inf <= r; (z, A z, r) for the lexicographically
-    least z of the first layer that has any."""
-    rows = [tuple(r) for r in entries]
-    basis = greedy_rows(rows)
-    n = len(rows[0])
-    assert len(basis) == n, "full column rank required"
-    inverse = _fraction_solve(basis, [[int(i == j) for j in range(n)] for i in range(n)])
+    """(z, A z, r) for the lexicographically least z of the first layer
+    r = 1, 2, ... that has any."""
     r = 0
     while True:
         r += 1
-        kept = []
-        for v in product(range(-r, r + 1), repeat=n):
-            z = [sum(a * b for a, b in zip(row, v)) for row in inverse]
-            if not any(v) or any(x.denominator != 1 for x in z):
-                continue
-            z = tuple(int(x) for x in z)
-            if max(abs(x) for x in _image(rows, z)) <= r:
-                kept.append(z)
+        kept = list(layer_preimages(entries, r))
         if kept:
             z = min(kept)
-            return z, _image(rows, z), r
+            return z, _image([tuple(x) for x in entries], z), r
 
 
 def ilp_optimizers(entries, b, c, box) -> list[tuple[int, ...]]:

@@ -58,7 +58,7 @@ GATES = [
     ),
     (
         lambda: oracle.brute_force_svp(IntMatrix.identity(2), 1, 8),
-        (oracle, "box_images"),
+        (oracle, "_box_halves"),
         "box enumeration of size 9 exceeds budget 8",
     ),
     (

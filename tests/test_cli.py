@@ -377,6 +377,19 @@ class TestExitCodes:
         pinned()
 
 
+@pytest.mark.parametrize("columns", ["40", "200"])
+def test_usage_bytes_ignore_the_terminal_width(columns, capsys, monkeypatch):
+    """Every case that prints a usage line prints its pinned bytes (taken
+    at COLUMNS=80) in a narrow and in a wide terminal too."""
+    usage = [case for case in CASES if case["stderr"].startswith("usage: ")]
+    assert usage
+    monkeypatch.chdir(FIXTURES)
+    monkeypatch.setenv("COLUMNS", columns)
+    for case in usage:
+        report = mismatches(case, main(case_argv(case)), *capsys.readouterr())
+        assert not report, "".join(report)
+
+
 class TestSolveGolden:
     def test_json_bytes(self, pinned):
         pinned()

@@ -827,9 +827,9 @@ class TestBoxImages:
     def test_tail_table_is_at_most_the_square_root(self):
         from deltasvp.linalg import _box_halves
 
-        heads, tails = _box_halves(IntMatrix.identity(5), [range(3)] * 5)
+        _, heads, tails = _box_halves(IntMatrix.identity(5), [range(3)] * 5)
         assert len(tails) == 3**2 and len(list(heads)) == 3**3
-        heads, tails = _box_halves(M([[1, 2, 3]]), [range(2), range(9), range(2)])
+        _, heads, tails = _box_halves(M([[1, 2, 3]]), [range(2), range(9), range(2)])
         assert len(tails) == 2 and len(list(heads)) == 18
 
     def test_wrong_range_count_rejected(self):

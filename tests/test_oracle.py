@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,6 +11,7 @@ from deltasvp.generators import lower_bound_instance, random_full_column_rank
 from deltasvp.linalg import (
     IntMatrix,
     Tableau,
+    _box_halves,
     find_invertible_rows,
     max_abs_full_rank_subdet,
     tableau,
@@ -30,8 +32,10 @@ from oracles import (
     cofactor_det,
     fraction_rank,
     greedy_rows,
+    layer_preimages,
     layered_least_minimizer,
     preimage_first_witness,
+    unimodular_scramble,
 )
 
 M = IntMatrix.from_rows
@@ -113,7 +117,7 @@ class TestBruteForceSvp:
             brute_force_svp(WORKED, 100, budget=1000)
 
     def test_budget_refuses_before_the_scan(self, monkeypatch):
-        monkeypatch.setattr(oracle, "box_images", no_table)
+        monkeypatch.setattr(oracle, "_box_halves", no_table)
         with pytest.raises(BudgetExceededError):
             brute_force_svp(IntMatrix.identity(40), 1)
 
@@ -321,6 +325,95 @@ class TestLayeredSvp:
             layered_svp(a, forged)
 
 
+@st.composite
+def wide_entries(draw):
+    """Full column rank entries with n <= 3: small ones, or small ones times
+    a unimodular matrix with factors of up to 70 bits (the same lattice, so
+    the layers still hold short vectors while adj(B) is huge), and maybe a
+    last row of entries up to 2^70."""
+    entries = [list(row) for row in draw(full_rank_entries(max_cols=3, bound=4))]
+    bits = draw(st.sampled_from([0, 8, 70]))
+    if bits and len(entries[0]) > 1:
+        entries = unimodular_scramble(entries, draw(st.integers(0, 99)), 4, bits)
+    if draw(st.booleans()):
+        big = st.integers(-(2**70), 2**70)
+        entries.append(draw(st.lists(big, min_size=len(entries[0]), max_size=len(entries[0]))))
+    return entries
+
+
+class TestPackedScan:
+    """The word-parallel range test of _kept, through both norm scans and
+    on its own, against written-out scans in tests/oracles.py."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(wide_entries(), st.integers(1, 3))
+    def test_layer_matches_written_out_layer(self, entries, r):
+        a = M(entries)
+        assert list(oracle._layer(a, tableau(a), r)) == list(layer_preimages(entries, r))
+
+    @settings(max_examples=150, deadline=None)
+    @given(wide_entries(), st.integers(1, 2))
+    def test_box_scan_matches_plain_scan(self, entries, k):
+        result = brute_force_svp(M(entries), k)
+        assert (result.z, result.y, result.norm) == box_first_minimizer(entries, k)
+
+    def test_words_wider_than_one(self):
+        """A scrambled lower-bound instance: adj(B) has entries past 2^64,
+        so layer 2 packs at two words, and it holds the norm-2 vectors."""
+        entries = unimodular_scramble(lower_bound_instance(4).entries, 1, 6, 70)
+        a = M(entries)
+        t = tableau(a)
+        stacked = IntMatrix._trusted(t.adj.entries + t.numerators.entries)
+        assert _box_halves(stacked, [range(-2, 3)] * 3, 2 * abs(t.det))[0] > 64
+        layer = list(oracle._layer(a, t, 2))
+        assert layer and layer == list(layer_preimages(entries, 2))
+
+    @pytest.mark.parametrize("limit", [1, 6, 2**61, 2**62, 2**70])
+    def test_boundaries(self, limit):
+        """Digit 0 is not tested and takes -1, 0, 1; digits 1 and 2 take
+        +-limit, which is kept, and +-(limit + 1), which is not.  A
+        negative digit 0 would borrow from digit 1 without its bias of
+        2^(w-1), and limit 2^62 needs a second word for the sign bit."""
+        edge = [-limit - 1, -limit, 0, limit, limit + 1]
+        ranges = [range(-1, 2), edge, edge]
+        width, heads, tails = _box_halves(IntMatrix.identity(3), ranges, limit)
+        window = oracle._window(3, 1, width, limit)
+        kept = [
+            head + tail
+            for head, image in heads
+            for tail, _ in oracle._kept(image, tails, window)
+        ]
+        assert kept == [x for x in product(*ranges) if abs(x[1]) <= limit and abs(x[2]) <= limit]
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_layer_boundaries(self, r):
+        """At det(B) = 1 ([[1, 0], [0, 1], [1, 1]]) the tested N digit of v
+        is v_0 + v_1: +-r is kept and +-(r + 1) is not.  At det(B) = -2
+        (rows [1, 1] and [1, -1], then [r, r + 1]) the N digit of
+        z = (+-1, 0) is -+2r, exactly r |det B|, and it is kept, while
+        z = (0, +-1) reaches 2(r + 1) and is not."""
+        a = M([[1, 0], [0, 1], [1, 1]])
+        layer = list(oracle._layer(a, tableau(a), r))
+        box = product(range(-r, r + 1), repeat=2)
+        assert layer == [v for v in box if any(v) and abs(v[0] + v[1]) <= r]
+        entries = [[1, 1], [1, -1], [r, r + 1]]
+        t = tableau(M(entries))
+        layer = list(oracle._layer(M(entries), t, r))
+        assert t.det == -2 and layer == list(layer_preimages(entries, r))
+        assert {(1, 0), (-1, 0)} <= set(layer) and not {(0, 1), (0, -1)} & set(layer)
+
+    def test_box_scan_pitfall(self):
+        """The optimum, 178, lies at v = (70, 17) on the greedy basis, far
+        outside layer 1: a scan that applied the layer filter when a pair
+        is first joined would miss it."""
+        entries = [[-70, 179], [-17, 153], [178, 133], [71, -186], [38, 197]]
+        a = M(entries)
+        k = enum_bound(a)
+        result = brute_force_svp(a, k)
+        assert result.norm == 178
+        assert (result.z, result.y, result.norm) == box_first_minimizer(entries, k)
+
+
 class TestScanSvp:
     """The choice between the layers and the box: the one with fewer
     points, with the same answer either way."""
@@ -329,7 +422,7 @@ class TestScanSvp:
         a = lower_bound_instance(4)
         expected = brute_force_svp(a, enum_bound(a))
         opened = record_layers(monkeypatch)
-        monkeypatch.setattr(oracle, "box_images", no_table)
+        monkeypatch.setattr(oracle, "_box_scan", no_table)
         assert scan_svp(a, tableau(a)) == expected
         assert opened == [1, 2]
 
@@ -343,7 +436,6 @@ class TestScanSvp:
 
     def test_box_gate_refuses_when_neither_fits(self, monkeypatch):
         monkeypatch.setattr(oracle, "_box_halves", no_table)
-        monkeypatch.setattr(oracle, "box_images", no_table)
         a = lower_bound_instance(5)
         with pytest.raises(BudgetExceededError, match="^box enumeration of size"):
             scan_svp(a, tableau(a), budget=10)

@@ -469,6 +469,17 @@ def criterion_7_polytopes(draw):
     return p, delta
 
 
+@settings(max_examples=60, deadline=None)
+@given(criterion_7_polytopes())
+def test_face_dimensions_are_min_face_dimension(case):
+    """verify facedim reads each vertex's face dimension off the hull
+    scan's tight-row mask; min_face_dimension recomputes it from the
+    slacks."""
+    p, delta = case
+    report = verify_face_dimension_bound(p, delta)
+    assert report.entries == tuple((v, min_face_dimension(p, v)) for v in integer_hull_vertices(p))
+
+
 class TestFaceDimensionMetamorphic:
     """verify facedim depends on P, not on its presentation: a row
     permutation and x -> U x + t with U unimodular (A -> A U and
