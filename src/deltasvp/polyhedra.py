@@ -4,23 +4,25 @@ Verifies, on explicit bounded instances, the structural consequences of the
 norm-1 threshold: integer-hull vertices sit on low-dimensional faces, and
 standard-form integer programs admit optimal solutions of small support.
 Everything is exact integer arithmetic on the fraction-free pivot of
-``linalg``; rationals appear only in the returned vertices.  Boundedness is
-decided by a rank test and one phase-1 program (Gordan: the rows of A
-positively span R^n iff they span R^n and some strictly positive
-combination of them is 0), the vertices are the ends of the lines that
-n - 1 independent rows cut, each line from one reduced elimination and
-clipped to P by one pass over the rows, lattice points come from a scan of
-the bounding box whose last coordinate is clipped to P, a lattice point is
-tested only against the kept points on its own minimal face of P (for a
-face F of P, F meet P_I is a face of P_I) and leaves the integer hull on
-an integer midpoint certificate or else on the same phase-1 simplex
-(Bland's rule on an integer tableau), standard-form programs are solved
-by dynamic programming over partial images (Papadimitriou 1981) whose
+``linalg``; rationals appear only in the returned vertices and program
+optima.  Boundedness is decided by a rank test and one phase-1 program
+(Gordan: the rows of A positively span R^n iff they span R^n and some
+strictly positive combination of them is 0), the vertices are the ends of
+the lines that n - 1 independent rows cut, each line from one reduced
+elimination and clipped to P by one pass over the rows, the bounding box
+of P comes from 2n dual programs on the same simplex with a cost row
+(max x_i over P is min {b y : A^T y = e_i, y >= 0}), lattice points come
+from a scan of that box whose widest coordinate is clipped to P, a lattice
+point is tested only against the kept points on its own minimal face of P
+(for a face F of P, F meet P_I is a face of P_I) and leaves the integer
+hull on an integer midpoint certificate or else on the same phase-1
+simplex (Bland's rule on an integer tableau), standard-form programs are
+solved by dynamic programming over partial images (Papadimitriou 1981) whose
 value-to-go table answers the support verifier directly and lists every
 optimizer by a forward walk, kernel lattice bases come from the Hermite
 normal form, and the kernel identity reads each maximal minor once off
-``linalg._minors``.  Both face facts are in Schrijver (1986), "Theory of
-Linear and Integer Programming".
+``linalg._minors``.  Both face facts and the duality are in Schrijver
+(1986), "Theory of Linear and Integer Programming".
 """
 
 from __future__ import annotations
@@ -182,26 +184,43 @@ def vertices_of_polyhedron(
 def integer_points(p: PolyhedronH, budget: int = DEFAULT_POINT_BUDGET) -> list[tuple[int, ...]]:
     """All lattice points of a bounded polyhedron, sorted.
 
-    The first n - 1 coordinates scan the bounding box of the vertices; for
-    each such head x', the last column c of A and the slack b - A' x' clip
-    x_n to one integer interval (floor of slack / c where c > 0, ceiling
-    where c < 0; a row with c = 0 and negative slack empties it).  The
-    budget covers the whole bounding box.
+    The bounding box of P comes from 2n linear programs.  By duality,
+    max x_i over P is min {b y : A^T y = e_i, y >= 0}, and min x_i is minus
+    min {b y : A^T y = -e_i, y >= 0}.  Once the rows of A positively span
+    R^n every such program is feasible, and one that is unbounded below
+    means P is empty.  The coordinate with the most integer values (the
+    last on a tie) is clipped to P, and the box of the others is scanned:
+    for each head x', the column c of A at that coordinate and the slack
+    b - A' x' clip it to one integer interval (floor of slack / c where
+    c > 0, ceiling where c < 0; a row with c = 0 and negative slack empties
+    it).  The points are sorted once at the end.  The budget covers the
+    whole bounding box.
     """
-    vertices = vertices_of_polyhedron(p, budget)
-    lows = [min(v[i] for v in vertices) for i in range(p.dim)]
-    highs = [max(v[i] for v in vertices) for i in range(p.dim)]
-    ranges = [range(math.ceil(lo), math.floor(hi) + 1) for lo, hi in zip(lows, highs)]
-    _check_budget(math.prod(len(r) for r in ranges), budget, "box scan")
+    _assert_bounded(p)
     m, n = p.a.rows, p.dim
-    if n == 1:
-        heads = [((), (0,) * m)]
+    box = []
+    for i in range(n):
+        ends = []
+        for sign in (-1, 1):
+            unit = [sign * (j == i) for j in range(n)]
+            least = _has_nonneg_combination(p.a.entries, unit, p.b)
+            if least is None:
+                raise EmptyPolyhedronError("polyhedron contains no points")
+            ends.append(sign * math.floor(least))
+        box.append(ends)
+    sizes = [hi - lo + 1 for lo, hi in box]
+    _check_budget(math.prod(sizes), budget, "box scan")
+    k = max(range(n), key=lambda i: (sizes[i], i))
+    head = [i for i in range(n) if i != k]
+    if head:
+        ranges = [range(box[i][0], box[i][1] + 1) for i in head]
+        heads = box_images(p.a.submatrix(range(m), head), ranges)
     else:
-        heads = box_images(p.a.submatrix(range(m), range(n - 1)), ranges[:-1])
-    rows = list(zip(p.a.column(n - 1), p.b))
+        heads = [((), (0,) * m)]
+    rows = list(zip(p.a.column(k), p.b))
     points = []
-    for head, image in heads:
-        lo, hi = ranges[-1].start, ranges[-1].stop - 1
+    for x, image in heads:
+        lo, hi = box[k]
         for (c, bound), y in zip(rows, image):
             slack = bound - y
             if c > 0:
@@ -215,12 +234,17 @@ def integer_points(p: PolyhedronH, budget: int = DEFAULT_POINT_BUDGET) -> list[t
             elif slack < 0:
                 hi = lo - 1
                 break
-        points.extend(head + (x,) for x in range(lo, hi + 1))
+        points.extend(x[:k] + (t,) + x[k:] for t in range(lo, hi + 1))
+    points.sort()
     return points
 
 
-def _has_nonneg_combination(columns: list[tuple[int, ...]], rhs: list[int]) -> bool:
-    """Exact feasibility of {M lambda = rhs, lambda >= 0}.
+def _has_nonneg_combination(
+    columns: Sequence[tuple[int, ...]], rhs: list[int], cost: Sequence[int] | None = None
+) -> bool | Fraction | None:
+    """Exact feasibility of {M lambda = rhs, lambda >= 0}; with a cost row
+    c, the least c lambda over that set instead, or None when it is
+    unbounded below (the set must be nonempty).
 
     Phase-1 simplex with Bland's rule on both the entering and the leaving
     choice, which guarantees termination.  The tableau is kept as integers
@@ -229,50 +253,74 @@ def _has_nonneg_combination(columns: list[tuple[int, ...]], rhs: list[int]) -> b
     signs and the ratio test compares cross products.  The phase-1
     objective is one more row (d times the reduced costs, then minus d
     times the infeasibility), updated by the same pivots and left out of
-    the ratio test.
+    the ratio test.  The cost row (d times the reduced costs of c, then
+    minus d times the cost) rides along the same way.  Phase 2 first pivots
+    each artificial still basic at level 0 out on a nonzero entry of its
+    row, negating the row first when that entry is negative (its right side
+    is 0, so d stays positive), and then runs the same rule on the cost
+    row over the columns of M.
     """
     r = len(rhs)
     v = len(columns)
     if v == 0:
         return not any(rhs)
     tableau: list[list[int]] = []
-    for i in range(r):
-        row = [columns[j][i] for j in range(v)]
-        row.extend(int(i == t) for t in range(r))
-        row.append(rhs[i])
-        if rhs[i] < 0:
-            row = [-x for x in row]
-        tableau.append(row)
+    for i, (coefficients, value) in enumerate(zip(zip(*columns), rhs)):
+        row = [*coefficients, *[0] * r, value]
+        row[v + i] = 1
+        tableau.append(row if value >= 0 else [-x for x in row])
     basis = [v + i for i in range(r)]
     width = v + r
-    objective = [int(v <= j < width) - sum(col) for j, col in enumerate(zip(*tableau))]
-    tableau.append(objective)
+    tableau.append([int(v <= j < width) - sum(col) for j, col in enumerate(zip(*tableau))])
+    if cost is not None:
+        tableau.append([*cost, *[0] * (r + 1)])
     d = 1
 
-    while True:
-        entering = next((j for j in range(width) if objective[j] < 0), None)
-        if entering is None:
-            break
-        leaving = None
-        for i in range(r):
-            coeff = tableau[i][entering]
-            if coeff > 0:
-                if leaving is None:
-                    leaving = i
-                    continue
-                # ratio_i < ratio_leaving, both denominators positive
-                here = tableau[i][-1] * tableau[leaving][entering]
-                best = tableau[leaving][-1] * coeff
-                if here < best or (here == best and basis[i] < basis[leaving]):
-                    leaving = i
-        if leaving is None:
-            raise InvariantError("phase-1 objective cannot be unbounded")
-        _pivot(tableau, leaving, entering, d, 0)
+    def minimize(stop: int) -> bool:
+        """Bland's rule on row r over the columns before stop; False when
+        the objective is unbounded below."""
+        nonlocal d
         objective = tableau[r]
-        d = tableau[leaving][entering]
-        basis[leaving] = entering
+        while True:
+            entering = next((j for j in range(stop) if objective[j] < 0), None)
+            if entering is None:
+                return True
+            leaving = None
+            for i in range(r):
+                coeff = tableau[i][entering]
+                if coeff > 0:
+                    if leaving is None:
+                        leaving = i
+                        continue
+                    # ratio_i < ratio_leaving, both denominators positive
+                    here = tableau[i][-1] * tableau[leaving][entering]
+                    best = tableau[leaving][-1] * coeff
+                    if here < best or (here == best and basis[i] < basis[leaving]):
+                        leaving = i
+            if leaving is None:
+                return False
+            _pivot(tableau, leaving, entering, d, 0)
+            objective = tableau[r]
+            d = tableau[leaving][entering]
+            basis[leaving] = entering
 
-    return objective[width] == 0
+    if not minimize(width):
+        raise InvariantError("phase-1 objective cannot be unbounded")
+    feasible = tableau[r][width] == 0
+    if cost is None:
+        return feasible
+    if not feasible:
+        raise InvariantError("a cost row needs a nonempty feasible set")
+    del tableau[r]
+    for i in range(r):
+        j = next((j for j in range(v) if tableau[i][j]), None) if basis[i] >= v else None
+        if j is not None:
+            if tableau[i][j] < 0:
+                tableau[i] = [-x for x in tableau[i]]
+            _pivot(tableau, i, j, d, 0)
+            d = tableau[i][j]
+            basis[i] = j
+    return Fraction(-tableau[r][width], d) if minimize(v) else None
 
 
 def integer_hull_vertices(

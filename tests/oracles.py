@@ -164,6 +164,35 @@ def _fraction_solve(rows, right) -> list[list[Fraction]] | None:
     return [row[n:] for row in work]
 
 
+def lp_minimum(columns, rhs, cost) -> Fraction | None:
+    """min cost . lambda over {M lambda = rhs, lambda >= 0} for M with the
+    given columns, when that set is bounded, or None when it is empty: the
+    least cost over its vertices, each the Fraction solve of k columns on
+    k independent rows of M (k = rank M) that is nonnegative and meets every
+    row."""
+    rows = [list(row) for row in zip(*columns)]
+    independent: list[int] = []
+    for i, row in enumerate(rows):
+        if fraction_rank([rows[j] for j in independent] + [row]) > len(independent):
+            independent.append(i)
+    best = None
+    for subset in combinations(range(len(columns)), len(independent)):
+        square = [[rows[i][j] for j in subset] for i in independent]
+        solution = _fraction_solve(square, [[rhs[i]] for i in independent])
+        if solution is None:
+            continue
+        point = [Fraction(0)] * len(columns)
+        for j, (x,) in zip(subset, solution):
+            point[j] = x
+        if min(point) < 0 or any(
+            sum(a * x for a, x in zip(row, point)) != value for row, value in zip(rows, rhs)
+        ):
+            continue
+        value = sum(c * x for c, x in zip(cost, point))
+        best = value if best is None else min(best, value)
+    return best
+
+
 def layer_preimages(entries, r: int):
     """Layer r of the layered scan written out, lazily: B the greedy rows,
     z = B^-1 v in Fractions for nonzero v over [-r, r]^n in lexicographic

@@ -152,14 +152,15 @@ def test_cli_budget_zero_still_refuses_a_scan_with_exit_code_3(capsys):
 
 def _hull_lps(monkeypatch, dim):
     """Records the hull-membership programs (length dim + 1; the one
-    boundedness program has length dim)."""
+    boundedness program and the 2 dim bounding-box programs have length
+    dim)."""
     calls = []
     real = polyhedra._has_nonneg_combination
 
-    def counted(columns, rhs):
+    def counted(columns, rhs, *cost):
         if len(rhs) == dim + 1:
             calls.append(tuple(rhs))
-        return real(columns, rhs)
+        return real(columns, rhs, *cost)
 
     monkeypatch.setattr(polyhedra, "_has_nonneg_combination", counted)
     return calls

@@ -8,16 +8,24 @@ must not change what `check delta` (max_abs_full_rank_subdet) and
 random_delta_modular and lower_bound_instance matrices, so C(m, n) and 3^n
 stay far inside DEFAULT_MINOR_BUDGET and DEFAULT_BOX_BUDGET; the
 scrambles reach 70-bit entries.
+
+`verify support` (verify_support_bound with an explicit box) depends only
+on the set {x : A x = b, 0 <= x <= box} and on c: permuting the variables
+(the columns of A, the entries of c and of the box together) and
+multiplying [A | b] on the left by an integer matrix that is invertible
+over the rationals keep the optimum, the optimizer count and the least
+support.
 """
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from deltasvp.generators import lower_bound_instance, random_delta_modular
 from deltasvp.linalg import IntMatrix, max_abs_full_rank_subdet
 from deltasvp.oracle import shortest_is_at_least_2
+from deltasvp.polyhedra import StandardFormILP, verify_support_bound
 
-from oracles import cofactor_det, unimodular_scramble
+from oracles import cofactor_det, fraction_rank, unimodular_scramble
 
 
 @st.composite
@@ -65,3 +73,64 @@ def test_atleast2_keeps_its_verdict(data):
     assert shortest_is_at_least_2(IntMatrix.from_rows([a.entries[i] for i in order]))[0] == verdict
     scrambled = IntMatrix.from_rows(unimodular_scramble(a.entries, *data.draw(SCRAMBLES)))
     assert shortest_is_at_least_2(scrambled)[0] == verdict
+
+
+@st.composite
+def programs(draw):
+    """(A, b, c, box): A of full row rank with at most 3 rows and 5
+    columns, entries in [-2, 3], box entries in [0, 3], and b the image of
+    a box point, moved off it in a quarter of the draws."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(m, 5))
+    row = st.lists(st.integers(-2, 3), min_size=n, max_size=n)
+    a = draw(st.lists(row, min_size=m, max_size=m))
+    assume(fraction_rank(a) == m)
+    box = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    x0 = [draw(st.integers(0, u)) for u in box]
+    b = [sum(x * y for x, y in zip(r, x0)) for r in a]
+    if draw(st.integers(0, 3)) == 0:
+        b = [value + draw(st.integers(-2, 2)) for value in b]
+    c = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    return a, b, c, box
+
+
+def _support(a, b, c, box):
+    """(value, optimizer count, least support) of verify_support_bound at
+    delta 2, and its verdict."""
+    report = verify_support_bound(StandardFormILP(IntMatrix.from_rows(a), tuple(b), tuple(c)), 2, box)
+    return report.optimal_value, report.optimizer_count, report.min_support, report.passed
+
+
+@settings(max_examples=100, deadline=None)
+@given(programs(), st.data())
+def test_support_under_a_column_permutation(program, data):
+    a, b, c, box = program
+    order = data.draw(st.permutations(range(len(c))))
+    moved = [[row[j] for j in order] for row in a]
+    assert _support(moved, b, [c[j] for j in order], [box[j] for j in order]) == _support(
+        a, b, c, box
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(programs(), st.data())
+def test_support_under_invertible_row_operations(program, data):
+    """Seeded steps on the rows of [A | b], each invertible over the
+    rationals: add f times another row (f of up to 70 bits, either sign),
+    scale a row by a nonzero integer in [-3, 3], or swap two rows."""
+    a, b, c, box = program
+    rows = [list(row) + [value] for row, value in zip(a, b)]
+    m = len(rows)
+    for _ in range(data.draw(st.integers(1, 5))):
+        i, j = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
+        kind = data.draw(st.sampled_from(("add", "scale", "swap")))
+        if kind == "add" and i != j:
+            f = data.draw(st.sampled_from((1, -1))) * data.draw(st.integers(1, 2**70))
+            rows[i] = [x + f * y for x, y in zip(rows[i], rows[j])]
+        elif kind == "scale":
+            s = data.draw(st.sampled_from((-3, -2, -1, 2, 3)))
+            rows[i] = [s * x for x in rows[i]]
+        else:
+            rows[i], rows[j] = rows[j], rows[i]
+    moved_a, moved_b = [row[:-1] for row in rows], [row[-1] for row in rows]
+    assert _support(moved_a, moved_b, c, box) == _support(a, b, c, box)

@@ -44,6 +44,7 @@ from oracles import (
     convex_hull_vertices,
     fraction_rank,
     ilp_optimizers,
+    lp_minimum,
     polyhedron_vertices,
     polytope_points,
     propagated_box,
@@ -271,6 +272,138 @@ class TestIntegerPoints:
         p = PolyhedronH(M(rows), tuple([1] * 6))
         assert integer_points(p) == [(0, 0)]
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_each_coordinate_can_be_the_clipped_one(self, data):
+        """A box whose coordinate k has radius 3 and every other at most
+        2, cut by rows that are flat in x_k (any bound in [0, 6]) and by
+        rows with bound at least 3 |a_k| (so x_k still reaches -3 and 3):
+        k has the most integer values, so x_k is the clipped coordinate,
+        and the sorted points match a plain scan."""
+        n = data.draw(st.integers(1, 4))
+        k = data.draw(st.integers(0, n - 1))
+        radii = [data.draw(st.integers(0, 2 if n < 4 else 1)) for _ in range(n)]
+        radii[k] = 3
+        entries = [[s * (j == i) for j in range(n)] for i in range(n) for s in (1, -1)]
+        b = [r for r in radii for _ in (1, -1)]
+        row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+        for cut in data.draw(st.lists(row, max_size=4)):
+            flat = data.draw(st.booleans())
+            if flat:
+                cut[k] = 0
+            entries.append(cut)
+            b.append(data.draw(st.integers(0, 6)) + (0 if flat else 3 * abs(cut[k])))
+        assert integer_points(PolyhedronH(M(entries), tuple(b))) == polytope_points(entries, b, 3)
+
+    def test_budget_counts_the_integer_values_of_the_box(self):
+        """-3/2 <= x <= 7/2 and -4/3 <= y <= 5/3, cut by x + y <= 3: the
+        box holds the 5 x 3 integer points of [-1, 3] x [-1, 1] (ceiling
+        of each least value, floor of each greatest), so a budget of 15
+        admits the scan and 14 refuses it."""
+        entries, b = [[2, 0], [-2, 0], [0, 3], [0, -3], [1, 1]], [7, 3, 5, 4, 3]
+        p = PolyhedronH(M(entries), tuple(b))
+        assert integer_points(p, 15) == polytope_points(entries, b, 4)
+        with pytest.raises(BudgetExceededError) as info:
+            integer_points(p, 14)
+        assert str(info.value) == "box scan of size 15 exceeds budget 14"
+
+
+class TestSimplexCostRow:
+    """_has_nonneg_combination with a cost row: the least cost over
+    {M lambda = rhs, lambda >= 0}, None when unbounded below."""
+
+    def test_artificial_left_basic_is_pivoted_out(self):
+        """-l1 - l2 = 0 forces l1 = l2 = 0, so phase 1 ends with its
+        artificial basic at level 0 and a row of negative entries; left
+        there, phase 2 would raise l1 to 1 and the artificial with it."""
+        columns = [(-1, 1), (-1, 0), (0, 1)]
+        assert polyhedra._has_nonneg_combination(columns, [0, 1], (-1, 0, 0)) == 0
+
+    def test_unbounded_below(self):
+        assert polyhedra._has_nonneg_combination([(1,), (-1,)], [0], (0, -1)) is None
+
+    def test_empty_set_is_refused(self):
+        with pytest.raises(InvariantError):
+            polyhedra._has_nonneg_combination([(1,), (2,)], [-1], (0, 0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_the_vertex_minimum(self, data):
+        """Up to 3 random rows in [-2, 2] and a row of ones with right side
+        in [0, 3] (so the set is bounded); in half the draws one random row
+        has only entries <= 0 and right side 0, which forces its variables
+        to 0.  Against the least cost over the vertices."""
+        v = data.draw(st.integers(1, 5))
+        entry = st.integers(-2, 2)
+        rows = data.draw(st.lists(st.lists(entry, min_size=v, max_size=v), max_size=3))
+        rhs = data.draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+        if rows and data.draw(st.booleans()):
+            rows[0], rhs[0] = [-abs(x) for x in rows[0]], 0
+        rows.append([1] * v)
+        rhs.append(data.draw(st.integers(0, 3)))
+        cost = data.draw(st.lists(entry, min_size=v, max_size=v))
+        columns = list(zip(*rows))
+        least = lp_minimum(columns, rhs, cost)
+        assert polyhedra._has_nonneg_combination(columns, rhs) == (least is not None)
+        if least is not None:
+            assert polyhedra._has_nonneg_combination(columns, rhs, cost) == least
+
+
+@st.composite
+def bounded_polyhedra(draw):
+    """(entries, b) of a bounded polyhedron in R^n, n <= 3: the rows
+    e_1, ..., e_n and -(e_1 + ... + e_n) close random rows, in a random
+    order.  A quarter of the draws add max(n - 1, 1) (a segment or a
+    point) or n (a point) equation pairs a x <= a x0, -a x <= -a x0
+    through a point x0; another quarter add a x <= beta and -a x <= -beta - 1,
+    which leaves P empty.  Every row and its bound are scaled by a factor
+    of up to 70 bits in a third of the draws, which leaves P alone."""
+    n = draw(st.integers(1, 3))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    entries = draw(st.lists(row, max_size=3)) + [[int(i == j) for i in range(n)] for j in range(n)]
+    entries.append([-1] * n)
+    b = draw(st.lists(st.integers(-2, 6), min_size=len(entries), max_size=len(entries)))
+    b[-n - 1 :] = [draw(st.integers(0, 6)) for _ in range(n + 1)]
+    shape = draw(st.sampled_from(("random", "random", "flat", "empty")))
+    if shape == "flat":
+        x0 = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        for a in draw(st.lists(row, min_size=max(n - 1, 1), max_size=n)):
+            entries += [a, [-x for x in a]]
+            value = sum(x * y for x, y in zip(a, x0))
+            b += [value, -value]
+    elif shape == "empty":
+        a, beta = draw(row), draw(st.integers(-3, 3))
+        entries += [a, [-x for x in a]]
+        b += [beta, -beta - 1]
+    if draw(st.integers(0, 2)) == 0:
+        factors = draw(st.lists(st.integers(1, 2**70), min_size=len(b), max_size=len(b)))
+        entries = [[f * x for x in r] for f, r in zip(factors, entries)]
+        b = [f * x for f, x in zip(factors, b)]
+    order = draw(st.permutations(range(len(b))))
+    return [entries[i] for i in order], [b[i] for i in order]
+
+
+@settings(max_examples=150, deadline=None)
+@given(bounded_polyhedra())
+def test_bounding_box_programs_match_the_vertices(case):
+    """integer_points reads the bounding box of P off 2n dual programs on
+    the phase-1 simplex with a cost row: the least b y subject to
+    A^T y = e_i, y >= 0 is max x_i over P, and minus the least at -e_i is
+    min x_i; on an empty P each program is unbounded below (None).  Both
+    against the min and max of every vertex from the Fraction reference."""
+    entries, b = case
+    vertices = polyhedron_vertices(entries, b)
+    n = len(entries[0])
+    for i in range(n):
+        for sign in (1, -1):
+            least = polyhedra._has_nonneg_combination(
+                entries, [sign * (j == i) for j in range(n)], b
+            )
+            if vertices == "empty":
+                assert least is None
+            else:
+                assert least == max(sign * v[i] for v in vertices)
+
 
 class TestIntegerHull:
     def test_box_corners(self):
@@ -355,18 +488,18 @@ class TestIntegerHull:
 
 class TestHullWork:
     """The work integer_hull_vertices saves, counted on the hull LPs (the
-    phase-1 programs of length n + 1; the boundedness programs have length
-    n)."""
+    phase-1 programs of length n + 1; the boundedness and bounding-box
+    programs have length n)."""
 
     @staticmethod
     def hull_lps(monkeypatch, p):
         calls = []
         real = polyhedra._has_nonneg_combination
 
-        def counted(columns, rhs):
+        def counted(columns, rhs, *cost):
             if len(rhs) == p.dim + 1:
                 calls.append((tuple(rhs[:-1]), len(columns)))
-            return real(columns, rhs)
+            return real(columns, rhs, *cost)
 
         monkeypatch.setattr(polyhedra, "_has_nonneg_combination", counted)
         return integer_hull_vertices(p), calls
@@ -483,7 +616,9 @@ def test_face_dimensions_are_min_face_dimension(case):
 class TestFaceDimensionMetamorphic:
     """verify facedim depends on P, not on its presentation: a row
     permutation and x -> U x + t with U unimodular (A -> A U and
-    b -> b + A U t) keep the multiset of face dimensions and the verdict."""
+    b -> b + A U t) keep the multiset of face dimensions and the verdict,
+    and a column permutation moves each hull vertex with its face
+    dimension (the scan clips another coordinate)."""
 
     @staticmethod
     def summary(p, delta):
@@ -507,6 +642,19 @@ class TestFaceDimensionMetamorphic:
         t = data.draw(st.lists(st.integers(-2, 2), min_size=p.dim, max_size=p.dim))
         b = tuple(bound + sum(x * y for x, y in zip(row, t)) for row, bound in zip(a, p.b))
         assert self.summary(PolyhedronH(M(a), b), delta) == self.summary(p, delta)
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(criterion_7_polytopes(), st.data())
+    def test_column_permutation(self, case, data):
+        p, delta = case
+        order = data.draw(st.permutations(range(p.dim)))
+        permuted = PolyhedronH(M([[row[j] for j in order] for row in p.a.entries]), p.b)
+        report = verify_face_dimension_bound(p, delta)
+        moved = {tuple(v[j] for j in order): dim for v, dim in report.entries}
+        permuted_report = verify_face_dimension_bound(permuted, delta)
+        assert dict(permuted_report.entries) == moved
+        assert permuted_report.passed == report.passed
 
 
 class TestKernelLatticeBasis:
