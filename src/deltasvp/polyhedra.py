@@ -5,18 +5,23 @@ norm-1 threshold: integer-hull vertices sit on low-dimensional faces, and
 standard-form integer programs admit optimal solutions of small support.
 Everything is exact integer arithmetic on the fraction-free pivot of
 ``linalg``; rationals appear only in the returned vertices and program
-optima.  Boundedness is decided by a rank test and one phase-1 program
-(Gordan: the rows of A positively span R^n iff they span R^n and some
-strictly positive combination of them is 0), the vertices are the ends of
-the lines that n - 1 independent rows cut, each line from one reduced
-elimination and clipped to P by one pass over the rows, the bounding box
-of P comes from 2n dual programs on the same simplex with a cost row
-(max x_i over P is min {b y : A^T y = e_i, y >= 0}), lattice points come
+optima.  One simplex (Bland's smallest-subscript rule on an integer
+tableau) answers every linear program.  For the vertex enumeration,
+boundedness is decided by a rank test and one phase-1 program (Gordan: the
+rows of A positively span R^n iff they span R^n and some strictly positive
+combination of them is 0), and the vertices are the ends of the lines that
+n - 1 independent rows cut, each line from one reduced elimination and
+clipped to P by one pass over the rows.  The bounding box of P comes from
+2n dual programs (max x_i over P is min {b y : A^T y = e_i, y >= 0}) on one
+tableau: the first runs cold, and each later one is re-optimized from the
+basis before by the dual simplex (Lemke 1954), whose reduced costs, the
+slacks of P at a vertex, do not depend on the right side; the same
+programs decide that P is bounded and nonempty.  Lattice points come
 from a scan of that box whose widest coordinate is clipped to P, a lattice
 point is tested only against the kept points on its own minimal face of P
 (for a face F of P, F meet P_I is a face of P_I) and leaves the integer
-hull on an integer midpoint certificate or else on the same phase-1
-simplex (Bland's rule on an integer tableau), standard-form programs are
+hull on an integer midpoint certificate or else on a phase-1 program,
+standard-form programs are
 solved by dynamic programming over partial images (Papadimitriou 1981) whose
 value-to-go table answers the support verifier directly and lists every
 optimizer by a forward walk, kernel lattice bases come from the Hermite
@@ -62,6 +67,7 @@ RationalPoint = tuple[Fraction, ...]
 
 DEFAULT_POINT_BUDGET = 10_000_000
 MAX_VERTEX_DIMENSION = 5
+_RECESSION = "polyhedron has a nonzero recession direction"
 
 
 @dataclass(frozen=True)
@@ -108,7 +114,7 @@ def _assert_bounded(p: PolyhedronH) -> None:
     rows = list(p.a.entries)
     minus_sum = [-sum(column) for column in zip(*rows)]
     if rank(p.a) < p.dim or not _has_nonneg_combination(rows, minus_sum):
-        raise UnboundedPolyhedronError("polyhedron has a nonzero recession direction")
+        raise UnboundedPolyhedronError(_RECESSION)
 
 
 def vertices_of_polyhedron(
@@ -181,33 +187,65 @@ def vertices_of_polyhedron(
     return sorted(tuple(Fraction(x, d) for x in r) for d, *r in seen)
 
 
+def _box_optima(p: PolyhedronH) -> list[tuple[int, int]]:
+    """The optima of the 2n programs min {b y : A^T y = sign e_i, y >= 0},
+    sign -1 then 1 for each i in turn, each as a numerator and a positive
+    denominator, all on one ``_Simplex``; ``integer_points`` gives the
+    argument.  Raises the typed error of an unbounded or an empty P.
+    """
+    n = p.dim
+    simplex = _Simplex(p.a.entries, [-(i == 0) for i in range(n)], p.b)
+    if not simplex.phase_one():
+        raise UnboundedPolyhedronError(_RECESSION)
+    if not simplex.phase_two():
+        _assert_bounded(p)
+        raise EmptyPolyhedronError("polyhedron contains no points")
+    if any(j >= simplex.v for j in simplex.basis):
+        raise UnboundedPolyhedronError(_RECESSION)
+    optima: list[tuple[int, int]] = []
+    for i in range(n):
+        for sign in (-1, 1):
+            if optima and not simplex.reoptimize(i, sign):
+                raise UnboundedPolyhedronError(_RECESSION)
+            optima.append(simplex.optimum())
+    return optima
+
+
 def integer_points(p: PolyhedronH, budget: int = DEFAULT_POINT_BUDGET) -> list[tuple[int, ...]]:
     """All lattice points of a bounded polyhedron, sorted.
 
     The bounding box of P comes from 2n linear programs.  By duality,
     max x_i over P is min {b y : A^T y = e_i, y >= 0}, and min x_i is minus
-    min {b y : A^T y = -e_i, y >= 0}.  Once the rows of A positively span
-    R^n every such program is feasible, and one that is unbounded below
-    means P is empty.  The coordinate with the most integer values (the
-    last on a tie) is clipped to P, and the box of the others is scanned:
-    for each head x', the column c of A at that coordinate and the slack
-    b - A' x' clip it to one integer interval (floor of slack / c where
-    c > 0, ceiling where c < 0; a row with c = 0 and negative slack empties
-    it).  The points are sorted once at the end.  The budget covers the
-    whole bounding box.
+    min {b y : A^T y = -e_i, y >= 0}.  All 2n run on one tableau
+    (``_box_optima``).  The first, at -e_1, runs cold through phase 1 and
+    phase 2.  Each later one takes the optimal basis of the one before,
+    moves it to its own right side and re-optimizes by the dual simplex.
+    That basis is dual-feasible for every right side: its reduced costs
+    b - A x are the slacks of P at the vertex x that its dual values spell,
+    and they do not depend on the right side.  The dual simplex under
+    Bland's rule terminates, because it is the primal simplex under Bland's
+    rule run on the dual program.
+
+    The same programs decide P.  By Farkas, A^T y = e_i has no solution
+    y >= 0 iff some x with A x <= 0 has x_i > 0, so all 2n are feasible iff
+    P is bounded, and a feasible one is unbounded below iff P is empty.  So
+    a program without a feasible solution, or an artificial left basic
+    after phase 2 (rank(A) < n), raises UnboundedPolyhedronError.  Once the
+    first program has an optimum P is not empty, so no later one is
+    unbounded below.  When the first is unbounded below, P is empty, and
+    ``_assert_bounded`` runs before EmptyPolyhedronError, so a recession
+    direction is still reported first.
+
+    The coordinate with the most integer values (the last on a tie) is
+    clipped to P, and the box of the others is scanned: for each head x',
+    the column c of A at that coordinate and the slack b - A' x' clip it to
+    one integer interval (floor of slack / c where c > 0, ceiling where
+    c < 0; a row with c = 0 and negative slack empties it).  The points are
+    sorted once at the end.  The budget covers the whole bounding box.
     """
-    _assert_bounded(p)
     m, n = p.a.rows, p.dim
-    box = []
-    for i in range(n):
-        ends = []
-        for sign in (-1, 1):
-            unit = [sign * (j == i) for j in range(n)]
-            least = _has_nonneg_combination(p.a.entries, unit, p.b)
-            if least is None:
-                raise EmptyPolyhedronError("polyhedron contains no points")
-            ends.append(sign * math.floor(least))
-        box.append(ends)
+    optima = _box_optima(p)
+    box = [(-(top // d), most // e) for (top, d), (most, e) in zip(optima[::2], optima[1::2])]
     sizes = [hi - lo + 1 for lo, hi in box]
     _check_budget(math.prod(sizes), budget, "box scan")
     k = max(range(n), key=lambda i: (sizes[i], i))
@@ -244,83 +282,157 @@ def _has_nonneg_combination(
 ) -> bool | Fraction | None:
     """Exact feasibility of {M lambda = rhs, lambda >= 0}; with a cost row
     c, the least c lambda over that set instead, or None when it is
-    unbounded below (the set must be nonempty).
-
-    Phase-1 simplex with Bland's rule on both the entering and the leaving
-    choice, which guarantees termination.  The tableau is kept as integers
-    times 1/d, with d the last pivot: every pivot is fraction-free, and d
-    stays positive because each pivot entry is, so reduced costs keep their
-    signs and the ratio test compares cross products.  The phase-1
-    objective is one more row (d times the reduced costs, then minus d
-    times the infeasibility), updated by the same pivots and left out of
-    the ratio test.  The cost row (d times the reduced costs of c, then
-    minus d times the cost) rides along the same way.  Phase 2 first pivots
-    each artificial still basic at level 0 out on a nonzero entry of its
-    row, negating the row first when that entry is negative (its right side
-    is 0, so d stays positive), and then runs the same rule on the cost
-    row over the columns of M.
+    unbounded below (the set must be nonempty).  One cold run of
+    ``_Simplex``: phase 1, then phase 2 when there is a cost row.
     """
-    r = len(rhs)
-    v = len(columns)
-    if v == 0:
+    if not columns:
         return not any(rhs)
-    tableau: list[list[int]] = []
-    for i, (coefficients, value) in enumerate(zip(zip(*columns), rhs)):
-        row = [*coefficients, *[0] * r, value]
-        row[v + i] = 1
-        tableau.append(row if value >= 0 else [-x for x in row])
-    basis = [v + i for i in range(r)]
-    width = v + r
-    tableau.append([int(v <= j < width) - sum(col) for j, col in enumerate(zip(*tableau))])
-    if cost is not None:
-        tableau.append([*cost, *[0] * (r + 1)])
-    d = 1
+    simplex = _Simplex(columns, rhs, cost)
+    feasible = simplex.phase_one()
+    if cost is None:
+        return feasible
+    if not feasible:
+        raise InvariantError("a cost row needs a nonempty feasible set")
+    return Fraction(*simplex.optimum()) if simplex.phase_two() else None
 
-    def minimize(stop: int) -> bool:
-        """Bland's rule on row r over the columns before stop; False when
-        the objective is unbounded below."""
-        nonlocal d
-        objective = tableau[r]
+
+class _Simplex:
+    """The integer simplex tableau of {M lambda = rhs, lambda >= 0}, with
+    one artificial column per row and an optional cost row c.
+
+    The tableau is kept as integers times 1/d, with d the last pivot: every
+    pivot is fraction-free (``linalg._pivot``), and d stays positive
+    because each pivot entry is, so reduced costs keep their signs and
+    ratio tests compare cross products.  Every pivot chooses by Bland's
+    smallest-subscript rule, which guarantees termination (Bland 1977).  A
+    row whose right side is negative starts negated, so the artificials
+    give a feasible first basis.  The phase-1 objective is one more row (d
+    times the reduced costs, then minus d times the infeasibility), updated
+    by the same pivots and left out of every ratio test; the cost row (d
+    times the reduced costs of c, then minus d times the cost) rides along
+    the same way.  Every step is a row operation, so the artificial block
+    holds d times S, the product of the row operations so far, in every
+    row: S rhs' is d times the basic solution for any other right side rhs',
+    the cost row included.
+    """
+
+    __slots__ = ("rows", "basis", "d", "v", "r")
+
+    def __init__(
+        self, columns: Sequence[tuple[int, ...]], rhs: Sequence[int], cost: Sequence[int] | None
+    ) -> None:
+        r, v = len(rhs), len(columns)
+        rows = []
+        for i, (coefficients, value) in enumerate(zip(zip(*columns), rhs)):
+            row = [*coefficients, *[0] * r, value]
+            row[v + i] = 1
+            rows.append(row if value >= 0 else [-x for x in row])
+        width = v + r
+        rows.append([int(v <= j < width) - sum(col) for j, col in enumerate(zip(*rows))])
+        if cost is not None:
+            rows.append([*cost, *[0] * (r + 1)])
+        self.rows, self.basis, self.d, self.v, self.r = rows, [v + i for i in range(r)], 1, v, r
+
+    def _minimize(self, stop: int) -> bool:
+        """The primal simplex on the objective row r over the columns before
+        stop; False when the objective is unbounded below."""
+        rows, basis, r = self.rows, self.basis, self.r
         while True:
+            objective = rows[r]
             entering = next((j for j in range(stop) if objective[j] < 0), None)
             if entering is None:
                 return True
             leaving = None
             for i in range(r):
-                coeff = tableau[i][entering]
+                coeff = rows[i][entering]
                 if coeff > 0:
                     if leaving is None:
                         leaving = i
                         continue
                     # ratio_i < ratio_leaving, both denominators positive
-                    here = tableau[i][-1] * tableau[leaving][entering]
-                    best = tableau[leaving][-1] * coeff
+                    here = rows[i][-1] * rows[leaving][entering]
+                    best = rows[leaving][-1] * coeff
                     if here < best or (here == best and basis[i] < basis[leaving]):
                         leaving = i
             if leaving is None:
                 return False
-            _pivot(tableau, leaving, entering, d, 0)
-            objective = tableau[r]
-            d = tableau[leaving][entering]
+            _pivot(rows, leaving, entering, self.d, 0)
+            self.d = rows[leaving][entering]
             basis[leaving] = entering
 
-    if not minimize(width):
-        raise InvariantError("phase-1 objective cannot be unbounded")
-    feasible = tableau[r][width] == 0
-    if cost is None:
-        return feasible
-    if not feasible:
-        raise InvariantError("a cost row needs a nonempty feasible set")
-    del tableau[r]
-    for i in range(r):
-        j = next((j for j in range(v) if tableau[i][j]), None) if basis[i] >= v else None
-        if j is not None:
-            if tableau[i][j] < 0:
-                tableau[i] = [-x for x in tableau[i]]
-            _pivot(tableau, i, j, d, 0)
-            d = tableau[i][j]
-            basis[i] = j
-    return Fraction(-tableau[r][width], d) if minimize(v) else None
+    def phase_one(self) -> bool:
+        """Minimizes the infeasibility; True when the set is nonempty."""
+        if not self._minimize(self.v + self.r):
+            raise InvariantError("phase-1 objective cannot be unbounded")
+        return self.rows[self.r][-1] == 0
+
+    def phase_two(self) -> bool:
+        """After a feasible phase 1: drops its row, pivots each artificial
+        still basic (at level 0) out on a nonzero entry of its row, negating
+        the row first when that entry is negative (its right side is 0, so
+        d stays positive), and minimizes the cost over the columns of M.
+        False when the cost is unbounded below.  An artificial is left basic
+        only on a row that is 0 over every column of M, which happens iff M
+        has rank below r."""
+        rows, basis, v = self.rows, self.basis, self.v
+        del rows[self.r]
+        for i in range(self.r):
+            j = next((j for j in range(v) if rows[i][j]), None) if basis[i] >= v else None
+            if j is not None:
+                if rows[i][j] < 0:
+                    rows[i] = [-x for x in rows[i]]
+                _pivot(rows, i, j, self.d, 0)
+                self.d = rows[i][j]
+                basis[i] = j
+        return self._minimize(v)
+
+    def reoptimize(self, i: int, sign: int) -> bool:
+        """Moves an optimal tableau to the right side sign * e_i and
+        restores optimality by the dual simplex (Lemke 1954); False when the
+        new set is empty.
+
+        The new right side is sign times artificial column i, in every row.
+        The reduced costs do not depend on the right side, so the basis
+        stays dual-feasible.  Bland's rule for the dual: the leaving row is
+        the one of negative right side with the smallest basic index, and
+        the entering column the one of least ratio cost_j / -row_j over the
+        entries row_j < 0 of M's columns, ties to the smallest j;
+        artificials never enter.  No entering column means the row reads
+        (nonnegative terms) = (negative value), so the set is empty.  The
+        row is negated before the pivot, so the pivot entry and d are
+        positive.
+        """
+        rows, basis, v, r = self.rows, self.basis, self.v, self.r
+        column = v + i
+        for row in rows:
+            row[-1] = sign * row[column]
+        cost = rows[r]
+        while True:
+            leaving = min(
+                (k for k in range(r) if rows[k][-1] < 0), key=basis.__getitem__, default=None
+            )
+            if leaving is None:
+                return True
+            row = rows[leaving]
+            entering = None
+            for j in range(v):
+                a = row[j]
+                # cost_j / -a < cost_entering / -row_entering, both -a > 0
+                if a < 0 and (entering is None or cost[j] * row[entering] > cost[entering] * a):
+                    entering = j
+            if entering is None:
+                return False
+            rows[leaving] = [-x for x in row]
+            _pivot(rows, leaving, entering, self.d, 0)
+            cost = rows[r]
+            self.d = rows[leaving][entering]
+            if self.d <= 0:
+                raise InvariantError("a dual pivot entry must be positive")
+            basis[leaving] = entering
+
+    def optimum(self) -> tuple[int, int]:
+        """The least cost as a numerator and a positive denominator."""
+        return -self.rows[self.r][-1], self.d
 
 
 def integer_hull_vertices(

@@ -27,9 +27,22 @@ _TOKENS = re.compile(f"{_INTEGER}(?: {_INTEGER})*")
 
 def _ints(tokens: list[str]) -> tuple[int, ...]:
     """The integers the tokens spell in the format, else ValueError naming
-    the first token that is not [+-]?[0-9]+.  One match over the joined
-    tokens checks a whole line."""
-    if not _TOKENS.fullmatch(" ".join(tokens)):
+    the first token that is not [+-]?[0-9]+.
+
+    On ASCII tokens without an underscore, int() accepts exactly the
+    format: split() leaves no whitespace for it to strip, and it takes no
+    base prefix or exponent.  So a line of such tokens goes straight to
+    int(), and the regular expression runs only when that fails; one
+    match over the joined tokens then checks the line, and the first bad
+    token is named in full (int() cuts a long one short in its own
+    message)."""
+    line = " ".join(tokens)
+    if line.isascii() and "_" not in line:
+        try:
+            return tuple(map(int, tokens))
+        except ValueError:
+            pass
+    if not _TOKENS.fullmatch(line):
         bad = next(t for t in tokens if not _TOKEN.fullmatch(t))
         # the message int() gives for the tokens it rejects itself
         raise ValueError(f"invalid literal for int() with base 10: {bad!r}")

@@ -151,9 +151,9 @@ def test_cli_budget_zero_still_refuses_a_scan_with_exit_code_3(capsys):
 
 
 def _hull_lps(monkeypatch, dim):
-    """Records the hull-membership programs (length dim + 1; the one
-    boundedness program and the 2 dim bounding-box programs have length
-    dim)."""
+    """Records the hull-membership programs (length dim + 1).  The
+    bounding-box programs share one tableau and do not come here, and the
+    boundedness program, run only for an empty P, has length dim."""
     calls = []
     real = polyhedra._has_nonneg_combination
 

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -383,26 +384,148 @@ def bounded_polyhedra(draw):
     return [entries[i] for i in order], [b[i] for i in order]
 
 
+@st.composite
+def degenerate_polyhedra(draw):
+    """(entries, b) of a bounded nonempty polyhedron in R^n, n <= 3, whose
+    dual programs tie: n + 2 to n + 4 random rows tight at a point x0 (the
+    apex of a pyramid), closed by e_1, ..., e_n and -(e_1 + ... + e_n) with
+    slack in [0, 3] at x0 (slack 0 on all of them leaves only x0), up to
+    three rows repeated, and in half the draws every row and its bound
+    scaled by a factor of up to 70 bits, in a random order."""
+    n = draw(st.integers(1, 3))
+    x0 = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    entries = draw(st.lists(row, min_size=n + 2, max_size=n + 4))
+    entries += [[int(i == j) for i in range(n)] for j in range(n)] + [[-1] * n]
+    b = [sum(map(mul, a, x0)) for a in entries]
+    for k in range(-n - 1, 0):
+        b[k] += draw(st.integers(0, 3))
+    for k in draw(st.lists(st.integers(0, len(b) - 1), max_size=3)):
+        entries.append(entries[k])
+        b.append(b[k])
+    if draw(st.booleans()):
+        factors = draw(st.lists(st.integers(1, 2**70), min_size=len(b), max_size=len(b)))
+        entries = [[f * x for x in r] for f, r in zip(factors, entries)]
+        b = [f * x for f, x in zip(factors, b)]
+    order = draw(st.permutations(range(len(b))))
+    return [entries[i] for i in order], [b[i] for i in order]
+
+
+def assert_box_programs_match_the_vertices(entries, b):
+    """The 2n box programs, min b y subject to A^T y = -e_1, e_1, ...,
+    -e_n, e_n and y >= 0, on one shared basis (polyhedra._box_optima), each
+    against the same program run cold on the phase-1 simplex with a cost
+    row and against the Fraction vertices: the program at e_i is max x_i
+    over P and the one at -e_i is minus min x_i.  On an empty P each cold
+    program is unbounded below (None), and the shared run raises."""
+    vertices = polyhedron_vertices(entries, b)
+    n = len(entries[0])
+    units = [[sign * (j == i) for j in range(n)] for i in range(n) for sign in (-1, 1)]
+    cold = [polyhedra._has_nonneg_combination(entries, unit, b) for unit in units]
+    p = PolyhedronH(M(entries), tuple(b))
+    if vertices == "empty":
+        assert cold == [None] * 2 * n
+        with pytest.raises(EmptyPolyhedronError, match="^polyhedron contains no points$"):
+            polyhedra._box_optima(p)
+    else:
+        shared = [Fraction(*optimum) for optimum in polyhedra._box_optima(p)]
+        assert shared == cold == [max(sum(map(mul, u, v)) for v in vertices) for u in units]
+
+
 @settings(max_examples=150, deadline=None)
 @given(bounded_polyhedra())
 def test_bounding_box_programs_match_the_vertices(case):
-    """integer_points reads the bounding box of P off 2n dual programs on
-    the phase-1 simplex with a cost row: the least b y subject to
-    A^T y = e_i, y >= 0 is max x_i over P, and minus the least at -e_i is
-    min x_i; on an empty P each program is unbounded below (None).  Both
-    against the min and max of every vertex from the Fraction reference."""
-    entries, b = case
-    vertices = polyhedron_vertices(entries, b)
-    n = len(entries[0])
-    for i in range(n):
-        for sign in (1, -1):
-            least = polyhedra._has_nonneg_combination(
-                entries, [sign * (j == i) for j in range(n)], b
-            )
-            if vertices == "empty":
-                assert least is None
-            else:
-                assert least == max(sign * v[i] for v in vertices)
+    assert_box_programs_match_the_vertices(*case)
+
+
+@settings(max_examples=150, deadline=None)
+@given(degenerate_polyhedra())
+def test_bounding_box_programs_tie_and_still_match(case):
+    assert_box_programs_match_the_vertices(*case)
+
+
+@pytest.mark.parametrize(
+    "entries,b",
+    [
+        ([[2], [-3]], [3, 4]),  # n = 1: -4/3 <= x <= 3/2
+        ([[1], [-1]], [-2, 2]),  # n = 1, the point -2
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]], [1, -2, 0, 1]),  # the point (1, -2, 0)
+        (  # a square pyramid with apex (0, 0, 1) on five rows, two of them repeated
+            [[1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1], [1, 1, 1], [0, 0, -1], [1, 0, 1],
+             [1, 1, 1]],
+            [1, 1, 1, 1, 1, 0, 1, 1],
+        ),
+    ],
+    ids=["segment", "n1_point", "point", "pyramid_repeated"],
+)
+def test_bounding_box_programs_on_small_cases(entries, b):
+    assert_box_programs_match_the_vertices(entries, b)
+
+
+class TestBoxErrors:
+    """_box_optima decides P as it solves: a recession direction comes
+    before an empty P, whichever of its steps finds it."""
+
+    @pytest.mark.parametrize(
+        "entries,b,error",
+        [
+            # x <= 1, y <= 1: phase 1 of the first program, -e_1, fails
+            ([[1, 0], [0, 1]], [1, 1], UnboundedPolyhedronError),
+            # -1 <= x <= 1 in R^2: the first program has an optimum with
+            # an artificial left basic, rank 1 < 2
+            ([[1, 0], [-1, 0]], [1, 1], UnboundedPolyhedronError),
+            # -1 <= x <= 1, y <= 1: the dual simplex finds -e_2 infeasible
+            ([[1, 0], [-1, 0], [0, 1]], [1, 1, 1], UnboundedPolyhedronError),
+            # x <= -1, x >= 0, y <= 5: empty, and y is free below
+            ([[1, 0], [-1, 0], [0, 1]], [-1, 0, 5], UnboundedPolyhedronError),
+            # x <= -1, x >= 0 in R^2: empty, and the rows have rank 1
+            ([[1, 0], [-1, 0]], [-1, 0], UnboundedPolyhedronError),
+            # x <= -1, x >= 0, -1 <= y <= 1: empty and bounded
+            ([[1, 0], [-1, 0], [0, 1], [0, -1]], [-1, 0, 1, 1], EmptyPolyhedronError),
+        ],
+        ids=["phase_one", "rank", "dual_ratio_test", "empty_unbounded", "empty_rank", "empty"],
+    )
+    def test_error_and_message(self, entries, b, error):
+        p = PolyhedronH(M(entries), tuple(b))
+        message = {
+            UnboundedPolyhedronError: "^polyhedron has a nonzero recession direction$",
+            EmptyPolyhedronError: "^polyhedron contains no points$",
+        }[error]
+        for run in (polyhedra._box_optima, integer_points, vertices_of_polyhedron):
+            with pytest.raises(error, match=message):
+                run(p)
+
+    def test_rank_below_n_stops_before_the_dual_simplex(self, monkeypatch):
+        """-1 <= x <= 1 in R^2: the first program has an optimum, and the
+        artificial of the row for x_2 stays basic, so no later program runs
+        (one would find A^T y = +-e_2 infeasible)."""
+
+        def never(simplex, i, sign):
+            raise AssertionError("a later program ran")
+
+        monkeypatch.setattr(polyhedra._Simplex, "reoptimize", never)
+        with pytest.raises(UnboundedPolyhedronError):
+            polyhedra._box_optima(PolyhedronH(M([[1, 0], [-1, 0]]), (1, 1)))
+
+    def test_bounded_p_runs_one_phase_one_and_no_boundedness_program(self, monkeypatch):
+        """The box of a nonempty bounded P builds one tableau, runs phase 1
+        once, and never runs _assert_bounded's rank test and program."""
+        runs = []
+        real = polyhedra._Simplex.phase_one
+
+        def counted(simplex):
+            runs.append(simplex.r)
+            return real(simplex)
+
+        def never(p):
+            raise AssertionError("_assert_bounded ran")
+
+        monkeypatch.setattr(polyhedra._Simplex, "phase_one", counted)
+        monkeypatch.setattr(polyhedra, "_assert_bounded", never)
+        for n in (1, 3):
+            runs.clear()
+            assert len(integer_points(box_polyhedron(n))) == 3**n
+            assert runs == [n]
 
 
 class TestIntegerHull:
@@ -488,8 +611,9 @@ class TestIntegerHull:
 
 class TestHullWork:
     """The work integer_hull_vertices saves, counted on the hull LPs (the
-    phase-1 programs of length n + 1; the boundedness and bounding-box
-    programs have length n)."""
+    phase-1 programs of length n + 1; the bounding-box programs share one
+    tableau and do not come here, and the boundedness program has length
+    n)."""
 
     @staticmethod
     def hull_lps(monkeypatch, p):

@@ -67,6 +67,22 @@ def test_non_decimal_header_b_and_c_rejected(token):
         parse_standard_form(f"1 1\n1\nb: 1\nc: {token}\n")
 
 
+@pytest.mark.parametrize(
+    "token",
+    [*NON_DECIMAL, "+", "--1", "1e5", "9" * 299 + "x"],
+    ids=["underscore", "fullwidth", "arabic_indic", "sign_only", "two_signs", "exponent", "long"],
+)
+def test_bad_token_message_names_the_whole_token(token):
+    """int() rejects the ASCII ones itself, and cuts a token past 200
+    characters short in its message; the error names every token whole."""
+    with pytest.raises(ParseError) as info:
+        parse_matrix(f"2 2\n1 0\n0 {token}\n")
+    assert str(info.value) == f"row 1: invalid literal for int() with base 10: {token!r}"
+    with pytest.raises(ParseError) as info:
+        parse_polyhedron(f"1 1\n1\nb: {token}\n")
+    assert str(info.value) == f"b: invalid literal for int() with base 10: {token!r}"
+
+
 def test_signs_and_any_whitespace_accepted():
     assert parse_matrix("2  2\n+1\t-0\n-3 \t +4\n") == M([[1, 0], [-3, 4]])
 
