@@ -50,9 +50,5 @@ class EmptyPolyhedronError(DeltaSvpError):
     """Polyhedron contains no points."""
 
 
-class ContainmentError(DeltaSvpError):
-    """A point required to lie in a polyhedron does not."""
-
-
 class InvariantError(AssertionError):
     """Internal invariant violated; indicates a bug, not a bad input."""

@@ -192,18 +192,14 @@ def _pivot(work: list[list[int]], r: int, c: int, prev: int, first: int) -> None
         work[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
 
 
-def _eliminate(
-    work: list[list[int]], columns: Iterable[int], reduce: bool
-) -> tuple[list[int], int]:
+def _eliminate(work: list[list[int]], columns: Iterable[int]) -> tuple[list[int], int]:
     """Fraction-free elimination of work in place, trying the given columns
     in order and pivoting on the first nonzero entry at or below the next
     pivot row; a column without one is skipped.
 
     Returns the pivot columns (pivot k sits in row k) and the signed
     determinant of the pivot rows and columns, which is det(work) when work
-    is square with full rank.  With reduce=True the rows above each pivot
-    are cleared too, so every pivot row ends with the last pivot at its
-    pivot column and zeros at the other pivot columns.
+    is square with full rank.
     """
     pivots: list[int] = []
     sign = prev = 1
@@ -217,7 +213,7 @@ def _eliminate(
         if i != r:
             work[r], work[i] = work[i], work[r]
             sign = -sign
-        _pivot(work, r, c, prev, 0 if reduce else r + 1)
+        _pivot(work, r, c, prev, r + 1)
         prev = work[r][c]
         pivots.append(c)
     return pivots, sign * prev
@@ -225,7 +221,7 @@ def _eliminate(
 
 def _det(work: list[list[int]]) -> int:
     """det(work) for square work, eliminated in place; 0 if a pivot is missing."""
-    pivots, value = _eliminate(work, range(len(work)), reduce=False)
+    pivots, value = _eliminate(work, range(len(work)))
     return value if len(pivots) == len(work) else 0
 
 
@@ -633,7 +629,7 @@ def box_images(a: IntMatrix, ranges: Sequence[Sequence[int]]) -> _Scan:
 
 def rank(a: IntMatrix) -> int:
     """Exact rank over the rationals."""
-    return len(_eliminate([list(row) for row in a.entries], range(a.cols), reduce=False)[0])
+    return len(_eliminate([list(row) for row in a.entries], range(a.cols))[0])
 
 
 def find_invertible_rows(a: IntMatrix) -> tuple[int, ...]:
@@ -753,23 +749,6 @@ def is_totally_delta_modular(
             if any(abs(value) > delta for _, value in _minors(tuple(zip(*rows)), k)):
                 return False
     return True
-
-
-def gcd_full_rank_subdets(a: IntMatrix, budget: int = DEFAULT_MINOR_BUDGET) -> int:
-    """gcd of |det| over all maximal full-rank column submatrices.
-
-    The input must have full row rank; zero minors are ignored.
-    """
-    m, n = a.rows, a.cols
-    if m > n or rank(a) < m:
-        raise RankError("full row rank required")
-    _check_budget(math.comb(n, m), budget, "gcd subdeterminant scan")
-    g = 0
-    for _, value in _minors(a.transpose().entries, m):
-        g = math.gcd(g, value)
-        if g == 1:
-            return 1
-    return g
 
 
 def subdet_ratio_check(

@@ -23,7 +23,6 @@ from typing import Iterable, Iterator
 
 from .errors import BudgetExceededError, DomainError, InvariantError, RankError
 from .linalg import (
-    DEFAULT_MINOR_BUDGET,
     IntMatrix,
     Tableau,
     _bias,
@@ -31,7 +30,6 @@ from .linalg import (
     _check_budget,
     _read_words,
     _unpack,
-    max_abs_full_rank_subdet,
     rank,
     tableau,
 )
@@ -247,21 +245,3 @@ def shortest_is_at_least_2(
         raise InvariantError("preimage witness has norm above 1")
     return False, z
 
-
-def certifies_lower_bound(
-    a: IntMatrix,
-    delta: int,
-    minor_budget: int = DEFAULT_MINOR_BUDGET,
-    preimage_budget: int = DEFAULT_BOX_BUDGET,
-) -> bool:
-    """True iff A is exactly delta-modular and has no lattice vector of
-    norm below 2, witnessing that cols(A) dimensions are not enough
-    to force a norm-1 vector at this delta.
-    """
-    if delta < 1:
-        raise DomainError("delta must be >= 1")
-    largest, _ = max_abs_full_rank_subdet(a, minor_budget)
-    if largest != delta:
-        return False
-    decided, _ = shortest_is_at_least_2(a, preimage_budget)
-    return decided

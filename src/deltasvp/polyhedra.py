@@ -4,43 +4,35 @@ Verifies, on explicit bounded instances, the structural consequences of the
 norm-1 threshold: integer-hull vertices sit on low-dimensional faces, and
 standard-form integer programs admit optimal solutions of small support.
 Everything is exact integer arithmetic on the fraction-free pivot of
-``linalg``; rationals appear only in the returned vertices and program
-optima.  One simplex (Bland's smallest-subscript rule on an integer
-tableau) answers every linear program.  For the vertex enumeration,
-boundedness is decided by a rank test and one phase-1 program (Gordan: the
-rows of A positively span R^n iff they span R^n and some strictly positive
-combination of them is 0), and the vertices are the ends of the lines that
-n - 1 independent rows cut, each line from one reduced elimination and
-clipped to P by one pass over the rows.  The bounding box of P comes from
-2n dual programs (max x_i over P is min {b y : A^T y = e_i, y >= 0}) on one
+``linalg``; a program optimum is a numerator and a positive denominator.
+One simplex (Bland's smallest-subscript rule on an integer tableau)
+answers every linear program.  The bounding box of P comes from 2n dual
+programs (max x_i over P is min {b y : A^T y = e_i, y >= 0}) on one
 tableau: the first runs cold, and each later one is re-optimized from the
 basis before by the dual simplex (Lemke 1954), whose reduced costs, the
 slacks of P at a vertex, do not depend on the right side; the same
-programs decide that P is bounded and nonempty.  Lattice points come
-from a scan of that box whose widest coordinate is clipped to P, a lattice
+programs decide that P is bounded and nonempty.  Lattice points come from
+a scan of that box whose widest coordinate is clipped to P, a lattice
 point is tested only against the kept points on its own minimal face of P
 (for a face F of P, F meet P_I is a face of P_I) and leaves the integer
 hull on an integer midpoint certificate or else on a phase-1 program,
-standard-form programs are
-solved by dynamic programming over partial images (Papadimitriou 1981) whose
-value-to-go table answers the support verifier directly and lists every
-optimizer by a forward walk, kernel lattice bases come from the Hermite
-normal form, and the kernel identity reads each maximal minor once off
-``linalg._minors``.  Both face facts and the duality are in Schrijver
-(1986), "Theory of Linear and Integer Programming".
+standard-form programs are solved by dynamic programming over partial
+images (Papadimitriou 1981) whose value-to-go table answers the support
+verifier directly and lists every optimizer by a forward walk, kernel
+lattice bases come from the Hermite normal form, and the kernel identity
+reads each maximal minor once off ``linalg._minors``.  Both face facts and
+the duality are in Schrijver (1986), "Theory of Linear and Integer
+Programming".
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations
 from operator import add, le, mul, sub
 from typing import Sequence
 
 from .errors import (
-    ContainmentError,
     DimensionError,
     DomainError,
     EmptyPolyhedronError,
@@ -53,7 +45,6 @@ from .linalg import (
     DEFAULT_MINOR_BUDGET,
     IntMatrix,
     _check_budget,
-    _eliminate,
     _minors,
     _pivot,
     box_images,
@@ -63,10 +54,7 @@ from .linalg import (
 )
 from .threshold import dimension_threshold
 
-RationalPoint = tuple[Fraction, ...]
-
 DEFAULT_POINT_BUDGET = 10_000_000
-MAX_VERTEX_DIMENSION = 5
 _RECESSION = "polyhedron has a nonzero recession direction"
 
 
@@ -115,76 +103,6 @@ def _assert_bounded(p: PolyhedronH) -> None:
     minus_sum = [-sum(column) for column in zip(*rows)]
     if rank(p.a) < p.dim or not _has_nonneg_combination(rows, minus_sum):
         raise UnboundedPolyhedronError(_RECESSION)
-
-
-def vertices_of_polyhedron(
-    p: PolyhedronH, budget: int = DEFAULT_POINT_BUDGET
-) -> list[RationalPoint]:
-    """All vertices of a bounded nonempty polyhedron, sorted, exact.
-
-    Every vertex has n independent tight rows, so any n - 1 of them cut a
-    line through it on which it is an endpoint of the segment in P: the
-    remaining row a has a u != 0 for the line's direction u, and it is
-    tight at the vertex.  Conversely each endpoint adds one tight row with
-    a u != 0 to the n - 1, so it has n independent tight rows.  So the scan
-    visits the row sets S of size n - 1: one reduced fraction-free
-    elimination of [A_S | b_S] gives the line x = (r + lambda u) / d with
-    d > 0 the last pivot, and one pass over the rows gives alpha = a u and
-    beta = b d - a r, so that the row reads lambda alpha <= beta.  The least
-    beta / alpha over alpha > 0 and the greatest over alpha < 0, compared
-    by cross products, bound the segment; a row with alpha = 0 and
-    beta < 0 misses the line.  The budget gate still admits the C(m, n)
-    vertex candidates, while the scan visits C(m, n - 1) lines of m rows
-    each.  Unbounded or empty input raises a typed error.
-    """
-    a, b = p.a.entries, p.b
-    m, n = p.a.rows, p.dim
-    if n > MAX_VERTEX_DIMENSION:
-        raise DimensionError(f"vertex enumeration supports at most {MAX_VERTEX_DIMENSION} dimensions")
-    _check_budget(math.comb(m, n), budget, "vertex enumeration")
-    _assert_bounded(p)
-    seen = set()
-    for rows in combinations(range(m), n - 1):
-        work = [list(a[i]) + [b[i]] for i in rows]
-        pivots, _ = _eliminate(work, range(n), reduce=True)
-        if len(pivots) < n - 1:
-            continue
-        free = next(j for j in range(n) if j not in pivots)
-        d = work[0][pivots[0]] if work else 1
-        r, u = [0] * n, [0] * n
-        for row, j in zip(work, pivots):
-            r[j], u[j] = row[n], -row[free]
-        u[free] = d
-        if d < 0:
-            d, r, u = -d, [-x for x in r], [-x for x in u]
-        upper = lower = None  # (beta, alpha) of the tightest row each way
-        for row, bound in zip(a, b):
-            alpha = sum(map(mul, row, u))
-            beta = bound * d - sum(map(mul, row, r))
-            if alpha > 0:
-                if upper is None or beta * upper[1] < upper[0] * alpha:
-                    upper = (beta, alpha)
-            elif alpha < 0:
-                if lower is None or beta * lower[1] > lower[0] * alpha:
-                    lower = (beta, alpha)
-            elif beta < 0:
-                break
-        else:
-            if upper is None or lower is None:
-                raise InvariantError("a line through a bounded polyhedron has two ends")
-            # empty when beta_l / alpha_l > beta_u / alpha_u; alpha_l alpha_u < 0
-            if lower[0] * upper[1] < upper[0] * lower[1]:
-                continue
-            for beta, alpha in (upper, lower):
-                x = [alpha * ri + beta * ui for ri, ui in zip(r, u)]
-                den = alpha * d
-                if den < 0:
-                    den, x = -den, [-xi for xi in x]
-                g = math.gcd(den, *x)
-                seen.add((den // g, *(xi // g for xi in x)))
-    if not seen:
-        raise EmptyPolyhedronError("polyhedron contains no points")
-    return sorted(tuple(Fraction(x, d) for x in r) for d, *r in seen)
 
 
 def _box_optima(p: PolyhedronH) -> list[tuple[int, int]]:
@@ -277,23 +195,12 @@ def integer_points(p: PolyhedronH, budget: int = DEFAULT_POINT_BUDGET) -> list[t
     return points
 
 
-def _has_nonneg_combination(
-    columns: Sequence[tuple[int, ...]], rhs: list[int], cost: Sequence[int] | None = None
-) -> bool | Fraction | None:
-    """Exact feasibility of {M lambda = rhs, lambda >= 0}; with a cost row
-    c, the least c lambda over that set instead, or None when it is
-    unbounded below (the set must be nonempty).  One cold run of
-    ``_Simplex``: phase 1, then phase 2 when there is a cost row.
-    """
+def _has_nonneg_combination(columns: Sequence[tuple[int, ...]], rhs: list[int]) -> bool:
+    """Exact feasibility of {M lambda = rhs, lambda >= 0}: phase 1 of one
+    cold ``_Simplex``."""
     if not columns:
         return not any(rhs)
-    simplex = _Simplex(columns, rhs, cost)
-    feasible = simplex.phase_one()
-    if cost is None:
-        return feasible
-    if not feasible:
-        raise InvariantError("a cost row needs a nonempty feasible set")
-    return Fraction(*simplex.optimum()) if simplex.phase_two() else None
+    return _Simplex(columns, rhs, None).phase_one()
 
 
 class _Simplex:
@@ -435,10 +342,9 @@ class _Simplex:
         return -self.rows[self.r][-1], self.d
 
 
-def integer_hull_vertices(
-    p: PolyhedronH, budget: int = DEFAULT_POINT_BUDGET
-) -> list[tuple[int, ...]]:
-    """Vertices of the convex hull of the lattice points of P, sorted.
+def _integer_hull(p: PolyhedronH, budget: int) -> dict[tuple[int, ...], int]:
+    """Vertices of the convex hull of the lattice points of P, in sorted
+    order, each with the bitmask of the rows of P tight at it.
 
     The points are taken in sorted order against the points still kept,
     each tested only against the kept points on its own minimal face of P:
@@ -455,12 +361,6 @@ def integer_hull_vertices(
     test decides extremality in P_I itself.  The budget covers
     (number of points)^2, the pairs the tests may visit.
     """
-    return list(_integer_hull(p, budget))
-
-
-def _integer_hull(p: PolyhedronH, budget: int) -> dict[tuple[int, ...], int]:
-    """integer_hull_vertices, each vertex with the bitmask of the rows of P
-    tight at it."""
     points = integer_points(p, budget)
     _check_budget(len(points) ** 2, budget, "integer hull scan")
     rows = list(zip(p.a.entries, p.b))
@@ -481,23 +381,6 @@ def _integer_hull(p: PolyhedronH, budget: int) -> dict[tuple[int, ...], int]:
     return kept
 
 
-def min_face_dimension(p: PolyhedronH, point: Sequence[int]) -> int:
-    """Dimension of the smallest face of P containing the point.
-
-    Equals dim minus the rank of the rows tight at the point (zero slack
-    b - A x); an interior point gives the full dimension.
-    """
-    if len(point) != p.dim:
-        raise DimensionError("point dimension mismatch")
-    slacks = [bound - sum(map(mul, row, point)) for row, bound in zip(p.a.entries, p.b)]
-    if any(slack < 0 for slack in slacks):
-        raise ContainmentError("point is not in the polyhedron")
-    tight = [i for i, slack in enumerate(slacks) if slack == 0]
-    if not tight:
-        return p.dim
-    return p.dim - rank(p.a.submatrix_rows(tight))
-
-
 @dataclass(frozen=True)
 class FaceDimensionReport:
     """Per-vertex face dimensions of the integer hull against the bound."""
@@ -514,9 +397,9 @@ def verify_face_dimension_bound(
     """Checks every integer-hull vertex sits on a face of dimension at most
     the threshold bound for delta.  The caller vouches that the matrix of P
     is delta-modular; a failing report on certified input is build-breaking.
-    Each vertex's face dimension, dim minus the rank of its tight rows as in
-    min_face_dimension, is read off the tight-row mask that the hull scan
-    computed, and each distinct mask is ranked once.
+    Each vertex's face dimension, dim minus the rank of its tight rows (the
+    dimension of the least face of P holding it), is read off the tight-row
+    mask that the hull scan computed, and each distinct mask is ranked once.
     """
     bound = dimension_threshold(delta)
     dims: dict[int, int] = {}

@@ -3,14 +3,16 @@
 Deliberately separate implementations: cofactor expansion for determinants
 and adjugates, schoolbook matrix products, Fraction-based elimination for
 rank and inverses, plain full scans (no split, no caching) for minimum
-norms, preimage witnesses, lattice points and integer-program optima, and
+norms, preimage witnesses, lattice points and integer-program optima,
 Fraction solves of every row subset for polyhedron vertices and
-boundedness.  Nothing here may call the implementation paths it is used to
-check.
+boundedness, the Fraction rank of the tight rows for face dimensions, and
+every cofactor minor for coprime maximal minors.  Nothing here may call
+the implementation paths it is used to check.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -82,6 +84,14 @@ def fraction_rank(entries) -> int:
         if r == n_rows:
             break
     return r
+
+
+def coprime_maximal_minors(entries) -> bool:
+    """True iff the k x k minors of an m x k matrix (m >= k), one per
+    k-row subset, have gcd 1."""
+    rows = [tuple(r) for r in entries]
+    subsets = combinations(range(len(rows)), len(rows[0]))
+    return math.gcd(*(cofactor_det([rows[i] for i in s]) for s in subsets)) == 1
 
 
 def box_min_norm(entries, k: int) -> int:
@@ -321,6 +331,17 @@ def polyhedron_vertices(entries, b):
         return "unbounded"
     vertices = set(_feasible_basic_solutions(rows, list(b)))
     return sorted(vertices) if vertices else "empty"
+
+
+def face_dimension(entries, b, point) -> int:
+    """Dimension of the least face of {A x <= b} holding the point: n minus
+    the Fraction rank of the rows tight at it.  Raises ValueError on a
+    point outside the polyhedron."""
+    slacks = [bound - sum(a * x for a, x in zip(row, point)) for row, bound in zip(entries, b)]
+    if min(slacks) < 0:
+        raise ValueError("point is not in the polyhedron")
+    tight = [row for row, slack in zip(entries, slacks) if slack == 0]
+    return len(point) - (fraction_rank(tight) if tight else 0)
 
 
 def convex_hull_2d(points) -> list[tuple[int, int]]:

@@ -24,7 +24,6 @@ from deltasvp.linalg import (
     box_images,
     det,
     find_invertible_rows,
-    gcd_full_rank_subdets,
     hnf,
     is_totally_delta_modular,
     max_abs_full_rank_subdet,
@@ -933,21 +932,6 @@ class TestIsTotallyDeltaModular:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             is_totally_delta_modular(M([[1, 1], [1, -1]]), 1, budget=2)
-
-
-class TestGcdFullRankSubdets:
-    def test_identity(self):
-        assert gcd_full_rank_subdets(IntMatrix.identity(3)) == 1
-
-    def test_single_subdeterminant(self):
-        assert gcd_full_rank_subdets(M([[2, 0], [0, 2]])) == 4
-
-    def test_zeros_ignored(self):
-        assert gcd_full_rank_subdets(M([[2, 4, 0], [0, 0, 2]])) == 4
-
-    def test_rank_deficient(self):
-        with pytest.raises(RankError):
-            gcd_full_rank_subdets(M([[1, 1], [2, 2]]))
 
 
 class TestSubdetRatioCheck:

@@ -19,7 +19,6 @@ from deltasvp.linalg import (
 from deltasvp.oracle import (
     OracleResult,
     brute_force_svp,
-    certifies_lower_bound,
     enum_bound,
     layered_svp,
     scan_svp,
@@ -225,19 +224,25 @@ class TestShortestIsAtLeast2:
         assert hits >= 100
 
 
+def lower_bound_certified(a, delta):
+    """A is exactly delta-modular and has no lattice vector of norm below
+    2: the two facts that check delta and svp atleast2 print."""
+    return max_abs_full_rank_subdet(a)[0] == delta and shortest_is_at_least_2(a)[0]
+
+
 class TestCertifiesLowerBound:
     @pytest.mark.parametrize("delta", [2, 3, 4, 5])
     def test_constructions_certify(self, delta):
-        assert certifies_lower_bound(lower_bound_instance(delta), delta)
+        assert lower_bound_certified(lower_bound_instance(delta), delta)
 
     def test_identity_does_not(self):
-        assert not certifies_lower_bound(IntMatrix.identity(2), 1)
+        assert not lower_bound_certified(IntMatrix.identity(2), 1)
 
     def test_short_vector_disqualifies(self):
-        assert not certifies_lower_bound(WORKED, 2)
+        assert not lower_bound_certified(WORKED, 2)
 
     def test_wrong_delta_disqualifies(self):
-        assert not certifies_lower_bound(lower_bound_instance(3), 2)
+        assert not lower_bound_certified(lower_bound_instance(3), 2)
 
 
 def record_layers(monkeypatch) -> list[int]:

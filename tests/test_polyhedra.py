@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import product
 from operator import mul
 
 import pytest
@@ -10,11 +9,9 @@ from hypothesis import strategies as st
 from deltasvp import polyhedra
 from deltasvp.errors import (
     BudgetExceededError,
-    ContainmentError,
     DimensionError,
     DomainError,
     EmptyPolyhedronError,
-    InvariantError,
     RankError,
     UnboundedPolyhedronError,
 )
@@ -24,25 +21,24 @@ from deltasvp.generators import (
     random_full_row_rank,
     sparsity_instance,
 )
-from deltasvp.linalg import IntMatrix, gcd_full_rank_subdets, max_abs_full_rank_subdet, rank
+from deltasvp.linalg import IntMatrix, max_abs_full_rank_subdet, rank
 from deltasvp.polyhedra import (
     PolyhedronH,
     StandardFormILP,
     derive_box,
-    integer_hull_vertices,
     integer_points,
     kernel_lattice_basis,
-    min_face_dimension,
     solve_standard_form_ilp,
     verify_face_dimension_bound,
     verify_kernel_identity,
     verify_sparsity_construction,
     verify_support_bound,
-    vertices_of_polyhedron,
 )
 
 from oracles import (
     convex_hull_vertices,
+    coprime_maximal_minors,
+    face_dimension,
     fraction_rank,
     ilp_optimizers,
     lp_minimum,
@@ -94,51 +90,22 @@ def box_polyhedron(n, radius=1):
     return PolyhedronH(M(rows), tuple([radius] * 2 * n))
 
 
+def hull(p, budget=polyhedra.DEFAULT_POINT_BUDGET):
+    """The integer-hull vertices that verify facedim reads, sorted."""
+    return list(polyhedra._integer_hull(p, budget))
+
+
+def unit_rows(n):
+    """-e_1, e_1, ..., -e_n, e_n: the objectives of the 2n box programs."""
+    return [[sign * (j == i) for j in range(n)] for i in range(n) for sign in (-1, 1)]
+
+
 UNIT_SQUARE = PolyhedronH(M([[1, 0], [0, 1], [-1, 0], [0, -1]]), (1, 1, 0, 0))
 
 
 class TestVertices:
-    def test_unit_square(self):
-        vertices = vertices_of_polyhedron(UNIT_SQUARE)
-        assert len(vertices) == 4
-        assert (Fraction(1), Fraction(1)) in vertices
-
-    def test_simplex(self):
-        p = PolyhedronH(M([[1, 1], [-1, 0], [0, -1]]), (1, 0, 0))
-        assert vertices_of_polyhedron(p) == [
-            (Fraction(0), Fraction(0)),
-            (Fraction(0), Fraction(1)),
-            (Fraction(1), Fraction(0)),
-        ]
-
-    def test_fractional_vertices(self):
-        p = PolyhedronH(M([[2, 0], [-2, 0], [0, 1], [0, -1]]), (1, 1, 1, 1))
-        vertices = vertices_of_polyhedron(p)
-        assert (Fraction(1, 2), Fraction(1)) in vertices
-
-    def test_unbounded_rejected(self):
-        with pytest.raises(UnboundedPolyhedronError):
-            vertices_of_polyhedron(PolyhedronH(M([[1, 0], [0, 1]]), (1, 1)))
-
-    def test_empty_rejected(self):
-        p = PolyhedronH(M([[1, 0], [-1, 0], [0, 1], [0, -1]]), (-1, 0, 1, 1))
-        with pytest.raises(EmptyPolyhedronError):
-            vertices_of_polyhedron(p)
-
-    def test_dimension_cap(self):
-        with pytest.raises(DimensionError):
-            vertices_of_polyhedron(box_polyhedron(6))
-
-    def test_budget(self):
-        with pytest.raises(BudgetExceededError):
-            vertices_of_polyhedron(box_polyhedron(3), budget=5)
-
-    def test_budget_covers_the_vertex_scan_only(self):
-        """Boundedness no longer scans the C(m + 2n, n) subsets of the cone
-        box, so a budget of C(m, n) = 6 < C(8, 2) = 28 is enough."""
-        assert vertices_of_polyhedron(box_polyhedron(2), budget=6) == [
-            (Fraction(x), Fraction(y)) for x in (-1, 1) for y in (-1, 1)
-        ]
+    """What P's vertices decide, against the Fraction vertex reference:
+    whether P is bounded and nonempty, and its bounding box."""
 
     def test_boundedness_is_one_program(self, monkeypatch):
         calls = []
@@ -159,48 +126,26 @@ class TestVertices:
         with pytest.raises(UnboundedPolyhedronError):
             polyhedra._assert_bounded(p)
 
-    @pytest.mark.parametrize(
-        "entries,b,expected",
-        [
-            (  # a square pyramid: the apex (0, 0, 1) has four tight rows
-                [[0, 0, -1], [1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]],
-                [0, 1, 1, 1, 1],
-                [(-1, -1, 0), (-1, 1, 0), (0, 0, 1), (1, -1, 0), (1, 1, 0)],
-            ),
-            # -4/3 <= x <= 3/2: n = 1, so the one line comes from no rows
-            ([[2], [-3]], [3, 4], [(Fraction(-4, 3),), (Fraction(3, 2),)]),
-            (  # the line x = 2 of the redundant last row misses x <= 1
-                [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 0]],
-                [1, 0, 1, 0, 2],
-                [(0, 0), (0, 1), (1, 0), (1, 1)],
-            ),
-            (  # 32 corners at the dimension cap, n = 5
-                box_polyhedron(polyhedra.MAX_VERTEX_DIMENSION).a.entries,
-                box_polyhedron(polyhedra.MAX_VERTEX_DIMENSION).b,
-                list(product((-1, 1), repeat=polyhedra.MAX_VERTEX_DIMENSION)),
-            ),
-        ],
-        ids=["pyramid_apex", "segment", "parallel_cut", "box_at_dimension_cap"],
-    )
-    def test_line_scan_cases(self, entries, b, expected):
-        vertices = vertices_of_polyhedron(PolyhedronH(M(entries), tuple(b)))
-        assert vertices == polyhedron_vertices(entries, b) == [
-            tuple(Fraction(x) for x in v) for v in expected
-        ]
-
-    def test_line_without_two_ends_is_an_invariant_error(self, monkeypatch):
-        """Unreachable behind _assert_bounded: with the check switched off,
-        the line x = 1 of {x <= 1, y <= 1} has no lower end."""
-        monkeypatch.setattr(polyhedra, "_assert_bounded", lambda p: None)
-        with pytest.raises(InvariantError):
-            vertices_of_polyhedron(PolyhedronH(M([[1, 0], [0, 1]]), (1, 1)))
-
     def test_matches_fraction_reference(self):
-        """Vertex list or error type against the Fraction solve of every row
-        subset, with boundedness read off the cone box [A; I; -I].  Half the
+        """The verdict of _box_optima and of integer_points against the
+        Fraction solve of every row subset, with boundedness read off the
+        cone box [A; I; -I]: "unbounded" iff UnboundedPolyhedronError,
+        "empty" iff EmptyPolyhedronError, and otherwise the box optima are
+        the extremes of each -e_i and e_i over the vertices.  Half the
         draws contain the rows e_1, ..., e_n, -(e_1 + ... + e_n), which
         bound the polyhedron, so all three outcomes come up often."""
         outcomes = set()
+
+        def verdict(run, p):
+            try:
+                run(p)
+            except UnboundedPolyhedronError:
+                return "unbounded"
+            except EmptyPolyhedronError:
+                return "empty"
+            except BudgetExceededError:
+                pass  # integer_points gates its box only once P is decided
+            return "vertices"
 
         @settings(max_examples=100, deadline=None)
         @given(st.data())
@@ -215,15 +160,15 @@ class TestVertices:
                 entries[: n + 1] = units + [[-1] * n]
                 entries = data.draw(st.permutations(entries))
             b = data.draw(st.lists(st.integers(-2, 4), min_size=m, max_size=m))
-            expected = polyhedron_vertices(entries, b)
-            try:
-                got = vertices_of_polyhedron(PolyhedronH(M(entries), tuple(b)))
-            except UnboundedPolyhedronError:
-                got = "unbounded"
-            except EmptyPolyhedronError:
-                got = "empty"
-            assert got == expected
-            outcomes.add(expected if isinstance(expected, str) else "vertices")
+            vertices = polyhedron_vertices(entries, b)
+            expected = vertices if isinstance(vertices, str) else "vertices"
+            p = PolyhedronH(M(entries), tuple(b))
+            assert verdict(polyhedra._box_optima, p) == expected
+            assert verdict(lambda p: integer_points(p, 10_000), p) == expected
+            if expected == "vertices":
+                optima = [Fraction(*optimum) for optimum in polyhedra._box_optima(p)]
+                assert optima == [max(sum(map(mul, u, v)) for v in vertices) for u in unit_rows(n)]
+            outcomes.add(expected)
 
         check()
         assert outcomes == {"vertices", "unbounded", "empty"}
@@ -309,8 +254,17 @@ class TestIntegerPoints:
         assert str(info.value) == "box scan of size 15 exceeds budget 14"
 
 
+def cold_minimum(columns, rhs, cost):
+    """The least cost over a nonempty {M lambda = rhs, lambda >= 0} from one
+    cold _Simplex with a cost row (phase 1, then phase 2), or None when it
+    is unbounded below."""
+    simplex = polyhedra._Simplex(columns, rhs, cost)
+    assert simplex.phase_one()
+    return Fraction(*simplex.optimum()) if simplex.phase_two() else None
+
+
 class TestSimplexCostRow:
-    """_has_nonneg_combination with a cost row: the least cost over
+    """_Simplex with a cost row: the least cost over
     {M lambda = rhs, lambda >= 0}, None when unbounded below."""
 
     def test_artificial_left_basic_is_pivoted_out(self):
@@ -318,14 +272,14 @@ class TestSimplexCostRow:
         artificial basic at level 0 and a row of negative entries; left
         there, phase 2 would raise l1 to 1 and the artificial with it."""
         columns = [(-1, 1), (-1, 0), (0, 1)]
-        assert polyhedra._has_nonneg_combination(columns, [0, 1], (-1, 0, 0)) == 0
+        assert cold_minimum(columns, [0, 1], (-1, 0, 0)) == 0
 
     def test_unbounded_below(self):
-        assert polyhedra._has_nonneg_combination([(1,), (-1,)], [0], (0, -1)) is None
+        assert cold_minimum([(1,), (-1,)], [0], (0, -1)) is None
 
     def test_empty_set_is_refused(self):
-        with pytest.raises(InvariantError):
-            polyhedra._has_nonneg_combination([(1,), (2,)], [-1], (0, 0))
+        """Phase 1 reports an empty set, so no phase 2 runs on it."""
+        assert not polyhedra._Simplex([(1,), (2,)], [-1], (0, 0)).phase_one()
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -347,7 +301,7 @@ class TestSimplexCostRow:
         least = lp_minimum(columns, rhs, cost)
         assert polyhedra._has_nonneg_combination(columns, rhs) == (least is not None)
         if least is not None:
-            assert polyhedra._has_nonneg_combination(columns, rhs, cost) == least
+            assert cold_minimum(columns, rhs, cost) == least
 
 
 @st.composite
@@ -414,17 +368,16 @@ def degenerate_polyhedra(draw):
 def assert_box_programs_match_the_vertices(entries, b):
     """The 2n box programs, min b y subject to A^T y = -e_1, e_1, ...,
     -e_n, e_n and y >= 0, on one shared basis (polyhedra._box_optima), each
-    against the same program run cold on the phase-1 simplex with a cost
-    row and against the Fraction vertices: the program at e_i is max x_i
-    over P and the one at -e_i is minus min x_i.  On an empty P each cold
-    program is unbounded below (None), and the shared run raises."""
+    against the same program run cold on its own _Simplex and against the
+    Fraction vertices: the program at e_i is max x_i over P and the one at
+    -e_i is minus min x_i.  On an empty P each cold program is unbounded
+    below (None), and the shared run raises."""
     vertices = polyhedron_vertices(entries, b)
-    n = len(entries[0])
-    units = [[sign * (j == i) for j in range(n)] for i in range(n) for sign in (-1, 1)]
-    cold = [polyhedra._has_nonneg_combination(entries, unit, b) for unit in units]
+    units = unit_rows(len(entries[0]))
+    cold = [cold_minimum(entries, unit, b) for unit in units]
     p = PolyhedronH(M(entries), tuple(b))
     if vertices == "empty":
-        assert cold == [None] * 2 * n
+        assert cold == [None] * len(units)
         with pytest.raises(EmptyPolyhedronError, match="^polyhedron contains no points$"):
             polyhedra._box_optima(p)
     else:
@@ -491,7 +444,7 @@ class TestBoxErrors:
             UnboundedPolyhedronError: "^polyhedron has a nonzero recession direction$",
             EmptyPolyhedronError: "^polyhedron contains no points$",
         }[error]
-        for run in (polyhedra._box_optima, integer_points, vertices_of_polyhedron):
+        for run in (polyhedra._box_optima, integer_points):
             with pytest.raises(error, match=message):
                 run(p)
 
@@ -530,7 +483,7 @@ class TestBoxErrors:
 
 class TestIntegerHull:
     def test_box_corners(self):
-        assert integer_hull_vertices(box_polyhedron(2)) == [
+        assert hull(box_polyhedron(2)) == [
             (-1, -1),
             (-1, 1),
             (1, -1),
@@ -541,11 +494,11 @@ class TestIntegerHull:
         p = PolyhedronH(
             M([[1, -1], [-1, 1], [1, 0], [-1, 0]]), (0, 0, 2, 0)
         )  # segment from (0,0) to (2,2)
-        assert integer_hull_vertices(p) == [(0, 0), (2, 2)]
+        assert hull(p) == [(0, 0), (2, 2)]
 
     def test_shaved_simplex(self):
         p = PolyhedronH(M([[2, 2], [-1, 0], [0, -1]]), (3, 0, 0))
-        assert integer_hull_vertices(p) == [(0, 0), (0, 1), (1, 0)]
+        assert hull(p) == [(0, 0), (0, 1), (1, 0)]
 
     def test_matches_monotone_chain_oracle(self):
         from oracles import convex_hull_2d
@@ -568,7 +521,7 @@ class TestIntegerHull:
             points = integer_points(p, budget=20_000)
             if len(points) > 50:
                 continue
-            assert integer_hull_vertices(p) == convex_hull_2d(points)
+            assert hull(p) == convex_hull_2d(points)
             done += 1
 
     @settings(max_examples=60, deadline=None)
@@ -589,7 +542,7 @@ class TestIntegerHull:
         entries = [list(r) for r in box.a.entries] + cuts + flats + [[-x for x in f] for f in flats]
         b = [x for low in lows for x in (radius, low)] + bounds + [0] * 2 * len(flats)
         p = PolyhedronH(M(entries), tuple(b))
-        assert integer_hull_vertices(p) == convex_hull_vertices(integer_points(p))
+        assert hull(p) == convex_hull_vertices(integer_points(p))
 
     @pytest.mark.parametrize(
         "flats,expected",
@@ -606,11 +559,11 @@ class TestIntegerHull:
         box = box_polyhedron(3, 2)
         entries = list(box.a.entries) + flats + [[-x for x in f] for f in flats]
         p = PolyhedronH(M(entries), box.b + (0,) * 2 * len(flats))
-        assert integer_hull_vertices(p) == convex_hull_vertices(integer_points(p)) == expected
+        assert hull(p) == convex_hull_vertices(integer_points(p)) == expected
 
 
 class TestHullWork:
-    """The work integer_hull_vertices saves, counted on the hull LPs (the
+    """The work the hull scan saves, counted on the hull LPs (the
     phase-1 programs of length n + 1; the bounding-box programs share one
     tableau and do not come here, and the boundedness program has length
     n)."""
@@ -620,13 +573,13 @@ class TestHullWork:
         calls = []
         real = polyhedra._has_nonneg_combination
 
-        def counted(columns, rhs, *cost):
+        def counted(columns, rhs):
             if len(rhs) == p.dim + 1:
                 calls.append((tuple(rhs[:-1]), len(columns)))
-            return real(columns, rhs, *cost)
+            return real(columns, rhs)
 
         monkeypatch.setattr(polyhedra, "_has_nonneg_combination", counted)
-        return integer_hull_vertices(p), calls
+        return hull(p), calls
 
     def test_midpoints_run_no_lp(self, monkeypatch):
         """Each corner is alone on its face of P and every other point is
@@ -656,30 +609,30 @@ class TestHullWork:
 
 
 class TestMinFaceDimension:
+    """The face-dimension reference that verify facedim is checked
+    against, on points whose least face is known."""
+
+    SQUARE = box_polyhedron(2).a.entries, box_polyhedron(2).b
+
     def test_corner(self):
-        assert min_face_dimension(box_polyhedron(2), (1, 1)) == 0
+        assert face_dimension(*self.SQUARE, (1, 1)) == 0
 
     def test_edge_midpoint(self):
-        assert min_face_dimension(box_polyhedron(2), (1, 0)) == 1
+        assert face_dimension(*self.SQUARE, (1, 0)) == 1
 
     def test_interior(self):
-        assert min_face_dimension(box_polyhedron(2), (0, 0)) == 2
+        assert face_dimension(*self.SQUARE, (0, 0)) == 2
 
     def test_outside_rejected(self):
-        with pytest.raises(ContainmentError):
-            min_face_dimension(box_polyhedron(2), (3, 0))
-
-    def test_wrong_length_rejected_first(self):
-        # (3, 0, 0) would also lie outside; the length is checked first
-        with pytest.raises(DimensionError, match="^point dimension mismatch$"):
-            min_face_dimension(box_polyhedron(2), (3, 0, 0))
+        with pytest.raises(ValueError):
+            face_dimension(*self.SQUARE, (3, 0))
 
     def test_vertex_iff_dimension_zero(self):
-        p = PolyhedronH(M([[2, 2], [-1, 0], [0, -1]]), (3, 0, 0))
-        vertices = set(vertices_of_polyhedron(p))
-        for point in integer_points(p):
+        entries, b = [[2, 2], [-1, 0], [0, -1]], [3, 0, 0]
+        vertices = set(polyhedron_vertices(entries, b))
+        for point in integer_points(PolyhedronH(M(entries), tuple(b))):
             expected = tuple(Fraction(x) for x in point) in vertices
-            assert (min_face_dimension(p, point) == 0) == expected
+            assert (face_dimension(entries, b, point) == 0) == expected
 
 
 class TestFaceDimensionBound:
@@ -730,11 +683,10 @@ def criterion_7_polytopes(draw):
 @given(criterion_7_polytopes())
 def test_face_dimensions_are_min_face_dimension(case):
     """verify facedim reads each vertex's face dimension off the hull
-    scan's tight-row mask; min_face_dimension recomputes it from the
-    slacks."""
+    scan's tight-row mask; the reference recomputes it from the slacks."""
     p, delta = case
     report = verify_face_dimension_bound(p, delta)
-    assert report.entries == tuple((v, min_face_dimension(p, v)) for v in integer_hull_vertices(p))
+    assert report.entries == tuple((v, face_dimension(p.a.entries, p.b, v)) for v in hull(p))
 
 
 class TestFaceDimensionMetamorphic:
@@ -794,7 +746,7 @@ class TestKernelLatticeBasis:
         a = M([[1, 1, 1]])
         w = kernel_lattice_basis(a)
         assert all(all(x == 0 for x in row) for row in a.matmul(w).entries)
-        assert gcd_full_rank_subdets(w.transpose()) == 1
+        assert coprime_maximal_minors(w.entries)
 
     def test_random_bases_are_primitive(self):
         rng = random.Random(88)
@@ -805,7 +757,7 @@ class TestKernelLatticeBasis:
             w = kernel_lattice_basis(a)
             assert w.shape == (n, n - m)
             assert all(all(x == 0 for x in row) for row in a.matmul(w).entries)
-            assert gcd_full_rank_subdets(w.transpose()) == 1
+            assert coprime_maximal_minors(w.entries)
 
     def test_square_rejected(self):
         with pytest.raises(DimensionError):
