@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, InvariantError
 from .linalg import IntMatrix, _check_budget, det, rank
 
 GENERATOR_VERSION = 1
@@ -147,13 +147,15 @@ def random_delta_modular(
             continue
         factor = rng.choice((-2, -1, 1, 2))
         b[i] = [x + factor * y for x, y in zip(b[i], b[j])]
-    assert abs(det(IntMatrix.from_rows(b))) == delta
+    if abs(det(IntMatrix.from_rows(b))) != delta:
+        raise InvariantError("the square factor must have determinant delta")
 
     product = IntMatrix.from_rows(t_rows).matmul(IntMatrix.from_rows(b))
     order = list(range(rows))
     rng.shuffle(order)
     result = product.submatrix_rows(order)
-    assert rank(result) == cols
+    if rank(result) != cols:
+        raise InvariantError("the product must have full column rank")
     return result
 
 

@@ -91,20 +91,6 @@ class StandardFormILP:
             raise RankError("constraint matrix must have full row rank")
 
 
-def _assert_bounded(p: PolyhedronH) -> None:
-    """Raises unless the recession cone {A x <= 0} is trivial.
-
-    By Farkas' lemma the cone is {0} iff the rows a_i of A positively span
-    R^n.  By Gordan's theorem of the alternative that holds iff they span
-    R^n and sum lambda_i a_i = 0 for some lambda > 0; with lambda = mu + 1
-    that is rank(A) = n plus one phase-1 program, A^T mu = -A^T 1, mu >= 0.
-    """
-    rows = list(p.a.entries)
-    minus_sum = [-sum(column) for column in zip(*rows)]
-    if rank(p.a) < p.dim or not _has_nonneg_combination(rows, minus_sum):
-        raise UnboundedPolyhedronError(_RECESSION)
-
-
 def _box_optima(p: PolyhedronH) -> list[tuple[int, int]]:
     """The optima of the 2n programs min {b y : A^T y = sign e_i, y >= 0},
     sign -1 then 1 for each i in turn, each as a numerator and a positive
@@ -116,7 +102,7 @@ def _box_optima(p: PolyhedronH) -> list[tuple[int, int]]:
     if not simplex.phase_one():
         raise UnboundedPolyhedronError(_RECESSION)
     if not simplex.phase_two():
-        _assert_bounded(p)
+        _box_optima(PolyhedronH(p.a, (0,) * p.a.rows))
         raise EmptyPolyhedronError("polyhedron contains no points")
     if any(j >= simplex.v for j in simplex.basis):
         raise UnboundedPolyhedronError(_RECESSION)
@@ -151,8 +137,8 @@ def integer_points(p: PolyhedronH, budget: int = DEFAULT_POINT_BUDGET) -> list[t
     after phase 2 (rank(A) < n), raises UnboundedPolyhedronError.  Once the
     first program has an optimum P is not empty, so no later one is
     unbounded below.  When the first is unbounded below, P is empty, and
-    ``_assert_bounded`` runs before EmptyPolyhedronError, so a recession
-    direction is still reported first.
+    the programs run again at b = 0, on the cone {A x <= 0}, which is never
+    empty, before EmptyPolyhedronError, so a recession direction comes first.
 
     The coordinate with the most integer values (the last on a tie) is
     clipped to P, and the box of the others is scanned: for each head x',
@@ -193,14 +179,6 @@ def integer_points(p: PolyhedronH, budget: int = DEFAULT_POINT_BUDGET) -> list[t
         points.extend(x[:k] + (t,) + x[k:] for t in range(lo, hi + 1))
     points.sort()
     return points
-
-
-def _has_nonneg_combination(columns: Sequence[tuple[int, ...]], rhs: list[int]) -> bool:
-    """Exact feasibility of {M lambda = rhs, lambda >= 0}: phase 1 of one
-    cold ``_Simplex``."""
-    if not columns:
-        return not any(rhs)
-    return _Simplex(columns, rhs, None).phase_one()
 
 
 class _Simplex:
@@ -375,7 +353,7 @@ def _integer_hull(p: PolyhedronH, budget: int) -> dict[tuple[int, ...], int]:
         twice = [2 * x for x in v]
         if face and (
             any(tuple(map(sub, twice, q)) in kept for q in face)
-            or _has_nonneg_combination([q + (1,) for q in face], list(v) + [1])
+            or _Simplex([q + (1,) for q in face], list(v) + [1], None).phase_one()
         ):
             del kept[v]
     return kept

@@ -5,8 +5,9 @@ and adjugates, schoolbook matrix products, Fraction-based elimination for
 rank and inverses, plain full scans (no split, no caching) for minimum
 norms, preimage witnesses, lattice points and integer-program optima,
 Fraction solves of every row subset for polyhedron vertices and
-boundedness, the Fraction rank of the tight rows for face dimensions, and
-every cofactor minor for coprime maximal minors.  Nothing here may call
+boundedness, the Fraction rank of the tight rows for face dimensions, one
+Fraction phase-1 program per point for hull vertices, and every cofactor
+minor for coprime maximal minors.  Nothing here may call
 the implementation paths it is used to check.
 """
 
@@ -403,62 +404,39 @@ def assert_same_column_lattice(a: IntMatrix, h: IntMatrix, u: IntMatrix) -> None
     assert h.matmul(u_inverse).entries == a.entries
 
 
-def _convex_weights(points, v) -> list[Fraction] | None:
-    """The weights lambda with sum lambda_t t = v and sum lambda_t = 1, by
-    Fraction elimination of [T; 1] lambda = [v; 1]; None when T is
-    affinely dependent or v is off its affine hull."""
-    k = len(points)
-    work = [[Fraction(t[i]) for t in points] + [Fraction(v[i])] for i in range(len(v))]
-    work.append([Fraction(1)] * (k + 1))
-    for c in range(k):
-        pivot = next((i for i in range(c, len(work)) if work[i][c] != 0), None)
-        if pivot is None:
-            return None
-        work[c], work[pivot] = work[pivot], work[c]
-        lead = work[c][c]
-        work[c] = [x / lead for x in work[c]]
-        for i in range(len(work)):
-            if i != c and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
-    if any(row[k] != 0 for row in work[k:]):
-        return None
-    return [row[k] for row in work[:k]]
-
-
-def _separated(v, others) -> bool:
-    """True when some c in {-3, ..., 3}^n has c v > c q for every other
-    point q: an exact certificate that v is a vertex (not a complete test)."""
-    differences = [tuple(x - y for x, y in zip(v, q)) for q in others]
-    return any(
-        all(sum(a * b for a, b in zip(c, d)) > 0 for d in differences)
-        for c in product(range(-3, 4), repeat=len(v))
-    )
+def _in_convex_hull(v, others) -> bool:
+    """True when v is a convex combination of the other points: phase 1
+    of a Fraction simplex under Bland's rule on sum lambda_q q = v,
+    sum lambda_q = 1, lambda >= 0, with one artificial per row (a row of
+    negative right side negated first, so the artificials start feasible);
+    v is in the hull iff the least infeasibility is 0."""
+    rows = [[Fraction(q[i]) for q in others] + [Fraction(v[i])] for i in range(len(v))]
+    rows.append([Fraction(1)] * (len(others) + 1))
+    rows = [row if row[-1] >= 0 else [-x for x in row] for row in rows]
+    k, r = len(others), len(rows)
+    for i, row in enumerate(rows):
+        row[k:k] = [Fraction(int(i == j)) for j in range(r)]
+    basis = [k + i for i in range(r)]
+    # reduced costs of the phase-1 objective (the sum of the artificials)
+    objective = [-sum(column) for column in zip(*rows)]
+    objective[k : k + r] = [Fraction(0)] * r
+    while True:
+        entering = next((j for j in range(k + r) if objective[j] < 0), None)
+        if entering is None:
+            return objective[-1] == 0
+        candidates = [i for i in range(r) if rows[i][entering] > 0]
+        leaving = min(candidates, key=lambda i: (rows[i][-1] / rows[i][entering], basis[i]))
+        lead = rows[leaving][entering]
+        rows[leaving] = [x / lead for x in rows[leaving]]
+        for row in rows + [objective]:
+            if row is not rows[leaving] and row[entering] != 0:
+                f = row[entering]
+                row[:] = [x - f * y for x, y in zip(row, rows[leaving])]
+        basis[leaving] = entering
 
 
 def convex_hull_vertices(points) -> list[tuple[int, ...]]:
-    """Vertices of the convex hull of integer points in R^n, sorted.
-
-    By Caratheodory's theorem v is not a vertex iff it lies in the hull of
-    an affinely independent set T of the other points with |T| <= n + 1.
-    A point with a small separating functional is a vertex at once; every
-    other point tries every such T, nearest points first, skipping a T
-    whose bounding box misses v and deciding the rest by a Fraction solve
-    with lambda >= 0."""
+    """Vertices of the convex hull of integer points in R^n, sorted: the
+    points outside the hull of all the others, one phase-1 program each."""
     pts = sorted(set(map(tuple, points)))
-    hull = []
-    for v in pts:
-        others = [q for q in pts if q != v]
-        if _separated(v, others):
-            hull.append(v)
-            continue
-        others.sort(key=lambda q: sum((x - y) ** 2 for x, y in zip(q, v)))
-        subsets = (t for size in range(1, len(v) + 2) for t in combinations(others, size))
-        if not any(
-            all(min(c) <= x <= max(c) for x, c in zip(v, zip(*t)))
-            and (weights := _convex_weights(t, v)) is not None
-            and min(weights) >= 0
-            for t in subsets
-        ):
-            hull.append(v)
-    return hull
+    return [v for v in pts if not _in_convex_hull(v, [q for q in pts if q != v])]

@@ -1,5 +1,6 @@
 """The public surface: what ``deltasvp`` exports, and its version."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -24,3 +25,16 @@ def test_public_names_and_version():
     pyproject = (Path(__file__).parent.parent / "pyproject.toml").read_text()
     declared = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE).group(1)
     assert deltasvp.__version__ == declared == "0.2.0"
+
+
+def test_no_assert_statement_in_the_package():
+    """Checks in the package raise a typed error: a bare assert vanishes
+    under python -O."""
+    package = Path(deltasvp.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -138,18 +138,18 @@ def test_cli_budget_zero_still_refuses_a_scan_with_exit_code_3(capsys):
 
 
 def _hull_lps(monkeypatch, dim):
-    """Records the hull-membership programs (length dim + 1).  The
-    bounding-box programs share one tableau and do not come here, and the
-    boundedness program, run only for an empty P, has length dim."""
+    """Records the hull-membership programs: the phase-1 runs on dim + 1
+    rows.  The bounding-box programs, and those of the cone of an empty P,
+    have dim rows."""
     calls = []
-    real = polyhedra._has_nonneg_combination
+    real = polyhedra._Simplex.phase_one
 
-    def counted(columns, rhs):
-        if len(rhs) == dim + 1:
-            calls.append(tuple(rhs))
-        return real(columns, rhs)
+    def counted(simplex):
+        if simplex.r == dim + 1:
+            calls.append(simplex.v)
+        return real(simplex)
 
-    monkeypatch.setattr(polyhedra, "_has_nonneg_combination", counted)
+    monkeypatch.setattr(polyhedra._Simplex, "phase_one", counted)
     return calls
 
 

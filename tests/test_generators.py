@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from deltasvp.errors import BudgetExceededError, DimensionError, DomainError
+from deltasvp import generators
+from deltasvp.errors import BudgetExceededError, DimensionError, DomainError, InvariantError
 from deltasvp.generators import (
     MAX_CONSTRUCTION_WORK,
     complete_digraph_incidence,
@@ -134,6 +135,15 @@ class TestRandomDeltaModular:
             random_delta_modular(2, 2, 3, 0)
         with pytest.raises(DomainError):
             random_delta_modular(0, 3, 2, 0)
+
+    @pytest.mark.parametrize("name", ["det", "rank"])
+    def test_broken_construction_raises_invariant_error(self, monkeypatch, name):
+        """A square factor whose determinant is not delta, or a product
+        below full column rank, is a broken invariant, and its check is a
+        raise, so it holds under python -O as well."""
+        monkeypatch.setattr(generators, name, lambda matrix: 0)
+        with pytest.raises(InvariantError):
+            random_delta_modular(2, 5, 3, 99)
 
 
 class TestRejectionSamplers:

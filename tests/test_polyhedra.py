@@ -108,23 +108,62 @@ class TestVertices:
     whether P is bounded and nonempty, and its bounding box."""
 
     def test_boundedness_is_one_program(self, monkeypatch):
-        calls = []
-        real = polyhedra._has_nonneg_combination
+        """The box of a nonempty bounded P builds one _Simplex; an empty
+        bounded P builds two, its own and the one of its cone {A x <= 0}."""
+        built = []
+        real = polyhedra._Simplex.__init__
 
-        def counted(columns, rhs):
-            calls.append(rhs)
-            return real(columns, rhs)
+        def counted(simplex, columns, rhs, cost):
+            built.append(tuple(cost))
+            real(simplex, columns, rhs, cost)
 
-        monkeypatch.setattr(polyhedra, "_has_nonneg_combination", counted)
-        polyhedra._assert_bounded(box_polyhedron(3))
-        assert calls == [[0, 0, 0]]
+        monkeypatch.setattr(polyhedra._Simplex, "__init__", counted)
+        polyhedra._box_optima(box_polyhedron(3))
+        assert built == [(1,) * 6]
+        built.clear()
+        empty = PolyhedronH(M([[1, 0], [-1, 0], [0, 1], [0, -1]]), (-1, 0, 1, 1))
+        with pytest.raises(EmptyPolyhedronError):
+            polyhedra._box_optima(empty)
+        assert built == [(-1, 0, 1, 1), (0, 0, 0, 0)]
 
     def test_positive_zero_combination_below_full_rank_is_unbounded(self):
         """{x_1 <= 1, -x_1 <= 0} in R^2: the rows sum to 0 with positive
-        weights, but they span only a line, so x_2 is free."""
-        p = PolyhedronH(M([[1, 0], [-1, 0]]), (1, 0))
-        with pytest.raises(UnboundedPolyhedronError):
-            polyhedra._assert_bounded(p)
+        weights, but they span only a line, so x_2 is free.  With the right
+        side (-1, 0) P is empty too, and its cone still reports x_2."""
+        for b in ((1, 0), (-1, 0)):
+            p = PolyhedronH(M([[1, 0], [-1, 0]]), b)
+            with pytest.raises(UnboundedPolyhedronError):
+                integer_points(p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_cone_programs_match_fraction_reference(self, data):
+        """_box_optima at b = 0 raises UnboundedPolyhedronError iff the
+        Fraction reference finds {A x <= 0} unbounded, and otherwise every
+        optimum is 0.  Half the draws zero a column, and some have fewer
+        rows than columns, so rank below n comes up often.  An empty P, A
+        with one more pair
+        a x <= beta, -a x <= -beta - 1, gets the verdict of its own cone."""
+        n = data.draw(st.integers(1, 4))
+        m = data.draw(st.integers(1, 7))
+        row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+        entries = data.draw(st.lists(row, min_size=m, max_size=m))
+        if data.draw(st.booleans()):
+            k = data.draw(st.integers(0, n - 1))
+            entries = [r[:k] + [0] + r[k + 1 :] for r in entries]
+        a, beta = data.draw(row), data.draw(st.integers(-3, 3))
+        empty = entries + [a, [-x for x in a]]
+        for rows, b in ((entries, [0] * m), (empty, [0] * m + [beta, -beta - 1])):
+            unbounded = polyhedron_vertices(rows, [0] * len(rows)) == "unbounded"
+            p = PolyhedronH(M(rows), tuple(b))
+            if unbounded:
+                with pytest.raises(UnboundedPolyhedronError):
+                    polyhedra._box_optima(p)
+            elif any(b):
+                with pytest.raises(EmptyPolyhedronError):
+                    polyhedra._box_optima(p)
+            else:
+                assert [top for top, _ in polyhedra._box_optima(p)] == [0] * 2 * n
 
     def test_matches_fraction_reference(self):
         """The verdict of _box_optima and of integer_points against the
@@ -299,7 +338,7 @@ class TestSimplexCostRow:
         cost = data.draw(st.lists(entry, min_size=v, max_size=v))
         columns = list(zip(*rows))
         least = lp_minimum(columns, rhs, cost)
-        assert polyhedra._has_nonneg_combination(columns, rhs) == (least is not None)
+        assert polyhedra._Simplex(columns, rhs, None).phase_one() == (least is not None)
         if least is not None:
             assert cold_minimum(columns, rhs, cost) == least
 
@@ -461,8 +500,9 @@ class TestBoxErrors:
             polyhedra._box_optima(PolyhedronH(M([[1, 0], [-1, 0]]), (1, 1)))
 
     def test_bounded_p_runs_one_phase_one_and_no_boundedness_program(self, monkeypatch):
-        """The box of a nonempty bounded P builds one tableau, runs phase 1
-        once, and never runs _assert_bounded's rank test and program."""
+        """The box of a nonempty bounded P builds one tableau and runs
+        phase 1 once; the programs of its cone {A x <= 0}, which would be a
+        second phase 1 on n rows, never run."""
         runs = []
         real = polyhedra._Simplex.phase_one
 
@@ -470,11 +510,7 @@ class TestBoxErrors:
             runs.append(simplex.r)
             return real(simplex)
 
-        def never(p):
-            raise AssertionError("_assert_bounded ran")
-
         monkeypatch.setattr(polyhedra._Simplex, "phase_one", counted)
-        monkeypatch.setattr(polyhedra, "_assert_bounded", never)
         for n in (1, 3):
             runs.clear()
             assert len(integer_points(box_polyhedron(n))) == 3**n
@@ -564,21 +600,23 @@ class TestIntegerHull:
 
 class TestHullWork:
     """The work the hull scan saves, counted on the hull LPs (the
-    phase-1 programs of length n + 1; the bounding-box programs share one
-    tableau and do not come here, and the boundedness program has length
-    n)."""
+    phase-1 programs on n + 1 rows; the bounding-box programs, and those
+    of the cone of an empty P, have n rows)."""
 
     @staticmethod
     def hull_lps(monkeypatch, p):
         calls = []
-        real = polyhedra._has_nonneg_combination
+        real = polyhedra._Simplex.phase_one
 
-        def counted(columns, rhs):
-            if len(rhs) == p.dim + 1:
-                calls.append((tuple(rhs[:-1]), len(columns)))
-            return real(columns, rhs)
+        def counted(simplex):
+            if simplex.r == p.dim + 1:
+                # a row starts negated iff its right side is negative, and
+                # its artificial entry, 1 or -1, tells which
+                rhs = [row[-1] * row[simplex.v + i] for i, row in enumerate(simplex.rows[:-1])]
+                calls.append((tuple(rhs[:-1]), simplex.v))
+            return real(simplex)
 
-        monkeypatch.setattr(polyhedra, "_has_nonneg_combination", counted)
+        monkeypatch.setattr(polyhedra._Simplex, "phase_one", counted)
         return hull(p), calls
 
     def test_midpoints_run_no_lp(self, monkeypatch):
@@ -683,10 +721,13 @@ def criterion_7_polytopes(draw):
 @given(criterion_7_polytopes())
 def test_face_dimensions_are_min_face_dimension(case):
     """verify facedim reads each vertex's face dimension off the hull
-    scan's tight-row mask; the reference recomputes it from the slacks."""
+    scan's tight-row mask; the reference takes the vertices from one
+    Fraction phase-1 program per lattice point and recomputes each
+    dimension from the slacks."""
     p, delta = case
     report = verify_face_dimension_bound(p, delta)
-    assert report.entries == tuple((v, face_dimension(p.a.entries, p.b, v)) for v in hull(p))
+    vertices = convex_hull_vertices(integer_points(p))
+    assert report.entries == tuple((v, face_dimension(p.a.entries, p.b, v)) for v in vertices)
 
 
 class TestFaceDimensionMetamorphic:
