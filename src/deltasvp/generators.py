@@ -159,29 +159,14 @@ def random_delta_modular(
     return result
 
 
-def random_full_column_rank(
+def random_full_rank(
     rng: random.Random, rows: int, cols: int, low: int, high: int
 ) -> IntMatrix:
-    """Rejection-samples a matrix with entries in [low, high] and full column rank."""
-    if rows < cols:
-        raise DimensionError("need rows >= cols")
+    """Rejection-samples a matrix with entries in [low, high] and rank
+    min(rows, cols)."""
     while True:
         m = IntMatrix.from_rows(
             [[rng.randint(low, high) for _ in range(cols)] for _ in range(rows)]
         )
-        if rank(m) == cols:
-            return m
-
-
-def random_full_row_rank(
-    rng: random.Random, rows: int, cols: int, low: int, high: int
-) -> IntMatrix:
-    """Rejection-samples a matrix with entries in [low, high] and full row rank."""
-    if cols < rows:
-        raise DimensionError("need cols >= rows")
-    while True:
-        m = IntMatrix.from_rows(
-            [[rng.randint(low, high) for _ in range(cols)] for _ in range(rows)]
-        )
-        if rank(m) == rows:
+        if rank(m) == min(rows, cols):
             return m

@@ -163,15 +163,6 @@ class IntMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-
-def _require_square(m: IntMatrix) -> int:
-    if not m.is_square():
-        raise DimensionError(f"square matrix required, got {m.shape}")
-    return m.rows
-
 
 def _pivot(work: list[list[int]], r: int, c: int, prev: int, first: int) -> None:
     """One integer-preserving pivot on work[r][c] (Bareiss 1968, Edmonds 1967).
@@ -192,9 +183,9 @@ def _pivot(work: list[list[int]], r: int, c: int, prev: int, first: int) -> None
         work[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
 
 
-def _eliminate(work: list[list[int]], columns: Iterable[int]) -> tuple[list[int], int]:
-    """Fraction-free elimination of work in place, trying the given columns
-    in order and pivoting on the first nonzero entry at or below the next
+def _eliminate(work: list[list[int]]) -> tuple[list[int], int]:
+    """Fraction-free elimination of work in place, trying its columns in
+    order and pivoting on the first nonzero entry at or below the next
     pivot row; a column without one is skipped.
 
     Returns the pivot columns (pivot k sits in row k) and the signed
@@ -203,7 +194,7 @@ def _eliminate(work: list[list[int]], columns: Iterable[int]) -> tuple[list[int]
     """
     pivots: list[int] = []
     sign = prev = 1
-    for c in columns:
+    for c in range(len(work[0])):
         r = len(pivots)
         if r == len(work):
             break
@@ -221,13 +212,14 @@ def _eliminate(work: list[list[int]], columns: Iterable[int]) -> tuple[list[int]
 
 def _det(work: list[list[int]]) -> int:
     """det(work) for square work, eliminated in place; 0 if a pivot is missing."""
-    pivots, value = _eliminate(work, range(len(work)))
+    pivots, value = _eliminate(work)
     return value if len(pivots) == len(work) else 0
 
 
 def det(m: IntMatrix) -> int:
     """Exact determinant by fraction-free forward elimination."""
-    _require_square(m)
+    if m.rows != m.cols:
+        raise DimensionError(f"square matrix required, got {m.shape}")
     return _det([list(row) for row in m.entries])
 
 
@@ -629,7 +621,7 @@ def box_images(a: IntMatrix, ranges: Sequence[Sequence[int]]) -> _Scan:
 
 def rank(a: IntMatrix) -> int:
     """Exact rank over the rationals."""
-    return len(_eliminate([list(row) for row in a.entries], range(a.cols))[0])
+    return len(_eliminate([list(row) for row in a.entries])[0])
 
 
 def find_invertible_rows(a: IntMatrix) -> tuple[int, ...]:

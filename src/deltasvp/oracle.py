@@ -141,9 +141,10 @@ def _kept(
     return [(x, t) for x, t in tails if not (low + t) & top and (high + t) & top == top]
 
 
-def _layer(a: IntMatrix, t: Tableau, r: int) -> Iterator[tuple[int, ...]]:
+def _layer(t: Tableau, r: int) -> Iterator[tuple[int, ...]]:
     """Every nonzero z with B z in [-r, r]^n and ||A z||_inf <= r, lazily,
-    in lexicographic order of v = B z, from the tableau t of B.
+    in lexicographic order of v = B z, from the tableau t of a row set B
+    of A.
 
     v splits into a head and a tail half over the stacked matrix
     [adj(B); N], N = A adj(B), each half's image one packed integer whose
@@ -158,7 +159,7 @@ def _layer(a: IntMatrix, t: Tableau, r: int) -> Iterator[tuple[int, ...]]:
     borrow crosses into the N digits.  Only the pairs kept have adj(B) v
     read.
     """
-    n = a.cols
+    n = len(t.adj.entries)
     d = t.det
     modulus = abs(d)
     stacked = IntMatrix._trusted(t.adj.entries + t.numerators.entries)
@@ -203,7 +204,7 @@ def layered_svp(a: IntMatrix, t: Tableau, budget: int = DEFAULT_BOX_BUDGET) -> O
             break
     _check_budget(points, budget, "layered scan")
     for r in range(1, bound + 1):
-        z = min(_layer(a, t, r), default=None)
+        z = min(_layer(t, r), default=None)
         if z is not None:
             y = a.matvec(z)
             norm = max(map(abs, y))
@@ -238,7 +239,7 @@ def shortest_is_at_least_2(
     """
     t = tableau(a)
     _check_budget(3**a.cols, budget, "preimage scan")
-    z = next(_layer(a, t, 1), None)
+    z = next(_layer(t, 1), None)
     if z is None:
         return True, None
     if max(map(abs, a.matvec(z))) > 1:

@@ -517,10 +517,6 @@ def solve_standard_form_ilp(
     return found
 
 
-def support_size(x: Sequence[int]) -> int:
-    return sum(1 for value in x if value != 0)
-
-
 @dataclass(frozen=True)
 class SupportReport:
     """Minimum optimal-solution support against m plus the threshold bound."""
@@ -595,11 +591,7 @@ class SparsityReport:
     passed: bool
 
 
-def verify_sparsity_construction(
-    delta: int,
-    budget: int = DEFAULT_POINT_BUDGET,
-    minor_budget: int = DEFAULT_MINOR_BUDGET,
-) -> SparsityReport:
+def verify_sparsity_construction(delta: int, budget: int = DEFAULT_POINT_BUDGET) -> SparsityReport:
     """Full check of the dense-support construction for small delta.
 
     Derives complete per-variable bounds from the equations, enumerates all
@@ -615,8 +607,8 @@ def verify_sparsity_construction(
         raise InvariantError("construction rows must bound every variable")
     ilp = StandardFormILP(a, b, (0,) * a.cols)
     solutions = tuple(solve_standard_form_ilp(ilp, box, budget))
-    support = support_size(solutions[0]) if len(solutions) == 1 else None
-    totally = is_totally_delta_modular(a, delta, minor_budget)
+    support = sum(x != 0 for x in solutions[0]) if len(solutions) == 1 else None
+    totally = is_totally_delta_modular(a, delta)
     expected = a.rows + delta - 1
     passed = solutions == ((1,) * a.cols,) and support == expected and totally
     return SparsityReport(

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DomainError
-from .generators import random_full_column_rank, random_full_row_rank
+from .generators import random_full_rank
 from .linalg import _check_budget, det, subdet_ratio_check
 from .polyhedra import verify_kernel_identity
 
@@ -56,7 +56,7 @@ def ratio_identity_sweep(trials: int, seed: int) -> SweepReport:
     def trial(rng: random.Random) -> bool:
         n = rng.randint(1, 4)
         m = rng.randint(n, 6)
-        a = random_full_column_rank(rng, m, n, -9, 9)
+        a = random_full_rank(rng, m, n, -9, 9)
         while True:
             base = sorted(rng.sample(range(m), n))
             if det(a.submatrix_rows(base)) != 0:
@@ -76,6 +76,6 @@ def kernel_identity_sweep(trials: int, seed: int) -> SweepReport:
     def trial(rng: random.Random) -> bool:
         m = rng.randint(1, 3)
         n = rng.randint(m, 6)
-        return verify_kernel_identity(random_full_row_rank(rng, m, n, -9, 9))
+        return verify_kernel_identity(random_full_rank(rng, m, n, -9, 9))
 
     return _sweep("kernel determinant identity", trials, seed, trial)

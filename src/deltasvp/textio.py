@@ -134,12 +134,3 @@ def parse_standard_form(
 
 def format_polyhedron(matrix: IntMatrix, b: tuple[int, ...]) -> str:
     return format_matrix(matrix) + "b: " + " ".join(str(x) for x in b) + "\n"
-
-
-def format_standard_form(
-    matrix: IntMatrix, b: tuple[int, ...], c: tuple[int, ...] | None = None
-) -> str:
-    out = format_polyhedron(matrix, b)
-    if c is not None:
-        out += "c: " + " ".join(str(x) for x in c) + "\n"
-    return out

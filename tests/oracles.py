@@ -7,8 +7,12 @@ norms, preimage witnesses, lattice points and integer-program optima,
 Fraction solves of every row subset for polyhedron vertices and
 boundedness, the Fraction rank of the tight rows for face dimensions, one
 Fraction phase-1 program per point for hull vertices, and every cofactor
-minor for coprime maximal minors.  Nothing here may call
-the implementation paths it is used to check.
+minor for coprime maximal minors, and every element of every small
+abelian group for the counts behind the same-class selection.  Nothing
+here imports deltasvp, so nothing here can call the implementation paths
+it is used to check; matrices come in as their entries, or as any object
+with the entries, rows and columns of one.  One seeded instance family,
+the unit-rows-first walks, is drawn here too.
 """
 
 from __future__ import annotations
@@ -17,8 +21,6 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
-
-from deltasvp.linalg import IntMatrix
 
 
 def cofactor_det(entries) -> int:
@@ -369,7 +371,7 @@ def convex_hull_2d(points) -> list[tuple[int, int]]:
     return sorted(set(lower[:-1] + upper[:-1]))
 
 
-def assert_hnf_shape(h: IntMatrix) -> None:
+def assert_hnf_shape(h) -> None:
     """Lower-triangular profile: pivot rows strictly increase, pivots are
     positive, entries left of a pivot in its row lie in [0, pivot), zero
     columns trail."""
@@ -392,16 +394,13 @@ def assert_hnf_shape(h: IntMatrix) -> None:
             assert 0 <= h.entries[top][j_left] < pivot, "left entries must be reduced"
 
 
-def assert_same_column_lattice(a: IntMatrix, h: IntMatrix, u: IntMatrix) -> None:
+def assert_same_column_lattice(a, h, u) -> None:
     """Columns of A and of H generate the same lattice, certified by U."""
-    assert a.matmul(u).entries == h.entries
+    assert plain_product(a.entries, u.entries) == h.entries
     d = cofactor_det(u.entries)
     assert abs(d) == 1, "transform must be unimodular"
-    u_inverse_rows = [
-        tuple(d * x for x in row) for row in cofactor_adjugate(u.entries)
-    ]
-    u_inverse = IntMatrix.from_rows(u_inverse_rows)
-    assert h.matmul(u_inverse).entries == a.entries
+    u_inverse = [tuple(d * x for x in row) for row in cofactor_adjugate(u.entries)]
+    assert plain_product(h.entries, u_inverse) == a.entries
 
 
 def _in_convex_hull(v, others) -> bool:
@@ -440,3 +439,59 @@ def convex_hull_vertices(points) -> list[tuple[int, ...]]:
     points outside the hull of all the others, one phase-1 program each."""
     pts = sorted(set(map(tuple, points)))
     return [v for v in pts if not _in_convex_hull(v, [q for q in pts if q != v])]
+
+
+def abelian_groups(largest: int) -> list[tuple[int, ...]]:
+    """Every abelian group of order 2 to largest, once each, as its
+    invariant factors s_1 | s_2 | ... | s_k with s_1 > 1, by order."""
+
+    def chains(left: int, previous: int):
+        if left == 1:
+            yield ()
+        for s in range(2, left + 1):
+            if left % s == 0 and s % previous == 0:
+                for rest in chains(left // s, s):
+                    yield (s,) + rest
+
+    return [group for d in range(2, largest + 1) for group in chains(d, 1)]
+
+
+def class_orders(invariants) -> list[int]:
+    """The order of each class {x, -x} of the nonzero elements of
+    Z_s1 x ... x Z_sk, by listing the elements."""
+    seen, orders = set(), []
+    for x in product(*map(range, invariants)):
+        if any(x) and x not in seen:
+            seen.add(tuple(-v % s for v, s in zip(x, invariants)))
+            orders.append(math.lcm(*(s // math.gcd(s, v) for v, s in zip(x, invariants))))
+    return orders
+
+
+def unit_first_walk(rng: random.Random, delta: int, n: int) -> list[list[int]]:
+    """Unit rows, then network rows (totally unimodular) and one row v with
+    ||v||_1 <= delta and an entry of size >= 2, in random order.  Every
+    basis has |det| <= ||v||_1 <= delta and the greedy start is the
+    identity, so the solver must replace rows to grow the determinant."""
+    tail = []
+    for _ in range(2 * n):
+        row = [0] * n
+        i = rng.randrange(n)
+        row[i] = 1
+        if rng.random() < 0.8:
+            j = rng.randrange(n - 1)
+            row[j + (j >= i)] = -1
+        tail.append(row)
+    v = [0] * n
+    big = rng.randint(2, delta)
+    v[rng.randrange(n)] = big * rng.choice((1, -1))
+    left = delta - big
+    while left > 0 and rng.random() < 0.7:
+        j = rng.randrange(n)
+        if v[j]:
+            continue
+        s = rng.randint(1, left)
+        v[j] = s * rng.choice((1, -1))
+        left -= s
+    tail.append(v)
+    rng.shuffle(tail)
+    return [[int(i == j) for j in range(n)] for i in range(n)] + tail

@@ -17,7 +17,7 @@ from deltasvp.errors import BudgetExceededError
 from deltasvp.generators import (
     lower_bound_instance,
     random_delta_modular,
-    random_full_column_rank,
+    random_full_rank,
 )
 from deltasvp.linalg import IntMatrix, det, max_abs_full_rank_subdet
 from deltasvp.oracle import enum_bound, shortest_is_at_least_2
@@ -154,7 +154,7 @@ def _understated_corpus():
     while len(cases) < 57:
         n = rng.randint(2, 4)
         m = rng.randint(n + 1, n + 4)
-        a = random_full_column_rank(rng, m, n, -4, 4)
+        a = random_full_rank(rng, m, n, -4, 4)
         true_delta, _ = max_abs_full_rank_subdet(a)
         if true_delta < 2:
             continue
@@ -220,7 +220,7 @@ def test_criterion_6_maximizing_basis_bounds_the_inverse():
     while done < 100:
         n = rng.randint(2, 3)
         m = rng.randint(n, n + 3)
-        a = random_full_column_rank(rng, m, n, -4, 4)
+        a = random_full_rank(rng, m, n, -4, 4)
         largest, witness = max_abs_full_rank_subdet(a)
         adj = cofactor_adjugate(a.submatrix_rows(witness).entries)
         numerators = M(plain_product(a.entries, adj))

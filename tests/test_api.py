@@ -24,7 +24,7 @@ def test_public_names_and_version():
     assert not [name for name in REMOVED if hasattr(deltasvp, name)]
     pyproject = (Path(__file__).parent.parent / "pyproject.toml").read_text()
     declared = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE).group(1)
-    assert deltasvp.__version__ == declared == "0.2.0"
+    assert deltasvp.__version__ == declared == "0.3.0"
 
 
 def test_no_assert_statement_in_the_package():

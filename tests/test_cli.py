@@ -15,8 +15,7 @@ from deltasvp.textio import format_polyhedron, parse_matrix
 from deltasvp.threshold import PATH_ENTRY, solve_threshold_trace
 
 from cli_goldens import CASES, COLUMNS, FIXTURES, case_argv, mismatches
-from oracles import layered_least_minimizer, unimodular_scramble
-from test_solve_traces import _unit_first_walk
+from oracles import layered_least_minimizer, unimodular_scramble, unit_first_walk
 
 WORKED = str(FIXTURES / "worked.txt")
 
@@ -414,11 +413,11 @@ class TestEnumerationGolden:
         assert max(abs(x) for row in entries for x in row) > 2**64
 
     def test_walk_unit_first_34_input(self):
-        """The fixture is the unit-rows-first walk of tests/test_solve_traces.py
-        drawn with delta 9 and n 34 from seed 3; its run makes two entry
+        """The fixture is the unit-rows-first walk of tests/oracles.py drawn
+        with delta 9 and n 34 from seed 3; its run makes two entry
         swaps, so the second pass's tableau comes from the first's packed
         rows."""
-        rows = _unit_first_walk(random.Random(3), 9, 34)
+        rows = unit_first_walk(random.Random(3), 9, 34)
         text = f"{len(rows)} 34\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows)
         assert (FIXTURES / "walk_unit_first_34.txt").read_text() == text
         _, trace = solve_threshold_trace(IntMatrix.from_rows(rows), 9)

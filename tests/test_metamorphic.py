@@ -9,6 +9,12 @@ random_delta_modular and lower_bound_instance matrices, so C(m, n) and 3^n
 stay far inside DEFAULT_MINOR_BUDGET and DEFAULT_BOX_BUDGET; the
 scrambles reach 70-bit entries.
 
+Above the threshold, at a delta that bounds every |det|, `svp solve`
+(solve_svp) must find a vector of norm exactly 1 under both changes too.
+Its inputs are random_delta_modular matrices and the unit-rows-first walks
+of tests/test_solve_traces.py, which replace rows before they find one;
+under 70-bit scrambles their tableaux outgrow one 64-bit word.
+
 `verify support` (verify_support_bound with an explicit box) depends only
 on the set {x : A x = b, 0 <= x <= box} and on c: permuting the variables
 (the columns of A, the entries of c and of the box together) and
@@ -17,6 +23,8 @@ over the rationals keep the optimum, the optimizer count and the least
 support.
 """
 
+import random
+
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -24,8 +32,10 @@ from deltasvp.generators import lower_bound_instance, random_delta_modular
 from deltasvp.linalg import IntMatrix, max_abs_full_rank_subdet
 from deltasvp.oracle import shortest_is_at_least_2
 from deltasvp.polyhedra import StandardFormILP, verify_support_bound
+from deltasvp.threshold import ShortVector, dimension_threshold, solve_svp
 
-from oracles import cofactor_det, fraction_rank, unimodular_scramble
+from oracles import cofactor_det, fraction_rank, unimodular_scramble, unit_first_walk
+from test_solve_traces import WALK_SIZES
 
 
 @st.composite
@@ -73,6 +83,38 @@ def test_atleast2_keeps_its_verdict(data):
     assert shortest_is_at_least_2(IntMatrix.from_rows([a.entries[i] for i in order]))[0] == verdict
     scrambled = IntMatrix.from_rows(unimodular_scramble(a.entries, *data.draw(SCRAMBLES)))
     assert shortest_is_at_least_2(scrambled)[0] == verdict
+
+
+@st.composite
+def above_threshold(draw) -> tuple[IntMatrix, int]:
+    """(A, delta), delta bounding every |det| and A with more than
+    dimension_threshold(delta) columns: a unit-rows-first walk at one of
+    WALK_SIZES, or random_delta_modular with 2 <= delta <= 5 (so n >= 2
+    for the scramble) and m <= n + 4."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        delta, n = draw(st.sampled_from(WALK_SIZES))
+        return IntMatrix.from_rows(unit_first_walk(random.Random(seed), delta, n)), delta
+    delta = draw(st.integers(2, 5))
+    n = dimension_threshold(delta) + draw(st.integers(1, 2))
+    return random_delta_modular(delta, draw(st.integers(n, n + 4)), n, seed), delta
+
+
+@settings(max_examples=60, deadline=None)
+@given(above_threshold(), st.data())
+def test_solve_above_the_threshold_finds_norm_one(case, data):
+    """On A, on a row permutation of A with negations and on A U (steps of
+    70 bits), svp solve returns a ShortVector whose z has norm exactly 1
+    on the matrix it was given, by a plain loop over its rows."""
+    a, delta = case
+    order = data.draw(st.permutations(range(a.rows)))
+    signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=a.rows, max_size=a.rows))
+    moved = [[s * x for x in a.entries[i]] for i, s in zip(order, signs)]
+    seed, steps = data.draw(st.integers(0, 2**32 - 1)), data.draw(st.integers(1, 6))
+    for rows in (a.entries, moved, unimodular_scramble(a.entries, seed, steps, 70)):
+        outcome = solve_svp(IntMatrix.from_rows(rows), delta)
+        assert isinstance(outcome, ShortVector)
+        assert max(abs(sum(x * z for x, z in zip(row, outcome.z))) for row in rows) == 1
 
 
 @st.composite

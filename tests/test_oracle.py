@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from deltasvp import oracle
 from deltasvp.errors import BudgetExceededError, DomainError, InvariantError, RankError
-from deltasvp.generators import lower_bound_instance, random_full_column_rank
+from deltasvp.generators import lower_bound_instance, random_full_rank
 from deltasvp.linalg import (
     IntMatrix,
     Tableau,
@@ -131,7 +131,7 @@ class TestBruteForceSvp:
         rng = random.Random(31)
         for _ in range(25):
             n = rng.randint(1, 3)
-            a = random_full_column_rank(rng, rng.randint(n, n + 2), n, -5, 5)
+            a = random_full_rank(rng, rng.randint(n, n + 2), n, -5, 5)
             k = rng.randint(1, 2)
             assert brute_force_svp(a, k).norm == box_min_norm(a.entries, k)
 
@@ -141,7 +141,7 @@ class TestBruteForceSvp:
         done = 0
         while done < 30:
             n = rng.randint(1, 4)
-            a = random_full_column_rank(rng, rng.randint(n, n + 2), n, -9, 9)
+            a = random_full_rank(rng, rng.randint(n, n + 2), n, -9, 9)
             k = enum_bound(a)
             if (2 * (k + 2) + 1) ** n > 200_000:
                 continue
@@ -171,7 +171,7 @@ class TestShortestIsAtLeast2:
         done = 0
         while done < 25:
             n = rng.randint(1, 3)
-            a = random_full_column_rank(rng, rng.randint(n, n + 2), n, -4, 4)
+            a = random_full_rank(rng, rng.randint(n, n + 2), n, -4, 4)
             k = enum_bound(a)
             if (2 * k + 1) ** n > 200_000:
                 continue
@@ -250,9 +250,9 @@ def record_layers(monkeypatch) -> list[int]:
     opened = []
     real = oracle._layer
 
-    def recording(a, t, r):
+    def recording(t, r):
         opened.append(r)
-        return real(a, t, r)
+        return real(t, r)
 
     monkeypatch.setattr(oracle, "_layer", recording)
     return opened
@@ -284,7 +284,7 @@ class TestLayeredSvp:
         above_one = 0
         for _ in range(60):
             n = rng.randint(1, 4)
-            a = random_full_column_rank(rng, rng.randint(n, n + 3), n, -7, 7)
+            a = random_full_rank(rng, rng.randint(n, n + 3), n, -7, 7)
             if (2 * enum_bound(a) + 1) ** n > 100_000:
                 continue
             opened.clear()
@@ -354,7 +354,7 @@ class TestPackedScan:
     @given(wide_entries(), st.integers(1, 3))
     def test_layer_matches_written_out_layer(self, entries, r):
         a = M(entries)
-        assert list(oracle._layer(a, tableau(a), r)) == list(layer_preimages(entries, r))
+        assert list(oracle._layer(tableau(a), r)) == list(layer_preimages(entries, r))
 
     @settings(max_examples=150, deadline=None)
     @given(wide_entries(), st.integers(1, 2))
@@ -370,7 +370,7 @@ class TestPackedScan:
         t = tableau(a)
         stacked = IntMatrix._trusted(t.adj.entries + t.numerators.entries)
         assert _box_halves(stacked, [range(-2, 3)] * 3, 2 * abs(t.det))[0] > 64
-        layer = list(oracle._layer(a, t, 2))
+        layer = list(oracle._layer(t, 2))
         assert layer and layer == list(layer_preimages(entries, 2))
 
     @pytest.mark.parametrize("limit", [1, 6, 2**61, 2**62, 2**70])
@@ -398,12 +398,12 @@ class TestPackedScan:
         z = (+-1, 0) is -+2r, exactly r |det B|, and it is kept, while
         z = (0, +-1) reaches 2(r + 1) and is not."""
         a = M([[1, 0], [0, 1], [1, 1]])
-        layer = list(oracle._layer(a, tableau(a), r))
+        layer = list(oracle._layer(tableau(a), r))
         box = product(range(-r, r + 1), repeat=2)
         assert layer == [v for v in box if any(v) and abs(v[0] + v[1]) <= r]
         entries = [[1, 1], [1, -1], [r, r + 1]]
         t = tableau(M(entries))
-        layer = list(oracle._layer(M(entries), t, r))
+        layer = list(oracle._layer(t, r))
         assert t.det == -2 and layer == list(layer_preimages(entries, r))
         assert {(1, 0), (-1, 0)} <= set(layer) and not {(0, 1), (0, -1)} & set(layer)
 

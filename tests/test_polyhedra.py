@@ -18,7 +18,7 @@ from deltasvp.errors import (
 from deltasvp.generators import (
     lower_bound_instance,
     random_delta_modular,
-    random_full_row_rank,
+    random_full_rank,
     sparsity_instance,
 )
 from deltasvp.linalg import IntMatrix, max_abs_full_rank_subdet, rank
@@ -794,7 +794,7 @@ class TestKernelLatticeBasis:
         for _ in range(30):
             m = rng.randint(1, 3)
             n = rng.randint(m + 1, 6)
-            a = random_full_row_rank(rng, m, n, -9, 9)
+            a = random_full_rank(rng, m, n, -9, 9)
             w = kernel_lattice_basis(a)
             assert w.shape == (n, n - m)
             assert all(all(x == 0 for x in row) for row in a.matmul(w).entries)
@@ -819,7 +819,7 @@ class TestKernelIdentity:
     def test_wide_random(self):
         rng = random.Random(99)
         for _ in range(40):
-            a = random_full_row_rank(rng, 2, 4, -9, 9)
+            a = random_full_rank(rng, 2, 4, -9, 9)
             assert verify_kernel_identity(a)
 
     def test_square_is_trivial(self):

@@ -21,6 +21,8 @@ from deltasvp.threshold import (
     solve_threshold_trace,
 )
 
+from oracles import unit_first_walk
+
 FIXTURE = Path(__file__).parent / "fixtures" / "solve_traces.json"
 
 WALK_SIZES = [(3, 3), (4, 7), (5, 9), (5, 12), (7, 19)]
@@ -34,42 +36,12 @@ PATH_EXERCISERS = [
 ]
 
 
-def _unit_first_walk(rng: random.Random, delta: int, n: int) -> list[list[int]]:
-    """Unit rows, then network rows (totally unimodular) and one row v with
-    ||v||_1 <= delta and an entry of size >= 2, in random order.  Every
-    basis has |det| <= ||v||_1 <= delta and the greedy start is the
-    identity, so the solver must replace rows to grow the determinant."""
-    tail = []
-    for _ in range(2 * n):
-        row = [0] * n
-        i = rng.randrange(n)
-        row[i] = 1
-        if rng.random() < 0.8:
-            j = rng.randrange(n - 1)
-            row[j + (j >= i)] = -1
-        tail.append(row)
-    v = [0] * n
-    big = rng.randint(2, delta)
-    v[rng.randrange(n)] = big * rng.choice((1, -1))
-    left = delta - big
-    while left > 0 and rng.random() < 0.7:
-        j = rng.randrange(n)
-        if v[j]:
-            continue
-        s = rng.randint(1, left)
-        v[j] = s * rng.choice((1, -1))
-        left -= s
-    tail.append(v)
-    rng.shuffle(tail)
-    return [[int(i == j) for j in range(n)] for i in range(n)] + tail
-
-
 def family() -> list[tuple[list[list[int]], int]]:
     """(rows, delta) pairs: unit-rows-first walks, {0,1} matrices with an
     understated delta, and the path exercisers."""
     rng = random.Random(8)
     cases = [
-        (_unit_first_walk(rng, delta, n), delta)
+        (unit_first_walk(rng, delta, n), delta)
         for delta, n in WALK_SIZES
         for _ in range(WALKS_PER_SIZE)
     ]

@@ -5,7 +5,6 @@ from deltasvp.textio import (
     ParseError,
     format_matrix,
     format_polyhedron,
-    format_standard_form,
     parse_matrix,
     parse_polyhedron,
     parse_standard_form,
@@ -101,10 +100,8 @@ def test_polyhedron_requires_b():
 
 def test_standard_form_optional_objective():
     a = M([[1, 1]])
-    text = format_standard_form(a, (2,), (1, 0))
-    assert parse_standard_form(text) == (a, (2,), (1, 0))
-    text_no_c = format_standard_form(a, (2,))
-    assert parse_standard_form(text_no_c) == (a, (2,), None)
+    assert parse_standard_form("1 2\n1 1\nb: 2\nc: 1 0\n") == (a, (2,), (1, 0))
+    assert parse_standard_form("1 2\n1 1\nb: 2\n") == (a, (2,), None)
 
 
 def test_standard_form_rejects_trailing():

@@ -36,7 +36,13 @@ from deltasvp.threshold import (
     threshold_step,
 )
 
-from oracles import cofactor_det, fraction_rank, unimodular_scramble
+from oracles import (
+    abelian_groups,
+    class_orders,
+    cofactor_det,
+    fraction_rank,
+    unimodular_scramble,
+)
 
 M = IntMatrix.from_rows
 
@@ -61,6 +67,9 @@ BLOCK_SWAP_INSTANCE = M([[1, 0], [1, 2], [0, -2], [2, 2]])
 BLOCK_SWAP_INSTANCE_3 = M(
     [[1, 0, 0], [0, 1, 0], [1, 1, 3], [-1, 1, 0], [1, 2, 3], [2, 1, 3], [0, 0, 3]]
 )
+# |det| = 3 with adj(B) columns (3, 0, -1), (0, 3, -1), (0, 0, 1): one class
+# modulo 3, two of its members negated onto the key (0, 0, 1)
+NEGATION_INSTANCE = M([[1, 0, 0], [0, 1, 0], [1, 1, 3]])
 
 
 class TestDimensionThreshold:
@@ -81,8 +90,8 @@ def selections(monkeypatch):
     seen = []
     original = threshold._select_same_class
 
-    def recording(residues, d, delta):
-        members = original(residues, d, delta)
+    def recording(residues, d):
+        members = original(residues, d)
         seen.append((residues, d, members))
         return members
 
@@ -113,77 +122,78 @@ class TestResidueKey:
 
     def test_identity_is_integral(self, selections):
         a = IntMatrix.identity(2)
-        assert threshold_step(a, 1, tableau(a)) == ShortVector((1, 0), (1, 0), 1)
+        assert threshold_step(a, tableau(a)) == ShortVector((1, 0), (1, 0), 1)
         assert selections == []
 
     def test_worked_keys(self, selections):
         a = M([[1, 0], [1, 2]])
-        threshold_step(a, 2, tableau(a))
+        threshold_step(a, tableau(a))
         assert selections[0][:2] == ([(0, 1), (0, 1)], 2)
 
     def test_negative_determinant(self, selections):
         a = M([[0, 1], [1, 0]])  # det -1: everything integral
         assert tableau(a).det == -1
-        assert threshold_step(a, 1, tableau(a)) == ShortVector((0, 1), (1, 0), 1)
+        assert threshold_step(a, tableau(a)) == ShortVector((0, 1), (1, 0), 1)
         assert selections == []
 
     def test_negation(self, selections):
-        a = M([[1, 0], [1, 3]])
-        threshold_step(a, 2, tableau(a))
-        assert selections[0][:2] == ([(0, 2), (0, 1)], 3)
-        # (0, 2) negates to (0, 1) modulo 3, the smaller key: sign -1
-        assert threshold._select_same_class([(0, 2)], 3, 1) == [(0, -1)]
-        assert threshold._select_same_class([(0, 1)], 3, 1) == [(0, 1)]
+        threshold_step(NEGATION_INSTANCE, tableau(NEGATION_INSTANCE))
+        assert selections[0][:2] == ([(0, 0, 2), (0, 0, 2), (0, 0, 1)], 3)
+        # (0, 0, 2) negates to (0, 0, 1) modulo 3, the smaller key: sign -1
+        assert selections[0][2] == [(0, -1), (1, -1), (2, 1)]
 
 
 class TestSelectSameClass:
     def test_worked_selection(self, selections):
         a = M([[1, 0], [1, 2]])
-        threshold_step(a, 2, tableau(a))
+        threshold_step(a, tableau(a))
         assert selections[0][2] == [(0, 1), (1, 1)]
 
     def test_singleton(self):
-        assert threshold._select_same_class([(0, 1), (0, 1)], 2, 1) == [(0, 1)]
+        # a single class of three columns at d = 2 gives its first two
+        assert threshold._select_same_class([(0, 1), (0, 1), (0, 1)], 2) == [(0, 1), (1, 1)]
 
     def test_tie_sign_is_plus(self):
-        # (2, 2) is its own negation modulo 4; (1, 3) lands on (1, 3)
-        assert threshold._select_same_class([(2, 2), (2, 2)], 4, 2) == [(0, 1), (1, 1)]
-        assert threshold._select_same_class([(3, 1), (1, 3)], 4, 2) == [(0, -1), (1, 1)]
+        # (1, 1) is its own negation modulo 2; (1, 3) lands on (1, 3) modulo 4
+        assert threshold._select_same_class([(1, 1), (1, 1)], 2) == [(0, 1), (1, 1)]
+        residues = [(3, 1), (1, 3), (3, 1), (1, 3)]
+        assert threshold._select_same_class(residues, 4) == [(0, -1), (1, 1), (2, -1), (3, 1)]
 
     def test_opposite_classes_resolved_by_sign(self, selections):
-        a = M([[1, 0], [1, 3]])
+        a = NEGATION_INSTANCE
         tab = tableau(a)
-        threshold_step(a, 2, tab)
+        threshold_step(a, tab)
         members = selections[0][2]
-        assert members == [(0, -1), (1, 1)]
-        # the signed columns differ by an integer vector
+        assert members == [(0, -1), (1, -1), (2, 1)]
+        # the signed columns differ pairwise by integer vectors
         signed = [tuple(s * x for x in tab.adj.column(j)) for j, s in members]
-        difference = tuple(a - b for a, b in zip(*signed))
-        assert all(x % tab.det == 0 for x in difference)
+        for u, v in combinations(signed, 2):
+            assert all((x - y) % tab.det == 0 for x, y in zip(u, v))
 
     def test_selection_capped_by_determinant(self, selections):
-        # |det| = 2 caps the selection size at 2 even when delta is larger
+        # the selection takes |det B| = 2 of the three columns
         b = M([[1, 0, 0], [0, 1, 0], [1, 1, 2]])
-        threshold_step(b, 3, tableau(b))
+        threshold_step(b, tableau(b))
         assert len(selections[0][2]) == 2
 
     def test_smallest_large_enough_class_wins(self):
-        # classes {+-(1, 1)}: columns 0, 2, 4; {+-(0, 1)}: columns 1, 3
-        residues = [(1, 1), (0, 1), (3, 3), (0, 3), (1, 1)]
-        assert threshold._select_same_class(residues, 4, 3) == [(0, 1), (2, -1), (4, 1)]
-        assert threshold._select_same_class(residues, 4, 2) == [(1, 1), (3, -1)]
+        # classes {+-(1, 1)}: columns 0, 2, 4; {+-(0, 1)}: columns 1, 3, 5
+        residues = [(1, 1), (0, 1), (2, 2), (0, 2), (1, 1), (0, 1)]
+        assert threshold._select_same_class(residues, 3) == [(1, 1), (3, -1), (5, 1)]
+        # without column 5, {+-(0, 1)} is short of d = 3 members
+        assert threshold._select_same_class(residues[:5], 3) == [(0, 1), (2, -1), (4, 1)]
 
     def test_no_class_large_enough_is_a_bug(self):
         with pytest.raises(InvariantError, match="no residue class"):
-            threshold._select_same_class([(0, 1), (1, 0)], 2, 2)
+            threshold._select_same_class([(0, 1), (1, 0)], 2)
 
     def test_class_of_smaller_order_when_no_class_holds_d(self):
         """Z_2 x Z_2 at d = 4: seven columns in three classes of order 2,
         none with four members; the smallest key with two members wins."""
         residues = [(2, 0), (0, 2), (2, 2), (2, 0), (2, 2), (2, 0), (0, 2)]
-        assert threshold._select_same_class(residues, 4, 4) == [(1, 1), (6, 1)]
+        assert threshold._select_same_class(residues, 4) == [(1, 1), (6, 1)]
         with pytest.raises(InvariantError, match="no residue class"):
-            threshold._select_same_class(residues[:3], 4, 4)
+            threshold._select_same_class(residues[:3], 4)
 
     def test_non_cyclic_residue_group_solves(self):
         """A 4-modular 12 x 7 input whose greedy basis has |det B| = 4 and
@@ -203,36 +213,62 @@ class TestSelectSameClass:
         assert outcome.z == (0, 0, 1, 0, -2, -1, 0)
 
 
+def test_selection_counts_over_every_small_residue_group():
+    """The residues of the columns of B^-1 form an abelian group of order
+    d = |det B|; each +-class {x, -x} of its nonzero elements has an order
+    o.  Columns escape the fallback only with fewer than o in every class,
+    at most sum (o - 1) of them, which never exceeds the threshold at d
+    (floor(d/2) * (d - 1)), so above the threshold the fallback always
+    finds a class.  Rule 1 (d columns of one class) is escaped by up to
+    (d - 1) columns per class: exactly the threshold on a cyclic group, and
+    more on 41 of the 53 others (9 against 6 for Z_2 x Z_2)."""
+    groups = abelian_groups(64)
+    assert len(groups) == 116
+    assert sum(len(g) == 1 for g in groups) == 63
+    rule_1_escapes_above = 0
+    for g in groups:
+        d = math.prod(g)
+        orders = class_orders(g)
+        bound = (d // 2) * (d - 1)
+        assert bound == dimension_threshold(d)
+        assert sum(o - 1 for o in orders) <= bound, g
+        rule_1_escape = (d - 1) * len(orders)
+        if len(g) == 1:
+            assert rule_1_escape == bound, g
+        else:
+            assert rule_1_escape >= bound, g
+            rule_1_escapes_above += rule_1_escape > bound
+    assert rule_1_escapes_above == 41
+    assert class_orders((2, 2)) == [2, 2, 2]
+
+
 class TestBuildTestVectors:
     """The lazy test-vector scan: differences (i, j), i < j, in
     lexicographic order, then the sum of the selected signed columns."""
 
     def test_worked_vectors(self, scanned):
-        result = threshold_step(BLOCK_SWAP_INSTANCE, 2, tableau(BLOCK_SWAP_INSTANCE))
+        result = threshold_step(BLOCK_SWAP_INSTANCE, tableau(BLOCK_SWAP_INSTANCE))
         assert result.path == PATH_BLOCK  # nothing short: the scan ran to the end
         assert scanned == [(2, -2), (2, 0)]  # (1,-1), then (1,0)
 
     def test_count(self, scanned, selections):
         a = BLOCK_SWAP_INSTANCE_3
-        assert threshold_step(a, 3, tableau(a)).path == PATH_BLOCK
+        assert threshold_step(a, tableau(a)).path == PATH_BLOCK
         size = len(selections[0][2])
         assert size == 3
         assert len(scanned) == math.comb(size, 2) + 1
 
-    def test_singleton_gives_only_the_sum(self, scanned):
-        # delta 1 selects one column; its sum is that column, not integral
-        a = M([[1, 0], [1, 2]])
-        with pytest.raises(InvariantError):
-            threshold_step(a, 1, tableau(a))
-        assert scanned == [(2, -1)]
-
-    def test_non_integral_candidate_is_a_bug(self):
+    def test_non_integral_candidate_is_a_bug(self, monkeypatch):
+        # the residues are read off adj(B), so a selection from one class
+        # always gives integral test vectors, whatever adj(B) is; a
+        # selection of one column of order 2 is forged instead
+        monkeypatch.setattr(threshold, "_select_same_class", lambda residues, d: [(0, 1)])
         a = M([[1, 0], [1, 2]])
         with pytest.raises(InvariantError, match="test vector is not integral"):
-            threshold_step(a, 1, tableau(a))
+            threshold_step(a, tableau(a))
 
     def test_scan_stops_at_the_first_short_vector(self, scanned):
-        assert threshold_step(WORKED, 2, tableau(WORKED)) == ShortVector((1, -1), (1, -1, 0), 1)
+        assert threshold_step(WORKED, tableau(WORKED)) == ShortVector((1, -1), (1, -1, 0), 1)
         assert scanned == [(2, -2)]
 
     def test_image_that_looks_short_is_rechecked(self):
@@ -243,7 +279,7 @@ class TestBuildTestVectors:
         assert real.numerators.entries[2] == (2, -2)
         tab = Tableau(real.rows, real.adj, real.det, forged)
         with pytest.raises(InvariantError, match="claimed short vector has norm 2"):
-            threshold_step(BLOCK_SWAP_INSTANCE, 2, tab)
+            threshold_step(BLOCK_SWAP_INSTANCE, tab)
 
     def test_non_integral_image_is_a_bug(self):
         # row 2 of N forged to (1, -2): the first difference's image has
@@ -252,17 +288,17 @@ class TestBuildTestVectors:
         forged = M([[2, 0], [0, 2], [1, -2], [2, 2]])
         tab = Tableau(real.rows, real.adj, real.det, forged)
         with pytest.raises(InvariantError, match="test vector image is not integral"):
-            threshold_step(BLOCK_SWAP_INSTANCE, 2, tab)
+            threshold_step(BLOCK_SWAP_INSTANCE, tab)
 
 
 class TestThresholdStep:
     def test_identity_returns_first_unit_column(self):
         a = IntMatrix.identity(3)
-        result = threshold_step(a, 1, tableau(a))
+        result = threshold_step(a, tableau(a))
         assert result == ShortVector((1, 0, 0), (1, 0, 0), 1)
 
     def test_worked_example_resolves_via_difference(self):
-        result = threshold_step(WORKED, 2, tableau(WORKED))
+        result = threshold_step(WORKED, tableau(WORKED))
         assert result == ShortVector((1, -1), (1, -1, 0), 1)
 
     def test_oversized_determinant_certificates(self):
@@ -271,23 +307,23 @@ class TestThresholdStep:
 
     def test_entry_swap_grows_determinant(self):
         a = M([[1, 0], [0, 1], [3, 1]])
-        result = threshold_step(a, 1, tableau(a))
+        result = threshold_step(a, tableau(a))
         assert result == Transition(PATH_ENTRY, (2, 1), 1, 3)
 
     def test_replacement_that_does_not_grow_detected(self, monkeypatch):
         monkeypatch.setattr(Tableau, "swapped_det", lambda tab, swaps: 1)
         a = M([[1, 0], [0, 1], [3, 1]])
         with pytest.raises(InvariantError, match="failed to grow"):
-            threshold_step(a, 1, tableau(a))
+            threshold_step(a, tableau(a))
 
     def test_pair_swap_route(self):
-        result = threshold_step(PAIR_SWAP_INSTANCE, 3, tableau(PAIR_SWAP_INSTANCE))
+        result = threshold_step(PAIR_SWAP_INSTANCE, tableau(PAIR_SWAP_INSTANCE))
         assert isinstance(result, Transition)
         assert result.path == PATH_PAIR
         assert result.det_after == 6
 
     def test_block_swap_route(self):
-        result = threshold_step(BLOCK_SWAP_INSTANCE, 2, tableau(BLOCK_SWAP_INSTANCE))
+        result = threshold_step(BLOCK_SWAP_INSTANCE, tableau(BLOCK_SWAP_INSTANCE))
         assert isinstance(result, Transition)
         assert result.path == PATH_BLOCK
         assert result.det_after == 4
