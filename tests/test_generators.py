@@ -145,11 +145,20 @@ class TestRandomDeltaModular:
             random_delta_modular(2, 5, 3, 99)
 
 
-def test_random_full_rank():
+class TestRejectionSamplers:
     """Tall and wide draws alike reach rank min(rows, cols)."""
-    rng = random.Random(1)
-    for rows, cols in [(4, 3), (2, 5)] * 20:
-        assert rank(random_full_rank(rng, rows, cols, -5, 5)) == min(rows, cols)
+
+    def test_full_column_rank(self):
+        rng = random.Random(1)
+        for _ in range(20):
+            m = random_full_rank(rng, 4, 3, -5, 5)
+            assert rank(m) == 3
+
+    def test_full_row_rank(self):
+        rng = random.Random(2)
+        for _ in range(20):
+            m = random_full_rank(rng, 2, 5, -5, 5)
+            assert rank(m) == 2
 
 
 class TestConstructionCap:
