@@ -30,13 +30,12 @@ pivot ``_pivot``.
 Every maximal-minor scan reads its minors off one iterator, ``_minors``
 (each k-subset in lexicographic order, one forward elimination each), and
 every enumeration has one budget gate, ``_check_budget``, which refuses it
-up front rather than truncate.  Every box scan (the oracles and the
-lattice points) goes through ``_box_halves``, which splits the box into
-two halves, packs each image A x into one integer at a proved word width
-(the Kronecker substitution above) and caches the images of the trailing
-half, so a point's image is one integer addition instead of a full
-product A x.  ``box_images`` reads each point's words; the oracle's norm
-scans test all of them at once with a few word operations.
+up front rather than truncate.  The oracle's norm scans go through
+``_box_halves``, which splits the box into two halves, packs each image
+A x into one integer at a proved word width (the Kronecker substitution
+above) and caches the images of the trailing half, so a point's image is
+one integer addition instead of a full product A x, and its words are
+tested all at once with a few word operations.
 """
 
 from __future__ import annotations
@@ -552,7 +551,6 @@ def _write_words(words: Iterable[int], width: int) -> bytes:
     return b"".join([x.to_bytes(size, "little", signed=True) for x in words])
 
 
-_Scan = Iterator[tuple[tuple[int, ...], tuple[int, ...]]]
 _Half = Iterator[tuple[tuple[int, ...], int]]
 
 
@@ -598,25 +596,6 @@ def _box_halves(
         count *= len(ranges[split])
     tails = list(_images(packed[split:], ranges[split:]))
     return width, _images(packed[:split], ranges[:split]), tails
-
-
-def box_images(a: IntMatrix, ranges: Sequence[Sequence[int]]) -> _Scan:
-    """Every point x of the box ranges[0] x ... x ranges[n-1] with its
-    image A x, in lexicographic order, lazily.
-
-    The packed images of the trailing half of the coordinates are computed
-    once and cached (at most sqrt(box size) of them), so each point costs
-    one integer addition and one read of its words instead of a full
-    product A x.  The cache is built on this call: check any budget before
-    making it.
-    """
-    width, heads, tails = _box_halves(a, ranges)
-    bias, size = _bias(a.rows, width), a.rows * width // 8
-    return (
-        (head + tail, tuple(_read_words(((h + t + bias) ^ bias).to_bytes(size, "little"), width)))
-        for head, h in heads
-        for tail, t in tails
-    )
 
 
 def rank(a: IntMatrix) -> int:

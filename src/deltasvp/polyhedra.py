@@ -12,7 +12,8 @@ tableau: the first runs cold, and each later one is re-optimized from the
 basis before by the dual simplex (Lemke 1954), whose reduced costs, the
 slacks of P at a vertex, do not depend on the right side; the same
 programs decide that P is bounded and nonempty.  Lattice points come from
-a scan of that box whose widest coordinate is clipped to P, a lattice
+a plain-integer scan of that box whose widest coordinate is clipped to P,
+which reads each point's tight rows off the slacks that clip it, a lattice
 point is tested only against the kept points on its own minimal face of P
 (for a face F of P, F meet P_I is a face of P_I) and leaves the integer
 hull on an integer midpoint certificate or else on a phase-1 program,
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from operator import add, le, mul, sub
 from typing import Sequence
 
@@ -47,7 +49,6 @@ from .linalg import (
     _check_budget,
     _minors,
     _pivot,
-    box_images,
     hnf,
     is_totally_delta_modular,
     rank,
@@ -94,7 +95,7 @@ class StandardFormILP:
 def _box_optima(p: PolyhedronH) -> list[tuple[int, int]]:
     """The optima of the 2n programs min {b y : A^T y = sign e_i, y >= 0},
     sign -1 then 1 for each i in turn, each as a numerator and a positive
-    denominator, all on one ``_Simplex``; ``integer_points`` gives the
+    denominator, all on one ``_Simplex``; ``_lattice_points`` gives the
     argument.  Raises the typed error of an unbounded or an empty P.
     """
     n = p.dim
@@ -116,7 +117,15 @@ def _box_optima(p: PolyhedronH) -> list[tuple[int, int]]:
 
 
 def integer_points(p: PolyhedronH, budget: int = DEFAULT_POINT_BUDGET) -> list[tuple[int, ...]]:
-    """All lattice points of a bounded polyhedron, sorted.
+    """All lattice points of a bounded polyhedron, sorted: the points of
+    ``_lattice_points``, whose docstring gives the box, the errors of an
+    unbounded or an empty P, and the budget."""
+    return list(_lattice_points(p, budget))
+
+
+def _lattice_points(p: PolyhedronH, budget: int) -> dict[tuple[int, ...], int]:
+    """The lattice points of a bounded polyhedron, in sorted order, each
+    with the bitmask of the rows of P tight at it.
 
     The bounding box of P comes from 2n linear programs.  By duality,
     max x_i over P is min {b y : A^T y = e_i, y >= 0}, and min x_i is minus
@@ -144,41 +153,52 @@ def integer_points(p: PolyhedronH, budget: int = DEFAULT_POINT_BUDGET) -> list[t
     clipped to P, and the box of the others is scanned: for each head x',
     the column c of A at that coordinate and the slack b - A' x' clip it to
     one integer interval (floor of slack / c where c > 0, ceiling where
-    c < 0; a row with c = 0 and negative slack empties it).  The points are
+    c < 0; a row with c = 0 and negative slack empties it), and the rows
+    after the one that empties it are not read.  On a line that keeps
+    points, the slack of row i at t is slack_i - c_i t: a row with c_i = 0
+    is tight along the whole line when its slack is 0, and any other only
+    at t = slack_i / c_i, when c_i divides the slack.  The points are
     sorted once at the end.  The budget covers the whole bounding box.
     """
-    m, n = p.a.rows, p.dim
     optima = _box_optima(p)
     box = [(-(top // d), most // e) for (top, d), (most, e) in zip(optima[::2], optima[1::2])]
     sizes = [hi - lo + 1 for lo, hi in box]
     _check_budget(math.prod(sizes), budget, "box scan")
-    k = max(range(n), key=lambda i: (sizes[i], i))
-    head = [i for i in range(n) if i != k]
-    if head:
-        ranges = [range(box[i][0], box[i][1] + 1) for i in head]
-        heads = box_images(p.a.submatrix(range(m), head), ranges)
-    else:
-        heads = [((), (0,) * m)]
-    rows = list(zip(p.a.column(k), p.b))
+    k = max(range(p.dim), key=lambda i: (sizes[i], i))
+    ranges = [range(lo, hi + 1) for i, (lo, hi) in enumerate(box) if i != k]
+    column = p.a.column(k)
+    rows = [(c, bound, row[:k] + row[k + 1 :]) for c, bound, row in zip(column, p.b, p.a.entries)]
     points = []
-    for x, image in heads:
+    for x in product(*ranges):
         lo, hi = box[k]
-        for (c, bound), y in zip(rows, image):
-            slack = bound - y
+        slacks = []
+        for c, bound, row in rows:
+            slack = bound - sum(map(mul, row, x))
             if c > 0:
                 top = slack // c
                 if top < hi:
+                    if top < lo:
+                        break
                     hi = top
             elif c < 0:
                 bottom = -(slack // -c)
                 if bottom > lo:
+                    if bottom > hi:
+                        break
                     lo = bottom
             elif slack < 0:
-                hi = lo - 1
                 break
-        points.extend(x[:k] + (t,) + x[k:] for t in range(lo, hi + 1))
-    points.sort()
-    return points
+            slacks.append(slack)
+        else:
+            flat, at = 0, {}
+            for i, (c, slack) in enumerate(zip(column, slacks)):
+                if c == 0:
+                    if slack == 0:
+                        flat |= 1 << i
+                elif slack % c == 0:
+                    at[slack // c] = at.get(slack // c, 0) | 1 << i
+            points.extend((x[:k] + (t,) + x[k:], flat | at.get(t, 0)) for t in range(lo, hi + 1))
+    return dict(sorted(points))
 
 
 class _Simplex:
@@ -322,7 +342,8 @@ class _Simplex:
 
 def _integer_hull(p: PolyhedronH, budget: int) -> dict[tuple[int, ...], int]:
     """Vertices of the convex hull of the lattice points of P, in sorted
-    order, each with the bitmask of the rows of P tight at it.
+    order, each with the bitmask of the rows of P tight at it, both as
+    ``_lattice_points`` returns them.
 
     The points are taken in sorted order against the points still kept,
     each tested only against the kept points on its own minimal face of P:
@@ -339,15 +360,9 @@ def _integer_hull(p: PolyhedronH, budget: int) -> dict[tuple[int, ...], int]:
     test decides extremality in P_I itself.  The budget covers
     (number of points)^2, the pairs the tests may visit.
     """
-    points = integer_points(p, budget)
-    _check_budget(len(points) ** 2, budget, "integer hull scan")
-    rows = list(zip(p.a.entries, p.b))
-    # each kept point with the bitmask of its tight rows
-    kept = {
-        q: sum(1 << i for i, (row, bound) in enumerate(rows) if sum(map(mul, row, q)) == bound)
-        for q in points
-    }
-    for v in points:
+    kept = _lattice_points(p, budget)
+    _check_budget(len(kept) ** 2, budget, "integer hull scan")
+    for v in list(kept):
         tight = kept[v]
         face = [q for q, mask in kept.items() if mask & tight == tight and q != v]
         twice = [2 * x for x in v]

@@ -20,9 +20,7 @@ class ParseError(ValueError):
     """Malformed matrix text."""
 
 
-_INTEGER = r"[+-]?[0-9]+"
-_TOKEN = re.compile(_INTEGER)
-_TOKENS = re.compile(f"{_INTEGER}(?: {_INTEGER})*")
+_TOKEN = re.compile(r"[+-]?[0-9]+")
 
 
 def _ints(tokens: list[str]) -> tuple[int, ...]:
@@ -32,21 +30,21 @@ def _ints(tokens: list[str]) -> tuple[int, ...]:
     On ASCII tokens without an underscore, int() accepts exactly the
     format: split() leaves no whitespace for it to strip, and it takes no
     base prefix or exponent.  So a line of such tokens goes straight to
-    int(), and the regular expression runs only when that fails; one
-    match over the joined tokens then checks the line, and the first bad
-    token is named in full (int() cuts a long one short in its own
-    message)."""
+    int(), which rejects it only for a token outside the format or, when
+    every token is in it, for the interpreter's int/str digit limit, whose
+    error is passed on.  A line with a non-ASCII character or an underscore
+    has a token outside the format too.  The first bad token is named in
+    full (int() cuts a long one short in its own message)."""
     line = " ".join(tokens)
     if line.isascii() and "_" not in line:
         try:
             return tuple(map(int, tokens))
         except ValueError:
-            pass
-    if not _TOKENS.fullmatch(line):
-        bad = next(t for t in tokens if not _TOKEN.fullmatch(t))
-        # the message int() gives for the tokens it rejects itself
-        raise ValueError(f"invalid literal for int() with base 10: {bad!r}")
-    return tuple(map(int, tokens))
+            if all(map(_TOKEN.fullmatch, tokens)):
+                raise
+    bad = next(t for t in tokens if not _TOKEN.fullmatch(t))
+    # the message int() gives for the tokens it rejects itself
+    raise ValueError(f"invalid literal for int() with base 10: {bad!r}")
 
 
 def _payload_lines(text: str) -> list[str]:

@@ -5,7 +5,8 @@ and adjugates, schoolbook matrix products, Fraction-based elimination for
 rank and inverses, plain full scans (no split, no caching) for minimum
 norms, preimage witnesses, lattice points and integer-program optima,
 Fraction solves of every row subset for polyhedron vertices and
-boundedness, the Fraction rank of the tight rows for face dimensions, one
+boundedness, a plain loop over the rows for the tight rows at a point and
+the Fraction rank of those rows for face dimensions, one
 Fraction phase-1 program per point for hull vertices, and every cofactor
 minor for coprime maximal minors, and every element of every small
 abelian group for the counts behind the same-class selection.  Nothing
@@ -345,6 +346,16 @@ def face_dimension(entries, b, point) -> int:
         raise ValueError("point is not in the polyhedron")
     tight = [row for row, slack in zip(entries, slacks) if slack == 0]
     return len(point) - (fraction_rank(tight) if tight else 0)
+
+
+def tight_rows(entries, b, point) -> int:
+    """The bitmask of the rows of {A x <= b} tight at the point: bit i is
+    set iff row i has slack 0 there."""
+    mask = 0
+    for i, (row, bound) in enumerate(zip(entries, b)):
+        if sum(a * x for a, x in zip(row, point)) == bound:
+            mask |= 1 << i
+    return mask
 
 
 def convex_hull_2d(points) -> list[tuple[int, int]]:

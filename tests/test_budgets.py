@@ -30,7 +30,7 @@ GATES = [
     ),
     (
         lambda: polyhedra.integer_points(BOX_2, 48),
-        (polyhedra, "box_images"),
+        (polyhedra, "product"),
         "box scan of size 49 exceeds budget 48",
     ),
     (

@@ -19,9 +19,9 @@ from deltasvp.generators import lower_bound_instance
 from deltasvp.linalg import (
     IntMatrix,
     Tableau,
+    _box_halves,
     _certify,
     _read_words,
-    box_images,
     det,
     find_invertible_rows,
     hnf,
@@ -807,12 +807,25 @@ class TestCertify:
                 _certify(a, rows, adj, d)
 
 
+def _words(image: int, count: int, width: int) -> tuple[int, ...]:
+    """The signed base-2^width digits of a packed image, lowest first."""
+    words = []
+    for _ in range(count):
+        word = image & ((1 << width) - 1)
+        if word >= 1 << (width - 1):
+            word -= 1 << width
+        words.append(word)
+        image = (image - word) >> width
+    return tuple(words)
+
+
 class TestBoxImages:
     @settings(max_examples=150, deadline=None)
     @given(matrices(max_rows=4, max_cols=5, bound=5), st.data())
     def test_matches_product_scan(self, a, data):
-        """Points in lexicographic order with their images, on boxes of
-        unequal, single-point and empty ranges."""
+        """_box_halves: every head joined with every tail gives the points
+        in lexicographic order, and the packed sum of their images spells
+        A x, on boxes of unequal, single-point and empty ranges."""
         ranges = []
         for _ in range(a.cols):
             low = data.draw(st.integers(-3, 3))
@@ -821,11 +834,13 @@ class TestBoxImages:
             (x, tuple(sum(r * v for r, v in zip(row, x)) for row in a.entries))
             for x in product(*ranges)
         ]
-        assert list(box_images(a, ranges)) == expected
+        width, heads, tails = _box_halves(a, ranges)
+        scan = [
+            (head + tail, _words(h + t, a.rows, width)) for head, h in heads for tail, t in tails
+        ]
+        assert scan == expected
 
     def test_tail_table_is_at_most_the_square_root(self):
-        from deltasvp.linalg import _box_halves
-
         _, heads, tails = _box_halves(IntMatrix.identity(5), [range(3)] * 5)
         assert len(tails) == 3**2 and len(list(heads)) == 3**3
         _, heads, tails = _box_halves(M([[1, 2, 3]]), [range(2), range(9), range(2)])
@@ -833,7 +848,7 @@ class TestBoxImages:
 
     def test_wrong_range_count_rejected(self):
         with pytest.raises(DimensionError):
-            box_images(M([[1, 2]]), [range(2)])
+            _box_halves(M([[1, 2]]), [range(2)])
 
 
 class TestHnf:
@@ -928,6 +943,11 @@ class TestIsTotallyDeltaModular:
     def test_two_by_two(self):
         assert not is_totally_delta_modular(M([[1, 1], [1, -1]]), 1)
         assert is_totally_delta_modular(M([[1, 1], [1, -1]]), 2)
+
+    def test_an_entry_alone_can_break_it(self):
+        """Every 2 x 2 minor is within 1, and only an entry is not."""
+        assert not is_totally_delta_modular(M([[2, 1], [1, 1]]), 1)
+        assert not is_totally_delta_modular(M([[5]]), 1)
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):

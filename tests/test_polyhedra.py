@@ -45,6 +45,7 @@ from oracles import (
     polyhedron_vertices,
     polytope_points,
     propagated_box,
+    tight_rows,
     unimodular_scramble,
 )
 
@@ -291,6 +292,58 @@ class TestIntegerPoints:
         with pytest.raises(BudgetExceededError) as info:
             integer_points(p, 14)
         assert str(info.value) == "box scan of size 15 exceeds budget 14"
+
+
+class TestLatticePoints:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_masks_match_the_plain_loop(self, data):
+        """Each point with the bitmask of its tight rows, against a plain
+        scan and a plain loop over the rows: coordinate k has radius 3 and
+        every other at most 2, and every cut keeps x_k = -3 and 3 (so k is
+        the clipped coordinate), some cuts are flat in x_k, and one row is
+        all zero, tight everywhere at bound 0 and nowhere at bound 1."""
+        n = data.draw(st.integers(1, 4))
+        k = data.draw(st.integers(0, n - 1))
+        radii = [data.draw(st.integers(0, 2 if n < 4 else 1)) for _ in range(n)]
+        radii[k] = 3
+        entries = [[s * (j == i) for j in range(n)] for i in range(n) for s in (1, -1)]
+        b = [r for r in radii for _ in (1, -1)]
+        row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+        for cut in data.draw(st.lists(row, max_size=4)):
+            entries.append(cut)
+            b.append(data.draw(st.integers(0, 6)) + 3 * abs(cut[k]))
+        for cut in data.draw(st.lists(row, min_size=1, max_size=2)):
+            cut[k] = 0
+            entries.append(cut)
+            b.append(data.draw(st.integers(0, 6)))
+        at = data.draw(st.integers(0, len(entries)))
+        entries.insert(at, [0] * n)
+        b.insert(at, data.draw(st.integers(0, 1)))
+        points = polyhedra._lattice_points(PolyhedronH(M(entries), tuple(b)), 10_000)
+        expected = [(x, tight_rows(entries, b, x)) for x in polytope_points(entries, b, 3)]
+        assert list(points.items()) == expected
+
+    def test_sloped_row_tight_only_where_its_column_divides_the_slack(self):
+        """0 <= x <= 1, -3 <= y <= 3, 2 y - 2 x <= 1: y is clipped, and the
+        last row's slack 1 + 2 x - 2 y is odd on every line, so it is tight
+        at no point."""
+        entries, b = [[1, 0], [-1, 0], [0, 1], [0, -1], [-2, 2]], [1, 0, 3, 3, 1]
+        points = polyhedra._lattice_points(PolyhedronH(M(entries), tuple(b)), 100)
+        assert list(points) == [(0, y) for y in range(-3, 1)] + [(1, y) for y in range(-3, 2)]
+        assert all(mask >> 4 & 1 == 0 for mask in points.values())
+        assert points == {x: tight_rows(entries, b, x) for x in points}
+
+    def test_flat_row_tight_along_a_whole_line(self):
+        """0 <= x <= 1, -2 <= y <= 2 and x + 0 y <= 1 again: y is clipped,
+        and rows 0 and 4 are tight at every point of the line x = 1 and at
+        no point of x = 0."""
+        entries, b = [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 0]], [1, 0, 2, 2, 1]
+        points = polyhedra._lattice_points(PolyhedronH(M(entries), tuple(b)), 100)
+        ends = {-2: 1 << 3, 2: 1 << 2}
+        assert points == {
+            (x, y): (0b10001 if x else 0b10) | ends.get(y, 0) for x in (0, 1) for y in range(-2, 3)
+        }
 
 
 def cold_minimum(columns, rhs, cost):

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from deltasvp.linalg import IntMatrix
@@ -80,6 +82,20 @@ def test_bad_token_message_names_the_whole_token(token):
     with pytest.raises(ParseError) as info:
         parse_polyhedron(f"1 1\n1\nb: {token}\n")
     assert str(info.value) == f"b: invalid literal for int() with base 10: {token!r}"
+
+
+def test_digit_limit_is_a_parse_error():
+    """Under the interpreter's int/str digit limit, a token in the format
+    that is too long for int() gives int()'s own error as a ParseError."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int/str digit limit")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ParseError, match=r"^row 0: Exceeds the limit \(4300 digits\)"):
+            parse_matrix("1 2\n1 " + "9" * 5000 + "\n")
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_signs_and_any_whitespace_accepted():
