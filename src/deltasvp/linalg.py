@@ -562,7 +562,7 @@ def _images(columns: Sequence[int], ranges: Sequence[Sequence[int]]) -> _Half:
 
 
 def _box_halves(
-    a: IntMatrix, ranges: Sequence[Sequence[int]], limit: int = 0
+    a: IntMatrix, ranges: Sequence[Sequence[int]], limit: int
 ) -> tuple[int, _Half, list[tuple[tuple[int, ...], int]]]:
     """The box ranges[0] x ... x ranges[n-1] split into two halves, every
     point with its packed image under A (Horowitz and Sahni 1974).

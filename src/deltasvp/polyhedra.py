@@ -95,7 +95,7 @@ class StandardFormILP:
 def _box_optima(p: PolyhedronH) -> list[tuple[int, int]]:
     """The optima of the 2n programs min {b y : A^T y = sign e_i, y >= 0},
     sign -1 then 1 for each i in turn, each as a numerator and a positive
-    denominator, all on one ``_Simplex``; ``_lattice_points`` gives the
+    denominator, all on one ``_Simplex``; ``integer_points`` gives the
     argument.  Raises the typed error of an unbounded or an empty P.
     """
     n = p.dim
@@ -116,14 +116,9 @@ def _box_optima(p: PolyhedronH) -> list[tuple[int, int]]:
     return optima
 
 
-def integer_points(p: PolyhedronH, budget: int = DEFAULT_POINT_BUDGET) -> list[tuple[int, ...]]:
-    """All lattice points of a bounded polyhedron, sorted: the points of
-    ``_lattice_points``, whose docstring gives the box, the errors of an
-    unbounded or an empty P, and the budget."""
-    return list(_lattice_points(p, budget))
-
-
-def _lattice_points(p: PolyhedronH, budget: int) -> dict[tuple[int, ...], int]:
+def integer_points(
+    p: PolyhedronH, budget: int = DEFAULT_POINT_BUDGET
+) -> dict[tuple[int, ...], int]:
     """The lattice points of a bounded polyhedron, in sorted order, each
     with the bitmask of the rows of P tight at it.
 
@@ -343,7 +338,7 @@ class _Simplex:
 def _integer_hull(p: PolyhedronH, budget: int) -> dict[tuple[int, ...], int]:
     """Vertices of the convex hull of the lattice points of P, in sorted
     order, each with the bitmask of the rows of P tight at it, both as
-    ``_lattice_points`` returns them.
+    ``integer_points`` returns them.
 
     The points are taken in sorted order against the points still kept,
     each tested only against the kept points on its own minimal face of P:
@@ -360,7 +355,7 @@ def _integer_hull(p: PolyhedronH, budget: int) -> dict[tuple[int, ...], int]:
     test decides extremality in P_I itself.  The budget covers
     (number of points)^2, the pairs the tests may visit.
     """
-    kept = _lattice_points(p, budget)
+    kept = integer_points(p, budget)
     _check_budget(len(kept) ** 2, budget, "integer hull scan")
     for v in list(kept):
         tight = kept[v]

@@ -3,7 +3,8 @@
 Deliberately separate implementations: cofactor expansion for determinants
 and adjugates, schoolbook matrix products, Fraction-based elimination for
 rank and inverses, plain full scans (no split, no caching) for minimum
-norms, preimage witnesses, lattice points and integer-program optima,
+norms, preimage witnesses, lattice points, integer-program optima and the
+tail images that the program's dynamic program keeps at each stage,
 Fraction solves of every row subset for polyhedron vertices and
 boundedness, a plain loop over the rows for the tight rows at a point and
 the Fraction rank of those rows for face dimensions, one
@@ -256,6 +257,28 @@ def ilp_optimizers(entries, b, c, box) -> list[tuple[int, ...]]:
         elif value == best_value:
             best.append(x)
     return best
+
+
+def reachable_tails(entries, b, box) -> list[set[tuple[int, ...]]]:
+    """Stage n, the image 0 of the empty tail, then for j = n - 1, ..., 0
+    the images t = A[:, j:] x[j:] over 0 <= x[j:] <= box[j:] for which, in
+    every row i, b_i - t_i lies between the least and the greatest value of
+    A[i, :j] x[:j] over the box of the heads, both found by scanning that
+    box."""
+    rows = [tuple(r) for r in entries]
+    n = len(box)
+    stages = [{(0,) * len(rows)}]
+    for j in range(n - 1, -1, -1):
+        head_rows, tail_rows = [r[:j] for r in rows], [r[j:] for r in rows]
+        heads = [_image(head_rows, x) for x in product(*(range(u + 1) for u in box[:j]))]
+        reach = [(min(h[i] for h in heads), max(h[i] for h in heads)) for i in range(len(rows))]
+        tails = set()
+        for x in product(*(range(u + 1) for u in box[j:])):
+            t = _image(tail_rows, x)
+            if all(lo <= bi - ti <= hi for (lo, hi), bi, ti in zip(reach, b, t)):
+                tails.add(t)
+        stages.append(tails)
+    return stages
 
 
 def propagated_box(entries, b) -> tuple[int, ...] | None:

@@ -1,10 +1,13 @@
 """The public surface: what ``deltasvp`` exports, and its version."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
 import deltasvp
+
+BENCH = Path(__file__).parent.parent / "bench"
 
 REMOVED = [
     "ContainmentError",
@@ -12,19 +15,20 @@ REMOVED = [
     "gcd_full_rank_subdets",
     "integer_hull_vertices",
     "min_face_dimension",
+    "solve_threshold",
     "vertices_of_polyhedron",
 ]
 
 
 def test_public_names_and_version():
-    """Every exported name resolves, once; the names removed in 0.2.0 are
-    gone; and the version is the one pyproject.toml declares."""
+    """Every exported name resolves, once; the names removed in 0.2.0 and
+    0.4.0 are gone; and the version is the one pyproject.toml declares."""
     assert all(hasattr(deltasvp, name) for name in deltasvp.__all__)
     assert len(set(deltasvp.__all__)) == len(deltasvp.__all__)
     assert not [name for name in REMOVED if hasattr(deltasvp, name)]
     pyproject = (Path(__file__).parent.parent / "pyproject.toml").read_text()
     declared = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE).group(1)
-    assert deltasvp.__version__ == declared == "0.3.0"
+    assert deltasvp.__version__ == declared == "0.4.0"
 
 
 def test_no_assert_statement_in_the_package():
@@ -38,3 +42,33 @@ def test_no_assert_statement_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_names_the_benchmark_reads_resolve():
+    """The benchmark imports every module in bench/run.py's MODULES into
+    one namespace, ``lib``; every dotted name that bench/*.py reads off
+    ``lib.`` resolves, and so does ``IntMatrix.matmul``, which
+    bench/spans.py wraps on the class."""
+    tree = ast.parse((BENCH / "run.py").read_text())
+    modules = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "MODULES"
+    )
+    lib = {module: importlib.import_module(f"deltasvp.{module}") for module in modules}
+    names = {
+        name
+        for path in sorted(BENCH.glob("*.py"))
+        for name in re.findall(r"\blib\.([A-Za-z_][\w.]*)", path.read_text())
+    }
+    assert {"linalg.find_invertible_rows", "polyhedra.integer_points"} <= names
+    missing = []
+    for name in sorted(names):
+        module, *attrs = name.split(".")
+        value = lib.get(module)
+        for attr in attrs:
+            value = getattr(value, attr, None)
+        if value is None:
+            missing.append(name)
+    assert missing == []
+    assert callable(lib["linalg"].IntMatrix.matmul)

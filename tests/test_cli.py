@@ -214,7 +214,7 @@ class TestVerify:
         def refuse(*args, **kwargs):
             raise AssertionError("the box scan was started")
 
-        monkeypatch.setattr(polyhedra, "_lattice_points", refuse)
+        monkeypatch.setattr(polyhedra, "integer_points", refuse)
         for argv, expected in [
             (["verify", "support", "--delta", "2", "--json", str(FIXTURES / "sparsity_2.txt")],
              "support_sparsity_2.json"),

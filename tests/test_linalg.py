@@ -84,6 +84,16 @@ class TestIntMatrix:
         with pytest.raises(DimensionError):
             M([[1]]).matmul(M([[1, 2], [3, 4]]))
 
+    def test_rejects_an_empty_row_and_an_empty_identity(self):
+        with pytest.raises(DimensionError, match="^matrix needs at least one column$"):
+            M([[]])
+        with pytest.raises(DimensionError, match="^identity needs n >= 1$"):
+            IntMatrix.identity(0)
+
+    def test_matvec_rejects_a_vector_of_the_wrong_length(self):
+        with pytest.raises(DimensionError, match=r"^vector of length 3 against \(2, 2\)$"):
+            M([[1, 2], [3, 4]]).matvec((1, 0, 1))
+
     def test_list_rows_are_stored_as_tuples(self):
         m = IntMatrix(([1, 0], [0, 1]))
         assert all(type(row) is tuple for row in m.entries)
@@ -834,21 +844,21 @@ class TestBoxImages:
             (x, tuple(sum(r * v for r, v in zip(row, x)) for row in a.entries))
             for x in product(*ranges)
         ]
-        width, heads, tails = _box_halves(a, ranges)
+        width, heads, tails = _box_halves(a, ranges, 0)
         scan = [
             (head + tail, _words(h + t, a.rows, width)) for head, h in heads for tail, t in tails
         ]
         assert scan == expected
 
     def test_tail_table_is_at_most_the_square_root(self):
-        _, heads, tails = _box_halves(IntMatrix.identity(5), [range(3)] * 5)
+        _, heads, tails = _box_halves(IntMatrix.identity(5), [range(3)] * 5, 0)
         assert len(tails) == 3**2 and len(list(heads)) == 3**3
-        _, heads, tails = _box_halves(M([[1, 2, 3]]), [range(2), range(9), range(2)])
+        _, heads, tails = _box_halves(M([[1, 2, 3]]), [range(2), range(9), range(2)], 0)
         assert len(tails) == 2 and len(list(heads)) == 18
 
     def test_wrong_range_count_rejected(self):
         with pytest.raises(DimensionError):
-            _box_halves(M([[1, 2]]), [range(2)])
+            _box_halves(M([[1, 2]]), [range(2)], 0)
 
 
 class TestHnf:
@@ -1003,6 +1013,26 @@ class TestSubdetRatioCheck:
         a = M([[1, 0], [1, 2], [2, 2]])
         with pytest.raises(DimensionError):
             subdet_ratio_check(a, (0, 1), (2,), (0, 1))
+
+    @pytest.mark.parametrize(
+        "base,i_rows,j_cols,message",
+        [
+            ((0,), (2,), (1,), "base row set must have one row per column"),
+            ((0, 1), (1, 2), (1, 1), "column selection out of range or repeated"),
+            ((0, 1), (2,), (2,), "column selection out of range or repeated"),
+            ((0, 1), (2, 2), (0, 1), "row selection out of range or repeated"),
+            ((0, 1), (-1,), (0,), "row selection out of range or repeated"),
+        ],
+        ids=["base_rows", "repeated_column", "column_out_of_range", "repeated_row",
+             "row_out_of_range"],
+    )
+    def test_selection_rejected(self, base, i_rows, j_cols, message):
+        a = M([[1, 0], [1, 2], [2, 2]])
+        with pytest.raises(DimensionError, match=f"^{message}$"):
+            subdet_ratio_check(a, base, i_rows, j_cols)
+
+    def test_empty_selection_holds(self):
+        assert subdet_ratio_check(M([[1, 0], [1, 2], [2, 2]]), (0, 1), (), ())
 
     @pytest.mark.parametrize("base", [(0, -1), (0, 7)], ids=["negative", "past_the_end"])
     def test_base_row_out_of_range_rejected(self, base):

@@ -45,6 +45,7 @@ from oracles import (
     polyhedron_vertices,
     polytope_points,
     propagated_box,
+    reachable_tails,
     tight_rows,
     unimodular_scramble,
 )
@@ -215,6 +216,10 @@ class TestVertices:
 
 
 class TestIntegerPoints:
+    def test_right_side_length_validated(self):
+        with pytest.raises(DimensionError, match="^right-hand side length must match row count$"):
+            PolyhedronH(M([[1, 0], [0, 1]]), (1,))
+
     def test_unit_square(self):
         assert len(integer_points(UNIT_SQUARE)) == 4
 
@@ -223,7 +228,7 @@ class TestIntegerPoints:
 
     def test_small_simplex(self):
         p = PolyhedronH(M([[2, 2], [-1, 0], [0, -1]]), (3, 0, 0))
-        assert integer_points(p) == [(0, 0), (0, 1), (1, 0)]
+        assert list(integer_points(p)) == [(0, 0), (0, 1), (1, 0)]
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -243,7 +248,7 @@ class TestIntegerPoints:
         bounds = data.draw(st.lists(st.integers(0, 6), min_size=len(cuts), max_size=len(cuts)))
         entries = [list(r) for r in box.a.entries] + cuts
         b = list(box.b) + bounds
-        assert integer_points(PolyhedronH(M(entries), tuple(b))) == polytope_points(
+        assert list(integer_points(PolyhedronH(M(entries), tuple(b)))) == polytope_points(
             entries, b, radius
         )
 
@@ -256,7 +261,7 @@ class TestIntegerPoints:
         a = lower_bound_instance(3)
         rows = list(a.entries) + [tuple(-x for x in row) for row in a.entries]
         p = PolyhedronH(M(rows), tuple([1] * 6))
-        assert integer_points(p) == [(0, 0)]
+        assert list(integer_points(p)) == [(0, 0)]
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -279,7 +284,8 @@ class TestIntegerPoints:
                 cut[k] = 0
             entries.append(cut)
             b.append(data.draw(st.integers(0, 6)) + (0 if flat else 3 * abs(cut[k])))
-        assert integer_points(PolyhedronH(M(entries), tuple(b))) == polytope_points(entries, b, 3)
+        points = integer_points(PolyhedronH(M(entries), tuple(b)))
+        assert list(points) == polytope_points(entries, b, 3)
 
     def test_budget_counts_the_integer_values_of_the_box(self):
         """-3/2 <= x <= 7/2 and -4/3 <= y <= 5/3, cut by x + y <= 3: the
@@ -288,7 +294,7 @@ class TestIntegerPoints:
         admits the scan and 14 refuses it."""
         entries, b = [[2, 0], [-2, 0], [0, 3], [0, -3], [1, 1]], [7, 3, 5, 4, 3]
         p = PolyhedronH(M(entries), tuple(b))
-        assert integer_points(p, 15) == polytope_points(entries, b, 4)
+        assert list(integer_points(p, 15)) == polytope_points(entries, b, 4)
         with pytest.raises(BudgetExceededError) as info:
             integer_points(p, 14)
         assert str(info.value) == "box scan of size 15 exceeds budget 14"
@@ -320,7 +326,7 @@ class TestLatticePoints:
         at = data.draw(st.integers(0, len(entries)))
         entries.insert(at, [0] * n)
         b.insert(at, data.draw(st.integers(0, 1)))
-        points = polyhedra._lattice_points(PolyhedronH(M(entries), tuple(b)), 10_000)
+        points = integer_points(PolyhedronH(M(entries), tuple(b)), 10_000)
         expected = [(x, tight_rows(entries, b, x)) for x in polytope_points(entries, b, 3)]
         assert list(points.items()) == expected
 
@@ -329,7 +335,7 @@ class TestLatticePoints:
         last row's slack 1 + 2 x - 2 y is odd on every line, so it is tight
         at no point."""
         entries, b = [[1, 0], [-1, 0], [0, 1], [0, -1], [-2, 2]], [1, 0, 3, 3, 1]
-        points = polyhedra._lattice_points(PolyhedronH(M(entries), tuple(b)), 100)
+        points = integer_points(PolyhedronH(M(entries), tuple(b)), 100)
         assert list(points) == [(0, y) for y in range(-3, 1)] + [(1, y) for y in range(-3, 2)]
         assert all(mask >> 4 & 1 == 0 for mask in points.values())
         assert points == {x: tight_rows(entries, b, x) for x in points}
@@ -339,7 +345,7 @@ class TestLatticePoints:
         and rows 0 and 4 are tight at every point of the line x = 1 and at
         no point of x = 0."""
         entries, b = [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 0]], [1, 0, 2, 2, 1]
-        points = polyhedra._lattice_points(PolyhedronH(M(entries), tuple(b)), 100)
+        points = integer_points(PolyhedronH(M(entries), tuple(b)), 100)
         ends = {-2: 1 << 3, 2: 1 << 2}
         assert points == {
             (x, y): (0b10001 if x else 0b10) | ends.get(y, 0) for x in (0, 1) for y in range(-2, 3)
@@ -878,6 +884,10 @@ class TestKernelIdentity:
     def test_square_is_trivial(self):
         assert verify_kernel_identity(IntMatrix.identity(3))
 
+    def test_row_rank_deficient_rejected(self):
+        with pytest.raises(RankError, match="^full row rank required$"):
+            verify_kernel_identity(M([[1, 2, 3], [2, 4, 6]]))
+
     def test_one_rank_elimination(self, monkeypatch):
         """The full-row-rank test runs once; the kernel basis reads the rank
         off its Hermite normal form instead of eliminating A again."""
@@ -937,6 +947,44 @@ class TestStandardFormIlp:
     def test_rank_validated(self):
         with pytest.raises(RankError):
             StandardFormILP(M([[1, 1], [1, 1]]), (2, 2), (1, 0))
+
+    @pytest.mark.parametrize(
+        "b,c,message",
+        [
+            ((2, 2), (1, 0), "right-hand side length must match row count"),
+            ((2,), (1,), "objective length must match column count"),
+        ],
+        ids=["b", "c"],
+    )
+    def test_lengths_validated(self, b, c, message):
+        with pytest.raises(DimensionError, match=f"^{message}$"):
+            StandardFormILP(M([[1, 1]]), b, c)
+
+    def test_box_length_validated(self):
+        ilp = StandardFormILP(M([[1, 1]]), (2,), (1, 0))
+        with pytest.raises(DimensionError, match="^box length must match variable count$"):
+            solve_standard_form_ilp(ilp, (2,))
+
+
+class TestValueToGo:
+    """Each stage of the DP keeps exactly the tail images whose remainder
+    b - t the head variables can reach, row by row."""
+
+    def test_enumerate_workload_program(self):
+        """A program of the benchmark's enumerate workload, on its derived
+        box.  A reach bound of max(1, a u) in place of max(0, a u) keeps
+        every answer but gives the stage sizes 1, 5, 16, 5, 1."""
+        entries, b, box = [[1, 1, 1, 0], [0, 2, 0, 2], [0, 2, 0, 1]], (3, 8, 6), (3, 3, 3, 4)
+        stages = list(polyhedra._value_to_go(StandardFormILP(M(entries), b, (2, 1, 3, -1)), box))
+        assert [len(stage) for stage in stages] == [1, 4, 16, 2, 1]
+        assert [set(stage) for stage in stages] == reachable_tails(entries, b, box)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_programs())
+    def test_matches_plain_reach(self, program):
+        entries, b, c, box = program
+        stages = polyhedra._value_to_go(StandardFormILP(M(entries), b, c), box)
+        assert [set(stage) for stage in stages] == reachable_tails(entries, b, box)
 
 
 class TestSupportBound:

@@ -31,7 +31,6 @@ from deltasvp.threshold import (
     Transition,
     dimension_threshold,
     solve_svp,
-    solve_threshold,
     solve_threshold_trace,
     threshold_step,
 )
@@ -359,16 +358,16 @@ class TestThresholdStep:
 
 class TestSolveThreshold:
     def test_identity(self):
-        outcome = solve_threshold(IntMatrix.identity(2), 1)
+        outcome = solve_threshold_trace(IntMatrix.identity(2), 1)[0]
         assert isinstance(outcome, ShortVector)
         assert outcome.norm == 1
 
     def test_worked_example(self):
-        outcome = solve_threshold(WORKED, 2)
+        outcome = solve_threshold_trace(WORKED, 2)[0]
         assert outcome == ShortVector((1, -1), (1, -1, 0), 1)
 
     def test_certificate_on_understated_delta(self):
-        outcome = solve_threshold(M([[-1, -3], [1, 0], [2, 3]]), 2)
+        outcome = solve_threshold_trace(M([[-1, -3], [1, 0], [2, 3]]), 2)[0]
         assert isinstance(outcome, Certificate)
         assert abs(outcome.det_value) == 3
 
@@ -397,7 +396,7 @@ class TestSolveThreshold:
             (BLOCK_SWAP_INSTANCE, 2),
             (BLOCK_SWAP_INSTANCE_3, 3),
         ]:
-            outcome = solve_threshold(a, delta)
+            outcome = solve_threshold_trace(a, delta)[0]
             assert isinstance(outcome, Certificate)
             assert det(a.submatrix_rows(outcome.rows)) == outcome.det_value
             assert abs(outcome.det_value) > delta
@@ -408,11 +407,11 @@ class TestSolveThreshold:
 
     def test_rank_deficient_rejected(self):
         with pytest.raises(RankError):
-            solve_threshold(M([[1, 2], [2, 4]]), 1)
+            solve_threshold_trace(M([[1, 2], [2, 4]]), 1)
 
     def test_below_threshold_rejected(self):
         with pytest.raises(ThresholdError):
-            solve_threshold(lower_bound_instance(3), 3)
+            solve_threshold_trace(lower_bound_instance(3), 3)
 
     def test_random_modular_corpus_always_finds_norm_one(self):
         rng = random.Random(2024)
