@@ -407,6 +407,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         if isinstance(exc, BudgetExceededError):
             return EXIT_BUDGET
         return EXIT_PRECONDITION if isinstance(exc, DeltaSvpError) else EXIT_USAGE
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -30,12 +30,7 @@ pivot ``_pivot``.
 Every maximal-minor scan reads its minors off one iterator, ``_minors``
 (each k-subset in lexicographic order, one forward elimination each), and
 every enumeration has one budget gate, ``_check_budget``, which refuses it
-up front rather than truncate.  The oracle's norm scans go through
-``_box_halves``, which splits the box into two halves, packs each image
-A x into one integer at a proved word width (the Kronecker substitution
-above) and caches the images of the trailing half, so a point's image is
-one integer addition instead of a full product A x, and its words are
-tested all at once with a few word operations.
+up front rather than truncate.
 """
 
 from __future__ import annotations
@@ -44,7 +39,7 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain, combinations, product
+from itertools import chain, combinations
 from operator import itemgetter, mul, neg
 from typing import Iterable, Iterator, Sequence
 
@@ -244,6 +239,16 @@ class Tableau:
         default=None, init=False, compare=False, repr=False
     )
 
+    def _minor(self, swaps: dict[int, int]) -> tuple[tuple[int, ...], ...]:
+        """N[I, J] for the rows I of A (the values of swaps) and the
+        positions J (its keys); DimensionError, before any entry is read,
+        unless every position lies in range(n) and every row in range(m)."""
+        n, m = len(self.rows), self.numerators.rows
+        if any(not 0 <= j < n for j in swaps) or any(not 0 <= i < m for i in swaps.values()):
+            raise DimensionError(f"swaps need positions in range({n}) and rows in range({m})")
+        numerators = self.numerators.entries
+        return tuple(tuple(numerators[i][j] for j in swaps) for i in swaps.values())
+
     def swapped_det(self, swaps: dict[int, int]) -> int:
         """|det B'| for B' = B with row swaps[j] of A at position j, by the
         determinant-ratio identity.
@@ -253,7 +258,7 @@ class Tableau:
         det(B) * det M[J, J] and |det B'| = |det N[I, J]| / |det B|^(k-1)
         for k = |J|.  InvariantError when that division is inexact.
         """
-        minor = [[self.numerators.entries[i][j] for j in swaps] for i in swaps.values()]
+        minor = list(self._minor(swaps))
         quotient, remainder = divmod(abs(_det(minor)), abs(self.det) ** (len(swaps) - 1))
         if remainder:
             raise InvariantError("determinant ratio is not an integer")
@@ -282,12 +287,11 @@ class Tableau:
         |d^k * q| < 2^(w-1), so d^k * q is the numerator's digit and X' is
         exactly the block pivot of the certified X.  That proves N' =
         A * adj(B') with no new product, and r // |d^k| bounds X'.
-        N'[rows'] == det(B') * I is checked as in _certify.
+        N'[rows'] == det(B') * I is checked by _finish, as in _certify.
         """
+        inner = tableau(IntMatrix._trusted(self._minor(swaps)), range(len(swaps)))
         rows = tuple(swaps.get(p, r) for p, r in enumerate(self.rows))
         cols, picks, numerators = list(swaps), list(swaps.values()), self.numerators.entries
-        minor = IntMatrix._trusted(tuple(tuple(numerators[i][j] for j in cols) for i in picks))
-        inner = tableau(minor, range(len(cols)))
         n, d, det_c, adj_c = len(rows), self.det, inner.det, inner.adj.entries
         entries = self.adj.entries + numerators
         x_cols = [[x[j] for x in entries] for j in cols]
@@ -314,15 +318,10 @@ class Tableau:
                 raise InvariantError("block pivot is not exact")
             out.append(q)
         words = _unpack(out, n, width)
-        stacked = tuple(tuple(words[t : t + n]) for t in range(0, len(words), n))
+        adj = IntMatrix._trusted(tuple(tuple(words[t : t + n]) for t in range(0, n * n, n)))
         # det(C) / d^(k-1) is N'[I[0]][J[0]], a digit the division proved exact
         new_det = det_c // d ** (len(cols) - 1)
-        _check_basis(stacked[n:], rows, new_det)
-        tab = Tableau(
-            rows, IntMatrix._trusted(stacked[:n]), new_det, IntMatrix._trusted(stacked[n:])
-        )
-        object.__setattr__(tab, "packed", (out, width, bound))
-        return tab
+        return _finish(rows, adj, new_det, words, n * n, (out, width, bound))
 
 
 def tableau(a: IntMatrix, rows: Sequence[int] | None = None) -> Tableau:
@@ -509,19 +508,25 @@ def _certify(a: IntMatrix, rows: Sequence[int], adj: IntMatrix, d: int) -> Table
         exact = False
     if not exact:
         raise InvariantError("A * adj(B) != N")
-    numerators = [tuple(words[k : k + n]) for k in range(0, len(words), n)]
-    _check_basis(numerators, rows, d)
-    tab = Tableau(tuple(rows), adj, d, IntMatrix._trusted(tuple(numerators)))
-    object.__setattr__(tab, "packed", (packed + products, width, reach))
-    return tab
+    return _finish(rows, adj, d, words, 0, (packed + products, width, reach))
 
 
-def _check_basis(numerators: Sequence[tuple[int, ...]], rows: Sequence[int], d: int) -> None:
-    """InvariantError unless numerators[rows] == d * I."""
-    zero = (0,) * len(rows)
+def _finish(
+    rows: Sequence[int], adj: IntMatrix, d: int, words: list[int], first: int, packed: tuple
+) -> Tableau:
+    """The tableau of B = A[rows] with adj(B) = adj, det(B) = d and N the
+    words from words[first] on in rows of n, carrying packed, the packed
+    rows of [adj; N] with their width and bound; every certified tableau
+    ends here.  InvariantError unless N[rows] == d * I."""
+    n = len(rows)
+    numerators = tuple(tuple(words[k : k + n]) for k in range(first, len(words), n))
+    zero = (0,) * n
     for k, i in enumerate(rows):
         if numerators[i] != zero[:k] + (d,) + zero[k + 1 :]:
             raise InvariantError("B * adj(B) != det(B) * I")
+    tab = Tableau(tuple(rows), adj, d, IntMatrix._trusted(numerators))
+    object.__setattr__(tab, "packed", packed)
+    return tab
 
 
 def _read_words(data: bytes, width: int) -> list[int]:
@@ -549,53 +554,6 @@ def _write_words(words: Iterable[int], width: int) -> bytes:
         return out.tobytes()
     size = width // 8
     return b"".join([x.to_bytes(size, "little", signed=True) for x in words])
-
-
-_Half = Iterator[tuple[tuple[int, ...], int]]
-
-
-def _images(columns: Sequence[int], ranges: Sequence[Sequence[int]]) -> _Half:
-    """(x, sum of x[j] * columns[j]) for x over the product of ranges, in
-    lexicographic order, lazily; the image of the empty product is 0."""
-    multiples = [[v * c for v in r] for c, r in zip(columns, ranges)]
-    return zip(product(*ranges), map(sum, product(*multiples)))
-
-
-def _box_halves(
-    a: IntMatrix, ranges: Sequence[Sequence[int]], limit: int
-) -> tuple[int, _Half, list[tuple[tuple[int, ...], int]]]:
-    """The box ranges[0] x ... x ranges[n-1] split into two halves, every
-    point with its packed image under A (Horowitz and Sahni 1974).
-
-    Returns (w, heads, tails).  The columns of A are packed by _pack at
-    width w, so an image A x is the one integer sum_i (A x)_i * 2^(w*i)
-    whose signed base-2^w digits are its entries, and the image of
-    head + tail is head_image + tail_image.  Every digit of such a sum is
-    at most reach = sum_j max(1, max|ranges[j]|) * max|A[:, j]| (the 1
-    keeps the entries themselves in range), and w is the least multiple
-    of 64 with reach + limit < 2^(w-1): a caller may add 2^(w-1) - limit - 1
-    or 2^(w-1) + limit to every digit and read each word on its own, with
-    no carry or borrow between words.
-    tails is a list of (x, image) over the trailing coordinates, the
-    longest suffix with at most sqrt(box size) points (the last floor(n/2)
-    for equal ranges), with the image of those coordinates alone; heads
-    yields the same over the leading coordinates, lazily.  Both are in
-    lexicographic order.
-    """
-    n = a.cols
-    if len(ranges) != n:
-        raise DimensionError(f"box needs {n} ranges, got {len(ranges)}")
-    columns = tuple(zip(*a.entries))
-    reach = sum(max([1, *map(abs, r)]) * max(map(abs, c)) for r, c in zip(ranges, columns))
-    width = -(-((reach + limit).bit_length() + 1) // _WORD) * _WORD
-    packed = _pack(chain.from_iterable(columns), a.rows, width)
-    size = math.prod(len(r) for r in ranges)
-    split, count = n, 1
-    while split > 0 and (count * len(ranges[split - 1])) ** 2 <= size:
-        split -= 1
-        count *= len(ranges[split])
-    tails = list(_images(packed[split:], ranges[split:]))
-    return width, _images(packed[:split], ranges[:split]), tails
 
 
 def rank(a: IntMatrix) -> int:

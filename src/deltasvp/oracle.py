@@ -5,29 +5,32 @@ the reference behind ``svp oracle``), a layered scan of the images B z on
 an invertible row set B (``layered_svp``, which the solver runs below its
 dimension threshold) and its first layer, the exact decision of "no
 lattice vector of norm below 2".  Every scan is complete and visits points
-in a fixed order, so its witness is deterministic.  All run on the split
-scan of ``linalg``: the images of the trailing half of the coordinates are
-computed once, and each half-image is one packed integer, so a box point
-costs one integer addition and one exact word-parallel range test of
-every entry (``_kept``, shared by both norm scans); only the points that
-pass are read.  A layer joins the two halves on the residue of adj(B) v
-modulo det(B), so only the integral preimages are tested.  Neither split
-changes which point is found first.
+in a fixed order, so its witness is deterministic.  All run on one split
+scan, ``_box_halves``: the images of the trailing half of the coordinates
+are computed once, and each half-image is one packed integer, so a box
+point costs one integer addition and one exact word-parallel range test
+of every entry (``_kept``, shared by both norm scans); only the points
+that pass are read.  A layer joins the two halves on the residue of
+adj(B) v modulo det(B), so only the integral preimages are tested.
+Neither split changes which point is found first.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import chain, product
 from operator import neg
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-from .errors import BudgetExceededError, DomainError, InvariantError, RankError
+from .errors import BudgetExceededError, DimensionError, DomainError, InvariantError, RankError
 from .linalg import (
+    _WORD,
     IntMatrix,
     Tableau,
     _bias,
-    _box_halves,
     _check_budget,
+    _pack,
     _read_words,
     _unpack,
     rank,
@@ -106,6 +109,53 @@ def _box_scan(a: IntMatrix, k: int, budget: int) -> OracleResult:
                 if norm == 1:
                     return OracleResult(*found, 1)
     return OracleResult(*found, best)
+
+
+_Half = Iterator[tuple[tuple[int, ...], int]]
+
+
+def _images(columns: Sequence[int], ranges: Sequence[Sequence[int]]) -> _Half:
+    """(x, sum of x[j] * columns[j]) for x over the product of ranges, in
+    lexicographic order, lazily; the image of the empty product is 0."""
+    multiples = [[v * c for v in r] for c, r in zip(columns, ranges)]
+    return zip(product(*ranges), map(sum, product(*multiples)))
+
+
+def _box_halves(
+    a: IntMatrix, ranges: Sequence[Sequence[int]], limit: int
+) -> tuple[int, _Half, list[tuple[tuple[int, ...], int]]]:
+    """The box ranges[0] x ... x ranges[n-1] split into two halves, every
+    point with its packed image under A (Horowitz and Sahni 1974).
+
+    Returns (w, heads, tails).  The columns of A are packed by _pack at
+    width w, so an image A x is the one integer sum_i (A x)_i * 2^(w*i)
+    whose signed base-2^w digits are its entries, and the image of
+    head + tail is head_image + tail_image.  Every digit of such a sum is
+    at most reach = sum_j max(1, max|ranges[j]|) * max|A[:, j]| (the 1
+    keeps the entries themselves in range), and w is the least multiple
+    of 64 with reach + limit < 2^(w-1): a caller may add 2^(w-1) - limit - 1
+    or 2^(w-1) + limit to every digit and read each word on its own, with
+    no carry or borrow between words.
+    tails is a list of (x, image) over the trailing coordinates, the
+    longest suffix with at most sqrt(box size) points (the last floor(n/2)
+    for equal ranges), with the image of those coordinates alone; heads
+    yields the same over the leading coordinates, lazily.  Both are in
+    lexicographic order.
+    """
+    n = a.cols
+    if len(ranges) != n:
+        raise DimensionError(f"box needs {n} ranges, got {len(ranges)}")
+    columns = tuple(zip(*a.entries))
+    reach = sum(max([1, *map(abs, r)]) * max(map(abs, c)) for r, c in zip(ranges, columns))
+    width = -(-((reach + limit).bit_length() + 1) // _WORD) * _WORD
+    packed = _pack(chain.from_iterable(columns), a.rows, width)
+    size = math.prod(len(r) for r in ranges)
+    split, count = n, 1
+    while split > 0 and (count * len(ranges[split - 1])) ** 2 <= size:
+        split -= 1
+        count *= len(ranges[split])
+    tails = list(_images(packed[split:], ranges[split:]))
+    return width, _images(packed[:split], ranges[:split]), tails
 
 
 def _window(rows: int, skip: int, width: int, limit: int) -> tuple[int, int, int]:

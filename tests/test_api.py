@@ -7,7 +7,8 @@ from pathlib import Path
 
 import deltasvp
 
-BENCH = Path(__file__).parent.parent / "bench"
+ROOT = Path(__file__).parent.parent
+BENCH = ROOT / "bench"
 
 REMOVED = [
     "ContainmentError",
@@ -72,3 +73,31 @@ def test_names_the_benchmark_reads_resolve():
             missing.append(name)
     assert missing == []
     assert callable(lib["linalg"].IntMatrix.matmul)
+
+
+def _defined_tests(path: Path) -> set[str]:
+    """The ids "test" and "Class::test" of the functions a test file
+    defines at its top level and in its top-level classes."""
+    ids = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef):
+            ids.add(node.name)
+        elif isinstance(node, ast.ClassDef):
+            methods = [f.name for f in node.body if isinstance(f, ast.FunctionDef)]
+            ids.update(f"{node.name}::{name}" for name in methods)
+    return ids
+
+
+def test_the_paper_table_names_tests_that_exist():
+    """Every row of the README's table from the paper to the code names at
+    least one test, and every test it names is defined in tests/: read off
+    the files' syntax trees, so nothing is collected or run."""
+    readme = (ROOT / "README.md").read_text()
+    table = readme.split("## From the paper to the code\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in table.splitlines() if line.startswith("| ") and "`" in line]
+    named = [re.findall(r"`(tests/[\w/]+\.py)::([\w:]+)`", row) for row in rows]
+    assert len(rows) == 5 and all(named)
+    ids = sorted(set().union(*named))
+    defined = {path: _defined_tests(ROOT / path) for path, _ in ids}
+    missing = [f"{path}::{test}" for path, test in ids if test not in defined[path]]
+    assert missing == []

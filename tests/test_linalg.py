@@ -19,7 +19,6 @@ from deltasvp.generators import lower_bound_instance
 from deltasvp.linalg import (
     IntMatrix,
     Tableau,
-    _box_halves,
     _certify,
     _read_words,
     det,
@@ -31,6 +30,7 @@ from deltasvp.linalg import (
     subdet_ratio_check,
     tableau,
 )
+from deltasvp.oracle import _box_halves
 
 from oracles import (
     assert_hnf_shape,
@@ -540,6 +540,19 @@ class TestSwapped:
         tab = tableau(M(entries))
         assert tab.rows == (0, 1, 2)
         assert self.swap_and_check(entries, tab, swaps) is None
+
+    @pytest.mark.parametrize("method", ["swapped", "swapped_det"])
+    @pytest.mark.parametrize(
+        "swaps",
+        [{0: -1}, {-1: 3}, {5: 0}, {0: 99}],
+        ids=["negative_row", "negative_position", "position_past_n", "row_past_m"],
+    )
+    def test_out_of_range_swap_rejected(self, swaps, method):
+        """A position outside range(n) or a row outside range(m) is a
+        caller's error, not a bug, a wrong determinant or an IndexError."""
+        tab = tableau(M([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [3, 1, 1]]))
+        with pytest.raises(DimensionError, match=r"range\(3\).*range\(5\)"):
+            getattr(tab, method)(swaps)
 
     def test_hand_built_tableau_packs_its_entries(self):
         """A tableau built or replaced by hand carries no packed rows, so a

@@ -11,13 +11,13 @@ from deltasvp.generators import lower_bound_instance, random_full_rank
 from deltasvp.linalg import (
     IntMatrix,
     Tableau,
-    _box_halves,
     find_invertible_rows,
     max_abs_full_rank_subdet,
     tableau,
 )
 from deltasvp.oracle import (
     OracleResult,
+    _box_halves,
     brute_force_svp,
     enum_bound,
     layered_svp,
