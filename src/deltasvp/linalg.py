@@ -256,8 +256,11 @@ class Tableau:
         B' = M * B, where M is the identity except that its rows J (the keys)
         are the rows I (the values) of A * B^-1 = N / det(B).  So det B' =
         det(B) * det M[J, J] and |det B'| = |det N[I, J]| / |det B|^(k-1)
-        for k = |J|.  InvariantError when that division is inexact.
+        for k = |J|.  InvariantError when that division is inexact; no swap
+        gives |det B|.
         """
+        if not swaps:
+            return abs(self.det)
         minor = list(self._minor(swaps))
         quotient, remainder = divmod(abs(_det(minor)), abs(self.det) ** (len(swaps) - 1))
         if remainder:
@@ -287,8 +290,11 @@ class Tableau:
         |d^k * q| < 2^(w-1), so d^k * q is the numerator's digit and X' is
         exactly the block pivot of the certified X.  That proves N' =
         A * adj(B') with no new product, and r // |d^k| bounds X'.
-        N'[rows'] == det(B') * I is checked by _finish, as in _certify.
+        N'[rows'] == det(B') * I is checked by _finish, as in _certify.  No
+        swap gives this tableau.
         """
+        if not swaps:
+            return self
         inner = tableau(IntMatrix._trusted(self._minor(swaps)), range(len(swaps)))
         rows = tuple(swaps.get(p, r) for p, r in enumerate(self.rows))
         cols, picks, numerators = list(swaps), list(swaps.values()), self.numerators.entries
@@ -705,8 +711,6 @@ def subdet_ratio_check(
         raise DimensionError("row selection out of range or repeated")
 
     tab = tableau(a, base_rows)
-    if not i_rows:
-        return True  # degenerate: B' = B
     swaps = dict(zip(j_cols, i_rows))
     rows = [swaps.get(p, r) for p, r in enumerate(base_rows)]
     built = []

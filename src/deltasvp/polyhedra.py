@@ -13,16 +13,21 @@ basis before by the dual simplex (Lemke 1954), whose reduced costs, the
 slacks of P at a vertex, do not depend on the right side; the same
 programs decide that P is bounded and nonempty.  Lattice points come from
 a plain-integer scan of that box whose widest coordinate is clipped to P,
-which reads each point's tight rows off the slacks that clip it, a lattice
-point is tested only against the kept points on its own minimal face of P
-(for a face F of P, F meet P_I is a face of P_I) and leaves the integer
-hull on an integer midpoint certificate or else on a phase-1 program,
-standard-form programs are solved by dynamic programming over partial
-images (Papadimitriou 1981) whose value-to-go table answers the support
-verifier directly and lists every optimizer by a forward walk, kernel
-lattice bases come from the Hermite normal form, and the kernel identity
-reads each maximal minor once off ``linalg._minors``.  Both face facts and
-the duality are in Schrijver (1986), "Theory of Linear and Integer
+which reads each point's tight rows off the slacks that clip it.  Each
+lattice point v is decided on its own, against the other lattice points
+of its minimal face F of P (for a face F of P, F meet P_I is a face of
+P_I): v is a vertex of the integer hull P_I when F holds no other point;
+it leaves when it is the midpoint of two lattice points of P, which on a
+delta-modular P the paper's x +- z makes of every point on a face above
+the threshold; else it is a vertex when F is an edge, whose lattice
+points are consecutive on a line, so that only its two ends have no
+midpoint pair; and only on a face of dimension 2 or more does a phase-1
+program decide.  Standard-form programs are solved by dynamic programming
+over partial images (Papadimitriou 1981) whose value-to-go table answers
+the support verifier directly and lists every optimizer by a forward walk,
+kernel lattice bases come from the Hermite normal form, and the kernel
+identity reads each maximal minor once off ``linalg._minors``.  Both face
+facts and the duality are in Schrijver (1986), "Theory of Linear and Integer
 Programming".
 """
 
@@ -336,37 +341,47 @@ class _Simplex:
 
 
 def _integer_hull(p: PolyhedronH, budget: int) -> dict[tuple[int, ...], int]:
-    """Vertices of the convex hull of the lattice points of P, in sorted
-    order, each with the bitmask of the rows of P tight at it, both as
-    ``integer_points`` returns them.
+    """Vertices of the convex hull P_I of the lattice points of P, in sorted
+    order, each with the dimension of its minimal face of P.
 
-    The points are taken in sorted order against the points still kept,
-    each tested only against the kept points on its own minimal face of P:
-    those whose tight rows include all of its tight rows.  That loses
-    nothing: if v = sum lambda_q q with every lambda_q > 0 and every q in
-    P, then each q is tight wherever v is, so only points on v's face can
-    remove v (for a face F of P, F meet P_I is a face of P_I).  A face
-    holding no other kept point makes v a vertex of P_I with no test; that
-    covers every integral vertex of P.  Otherwise v is dropped when 2v - q
-    is a kept point for some face point q (an integer midpoint), or else
-    when the integer phase-1 simplex writes it as a convex combination of
-    the face points.  A dropped point lies in the hull of the others, so
-    removing it leaves conv(kept) equal to conv(points), and each later
-    test decides extremality in P_I itself.  The budget covers
-    (number of points)^2, the pairs the tests may visit.
+    Each lattice point v is decided on its own, against the other lattice
+    points of its minimal face F of P: those whose tight rows include all
+    of v's.  Only they matter: if v = sum lambda_q q with every lambda_q > 0
+    and every q in P, then each q is tight wherever v is (for a face F of
+    P, F meet P_I is a face of P_I).  Four rules, in turn:
+
+    1. F holds no other point: v is a vertex.  That covers every integral
+       vertex of P.
+    2. 2v - q is a lattice point of P for some other point q of F: v is the
+       midpoint of two lattice points and leaves.  This is the paper's
+       x +- z: above the threshold, a norm-1 z in the kernel lattice of v's
+       tight rows puts v + z and v - z in P.
+    3. dim F = 1: v is a vertex.  F's lattice points are consecutive on one
+       line, so a point that is not an end has both neighbours, which form
+       a midpoint pair; with none, v is an end of F meet P_I.
+    4. dim F >= 2: the integer phase-1 simplex over the other points of F
+       decides whether v is their convex combination.
+
+    dim F is n minus the rank of v's tight rows, computed once per distinct
+    mask.  The budget covers (number of points)^2, the pairs the tests may
+    visit.
     """
-    kept = integer_points(p, budget)
-    _check_budget(len(kept) ** 2, budget, "integer hull scan")
-    for v in list(kept):
-        tight = kept[v]
-        face = [q for q, mask in kept.items() if mask & tight == tight and q != v]
+    points = integer_points(p, budget)
+    _check_budget(len(points) ** 2, budget, "integer hull scan")
+    dims: dict[int, int] = {}
+    hull = {}
+    for v, tight in points.items():
+        face = [q for q, mask in points.items() if mask & tight == tight and q != v]
         twice = [2 * x for x in v]
-        if face and (
-            any(tuple(map(sub, twice, q)) in kept for q in face)
-            or _Simplex([q + (1,) for q in face], list(v) + [1], None).phase_one()
-        ):
-            del kept[v]
-    return kept
+        if any(tuple(map(sub, twice, q)) in points for q in face):
+            continue
+        if tight not in dims:
+            rows = [i for i in range(p.a.rows) if tight >> i & 1]
+            dims[tight] = p.dim - (rank(p.a.submatrix_rows(rows)) if rows else 0)
+        columns = [q + (1,) for q in face]
+        if not face or dims[tight] < 2 or not _Simplex(columns, list(v) + [1], None).phase_one():
+            hull[v] = dims[tight]
+    return hull
 
 
 @dataclass(frozen=True)
@@ -385,20 +400,16 @@ def verify_face_dimension_bound(
     """Checks every integer-hull vertex sits on a face of dimension at most
     the threshold bound for delta.  The caller vouches that the matrix of P
     is delta-modular; a failing report on certified input is build-breaking.
-    Each vertex's face dimension, dim minus the rank of its tight rows (the
-    dimension of the least face of P holding it), is read off the tight-row
-    mask that the hull scan computed, and each distinct mask is ranked once.
+    Each vertex comes from ``_integer_hull`` with its face dimension, dim
+    minus the rank of its tight rows (the dimension of the least face of P
+    holding it).  On a delta-modular P, the paper's x +- z makes a lattice
+    point on a face above the threshold the midpoint of two lattice points,
+    which the hull scan's rule 2 drops, so the report passes.
     """
     bound = dimension_threshold(delta)
-    dims: dict[int, int] = {}
-    entries = []
-    for vertex, tight in _integer_hull(p, budget).items():
-        if tight not in dims:
-            rows = [i for i in range(p.a.rows) if tight >> i & 1]
-            dims[tight] = p.dim - (rank(p.a.submatrix_rows(rows)) if rows else 0)
-        entries.append((vertex, dims[tight]))
+    entries = tuple(_integer_hull(p, budget).items())
     passed = all(dim <= bound for _, dim in entries)
-    return FaceDimensionReport(delta, bound, tuple(entries), passed)
+    return FaceDimensionReport(delta, bound, entries, passed)
 
 
 def kernel_lattice_basis(a: IntMatrix) -> IntMatrix:

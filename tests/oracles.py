@@ -7,8 +7,9 @@ norms, preimage witnesses, lattice points, integer-program optima and the
 tail images that the program's dynamic program keeps at each stage,
 Fraction solves of every row subset for polyhedron vertices and
 boundedness, a plain loop over the rows for the tight rows at a point and
-the Fraction rank of those rows for face dimensions, one
-Fraction phase-1 program per point for hull vertices, and every cofactor
+the Fraction rank of those rows for face dimensions, a plain loop over
+pairs of points for midpoints, one Fraction phase-1 program per point for
+hull vertices, and every cofactor
 minor for coprime maximal minors, and every element of every small
 abelian group for the counts behind the same-class selection.  Nothing
 here imports deltasvp, so nothing here can call the implementation paths
@@ -379,6 +380,17 @@ def tight_rows(entries, b, point) -> int:
         if sum(a * x for a, x in zip(row, point)) == bound:
             mask |= 1 << i
     return mask
+
+
+def midpoint_pair(points, v):
+    """The first pair (q, r) of lattice points, in the order given, with
+    q != v and q + r = 2 v, or None: v is the midpoint of two other
+    points iff there is one."""
+    for q in points:
+        for r in points:
+            if q != v and all(a + c == 2 * x for a, c, x in zip(q, r, v)):
+                return q, r
+    return None
 
 
 def convex_hull_2d(points) -> list[tuple[int, int]]:

@@ -156,7 +156,8 @@ def _hull_lps(monkeypatch, dim):
 @pytest.mark.parametrize("extra", [[], ["--json"]])
 def test_hull_gate_refuses_a_large_box_before_any_hull_program(capsys, monkeypatch, extra):
     """0 <= x, y <= 150 has 151^2 = 22,801 lattice points: within the
-    point budget, but the hull step tests each against the kept ones."""
+    point budget, but the hull step tests each against the other points of
+    its face."""
     calls = _hull_lps(monkeypatch, 2)
     path = FIXTURES / "facedim_box_151.txt"
     code = cli.main(["verify", "facedim", "--delta", "1", *extra, str(path)])

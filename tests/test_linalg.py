@@ -508,6 +508,15 @@ class TestSwapped:
             if tab is None:
                 return
 
+    def test_empty_swap_is_the_same_basis(self):
+        """No swap leaves B as it is: swapped gives the same tableau and
+        swapped_det gives |det B|, here 1 and 2."""
+        a = M([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [3, 1, 1]])
+        for rows, expected in (((0, 1, 2), 1), ((2, 3, 4), 2)):
+            tab = tableau(a, rows)
+            assert tab.swapped({}) == tab
+            assert tab.swapped_det({}) == expected
+
     def test_wide_scramble_widens_the_words(self):
         """Every single swap of a scrambled input, chained on the first;
         some must pack their words wider than the certificate did."""

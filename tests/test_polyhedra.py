@@ -42,6 +42,7 @@ from oracles import (
     fraction_rank,
     ilp_optimizers,
     lp_minimum,
+    midpoint_pair,
     polyhedron_vertices,
     polytope_points,
     propagated_box,
@@ -576,6 +577,45 @@ class TestBoxErrors:
             assert runs == [n]
 
 
+@st.composite
+def criterion_7_polytopes(draw):
+    """(P, delta): [A; -A] x <= b with A a random delta-modular m x n
+    matrix (n in {2, 3}, m <= n + 2) whose stacked maximum is delta, b in
+    [0, 3], and at most 60 lattice points in a bounding box of at most
+    20,000."""
+    delta, n = draw(st.integers(1, 3)), draw(st.integers(2, 3))
+    m = n + draw(st.integers(0, 2))
+    a = random_delta_modular(delta, m, n, draw(st.integers(0, 2**32 - 1)))
+    stacked = M(list(a.entries) + [tuple(-x for x in row) for row in a.entries])
+    assume(max_abs_full_rank_subdet(stacked)[0] == delta)
+    b = tuple(draw(st.lists(st.integers(0, 3), min_size=2 * m, max_size=2 * m)))
+    p = PolyhedronH(stacked, b)
+    try:
+        assume(len(integer_points(p, budget=20_000)) <= 60)
+    except BudgetExceededError:
+        assume(False)  # the rare draw whose bounding box is huge
+    return p, delta
+
+
+@st.composite
+def caratheodory_polytopes(draw):
+    """n = 1..4: a box (many interior midpoints; [-1, 1] x [0, 1]^3 in
+    4-D) cut by random half-spaces through or beyond the origin; in 3-D
+    it may be flattened onto a plane or a line through the origin by
+    pairs a x <= 0, -a x <= 0."""
+    n = draw(st.integers(1, 4))
+    radius = draw(st.integers(1, {1: 3, 2: 2, 3: 1, 4: 1}[n]))
+    box = box_polyhedron(n, radius)
+    lows = [radius] * n if n < 4 else [1, 0, 0, 0]
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    cuts = draw(st.lists(row, max_size=3))
+    bounds = draw(st.lists(st.integers(0, 4), min_size=len(cuts), max_size=len(cuts)))
+    flats = draw(st.lists(row, max_size=2)) if n == 3 else []
+    entries = [list(r) for r in box.a.entries] + cuts + flats + [[-x for x in f] for f in flats]
+    b = [x for low in lows for x in (radius, low)] + bounds + [0] * 2 * len(flats)
+    return PolyhedronH(M(entries), tuple(b))
+
+
 class TestIntegerHull:
     def test_box_corners(self):
         assert hull(box_polyhedron(2)) == [
@@ -620,23 +660,8 @@ class TestIntegerHull:
             done += 1
 
     @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_matches_caratheodory_oracle(self, data):
-        """n = 1..4: a box (many interior midpoints; [-1, 1] x [0, 1]^3 in
-        4-D) cut by random half-spaces through or beyond the origin; in 3-D
-        it may be flattened onto a plane or a line through the origin by
-        pairs a x <= 0, -a x <= 0."""
-        n = data.draw(st.integers(1, 4))
-        radius = data.draw(st.integers(1, {1: 3, 2: 2, 3: 1, 4: 1}[n]))
-        box = box_polyhedron(n, radius)
-        lows = [radius] * n if n < 4 else [1, 0, 0, 0]
-        row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
-        cuts = data.draw(st.lists(row, max_size=3))
-        bounds = data.draw(st.lists(st.integers(0, 4), min_size=len(cuts), max_size=len(cuts)))
-        flats = data.draw(st.lists(row, max_size=2)) if n == 3 else []
-        entries = [list(r) for r in box.a.entries] + cuts + flats + [[-x for x in f] for f in flats]
-        b = [x for low in lows for x in (radius, low)] + bounds + [0] * 2 * len(flats)
-        p = PolyhedronH(M(entries), tuple(b))
+    @given(caratheodory_polytopes())
+    def test_matches_caratheodory_oracle(self, p):
         assert hull(p) == convex_hull_vertices(integer_points(p))
 
     @pytest.mark.parametrize(
@@ -663,7 +688,8 @@ class TestHullWork:
     of the cone of an empty P, have n rows)."""
 
     @staticmethod
-    def hull_lps(monkeypatch, p):
+    def hull_lps(p):
+        """The hull and, for each hull LP, its point and its column count."""
         calls = []
         real = polyhedra._Simplex.phase_one
 
@@ -675,34 +701,114 @@ class TestHullWork:
                 calls.append((tuple(rhs[:-1]), simplex.v))
             return real(simplex)
 
-        monkeypatch.setattr(polyhedra._Simplex, "phase_one", counted)
-        return hull(p), calls
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(polyhedra._Simplex, "phase_one", counted)
+            return hull(p), calls
 
-    def test_midpoints_run_no_lp(self, monkeypatch):
+    @staticmethod
+    def lps_needed(p):
+        """By the plain oracles, each lattice point that needs an LP, with
+        the number of other points on its face: a point on a face of
+        dimension at least 2, with another point on that face and no
+        midpoint pair."""
+        points = list(integer_points(p))
+        masks = {v: tight_rows(p.a.entries, p.b, v) for v in points}
+        needed = []
+        for v in points:
+            face = [q for q in points if q != v and masks[q] & masks[v] == masks[v]]
+            if face_dimension(p.a.entries, p.b, v) >= 2 and face:
+                if midpoint_pair(points, v) is None:
+                    needed.append((v, len(face)))
+        return needed
+
+    def check_lps_only_where_needed(self, p):
+        hull, calls = self.hull_lps(p)
+        assert calls == self.lps_needed(p)
+        assert hull == convex_hull_vertices(integer_points(p))
+
+    def test_midpoints_run_no_lp(self):
         """Each corner is alone on its face of P and every other point is
         a midpoint on its own face, so no LP runs."""
-        hull, calls = self.hull_lps(monkeypatch, box_polyhedron(2))
+        hull, calls = self.hull_lps(box_polyhedron(2))
         assert hull == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
         assert calls == []
 
-    def test_proved_points_leave_later_lps(self, monkeypatch):
+    def test_proved_points_leave_later_lps(self):
         """Lattice points (0,0), (1,1), (1,2), (2,1): (0,0), (1,2) and (2,1)
         are vertices of P, alone on their faces, and (1,1) is interior but
         no midpoint, so one LP over the three other points drops it."""
         p = PolyhedronH(M([[1, -2], [-2, 1], [1, 1]]), (0, 0, 3))
-        hull, calls = self.hull_lps(monkeypatch, p)
+        hull, calls = self.hull_lps(p)
         assert hull == [(0, 0), (1, 2), (2, 1)]
         assert calls == [((1, 1), 3)]
 
-    def test_each_lp_sees_its_face_only(self, monkeypatch):
+    def test_each_lp_sees_its_face_only(self):
         """x, y >= 0, 2x + 2y <= 5: (0,2) and (2,0) are not vertices of P,
-        and each is tested against the one kept point left on its edge,
-        (0,0), since the midpoint (0,1) or (1,0) was dropped before it;
-        (1,1) is a midpoint too, so no LP sees the whole triangle."""
+        and each ends the lattice points of its edge, with no midpoint pair
+        there, so the edge rule keeps it and no LP runs; (0,1), (1,0) and
+        (1,1) are midpoints."""
         p = PolyhedronH(M([[-1, 0], [0, -1], [2, 2]]), (0, 0, 5))
-        hull, calls = self.hull_lps(monkeypatch, p)
+        hull, calls = self.hull_lps(p)
         assert hull == [(0, 0), (0, 2), (2, 0)]
-        assert calls == [((0, 2), 1), ((2, 0), 1)]
+        assert calls == []
+
+    @pytest.mark.parametrize("top", [4, 5], ids=["vertex_of_p", "edge_end"])
+    def test_edge_along_a_non_unit_direction(self, top):
+        """P is the segment x = 2y, 0 <= x <= top, whose lattice points
+        (0,0), (2,1), (4,2) step by (2,1): (2,1) is their midpoint, and
+        (4,2) is a vertex of P at top 4 and ends the edge at top 5."""
+        p = PolyhedronH(M([[1, -2], [-1, 2], [1, 0], [-1, 0]]), (0, 0, top, 0))
+        assert self.hull_lps(p) == ([(0, 0), (4, 2)], [])
+
+    def test_edge_with_two_lattice_points(self):
+        """x, y >= 0, 3x + 3y <= 4: the edge on each axis holds two lattice
+        points and no midpoint, so (0,1) and (1,0), which are not vertices
+        of P, are kept by the edge rule with no LP."""
+        p = PolyhedronH(M([[-1, 0], [0, -1], [3, 3]]), (0, 0, 4))
+        assert self.hull_lps(p) == ([(0, 0), (0, 1), (1, 0)], [])
+
+    def test_edge_of_a_3d_polytope(self):
+        """x, y, z >= 0, 2x + 2y + 2z <= 5: the lattice points 0, e_i, 2 e_i
+        of each axis edge are no vertices of P but 2 e_i, which ends its
+        edge, is one of P_I; e_i and each point of a facet, such as
+        (1, 1, 0), are midpoints, so no LP runs."""
+        p = PolyhedronH(M([[-1, 0, 0], [0, -1, 0], [0, 0, -1], [2, 2, 2]]), (0, 0, 0, 5))
+        hull, calls = self.hull_lps(p)
+        assert hull == [(0, 0, 0), (0, 0, 2), (0, 2, 0), (2, 0, 0)]
+        assert calls == []
+        assert verify_face_dimension_bound(p, 1).entries == (
+            ((0, 0, 0), 0),
+            ((0, 0, 2), 1),
+            ((0, 2, 0), 1),
+            ((2, 0, 0), 1),
+        )
+
+    def test_interior_vertex_of_the_hull_runs_the_one_lp(self):
+        """The verify-hull catalog polytope hull/49-d3-n2, the only one of
+        the 52 that needs an LP: (11,-6) is interior to P and no midpoint of
+        the six lattice points, and the LP over the five others keeps it, a
+        vertex of P_I on a face of dimension 2."""
+        a = M([[13, 24], [-8, -15], [5, 9], [-13, -24], [8, 15], [-5, -9]])
+        p = PolyhedronH(a, (3, 3, 3, 2, 1, 0))
+        hull, calls = self.hull_lps(p)
+        assert calls == [((11, -6), 5)]
+        assert verify_face_dimension_bound(p, 3).entries == (
+            ((0, 0), 1),
+            ((2, -1), 1),
+            ((11, -6), 2),
+            ((15, -8), 0),
+            ((24, -13), 0),
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(criterion_7_polytopes())
+    def test_criterion_7_lps_only_where_needed(self, case):
+        self.check_lps_only_where_needed(case[0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(caratheodory_polytopes())
+    def test_caratheodory_lps_only_where_needed(self, p):
+        self.check_lps_only_where_needed(p)
 
 
 class TestMinFaceDimension:
@@ -754,26 +860,6 @@ class TestFaceDimensionBound:
         report = verify_face_dimension_bound(p, 1)
         assert not report.passed
         assert report.bound == 0
-
-
-@st.composite
-def criterion_7_polytopes(draw):
-    """(P, delta): [A; -A] x <= b with A a random delta-modular m x n
-    matrix (n in {2, 3}, m <= n + 2) whose stacked maximum is delta, b in
-    [0, 3], and at most 60 lattice points in a bounding box of at most
-    20,000."""
-    delta, n = draw(st.integers(1, 3)), draw(st.integers(2, 3))
-    m = n + draw(st.integers(0, 2))
-    a = random_delta_modular(delta, m, n, draw(st.integers(0, 2**32 - 1)))
-    stacked = M(list(a.entries) + [tuple(-x for x in row) for row in a.entries])
-    assume(max_abs_full_rank_subdet(stacked)[0] == delta)
-    b = tuple(draw(st.lists(st.integers(0, 3), min_size=2 * m, max_size=2 * m)))
-    p = PolyhedronH(stacked, b)
-    try:
-        assume(len(integer_points(p, budget=20_000)) <= 60)
-    except BudgetExceededError:
-        assume(False)  # the rare draw whose bounding box is huge
-    return p, delta
 
 
 @settings(max_examples=60, deadline=None)
