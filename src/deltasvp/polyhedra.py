@@ -6,8 +6,9 @@ standard-form integer programs admit optimal solutions of small support.
 Everything is exact integer arithmetic on the fraction-free pivot of
 ``linalg``; a program optimum is a numerator and a positive denominator.
 One simplex (Bland's smallest-subscript rule on an integer tableau)
-answers every linear program.  The bounding box of P comes from 2n dual
-programs (max x_i over P is min {b y : A^T y = e_i, y >= 0}) on one
+answers every linear program; each of its pivots is one step that keeps
+the tableau's denominator positive.  The bounding box of P comes from 2n
+dual programs (max x_i over P is min {b y : A^T y = e_i, y >= 0}) on one
 tableau: the first runs cold, and each later one is re-optimized from the
 basis before by the dual simplex (Lemke 1954), whose reduced costs, the
 slacks of P at a vertex, do not depend on the right side; the same
@@ -205,20 +206,20 @@ class _Simplex:
     """The integer simplex tableau of {M lambda = rhs, lambda >= 0}, with
     one artificial column per row and an optional cost row c.
 
-    The tableau is kept as integers times 1/d, with d the last pivot: every
-    pivot is fraction-free (``linalg._pivot``), and d stays positive
-    because each pivot entry is, so reduced costs keep their signs and
-    ratio tests compare cross products.  Every pivot chooses by Bland's
-    smallest-subscript rule, which guarantees termination (Bland 1977).  A
-    row whose right side is negative starts negated, so the artificials
-    give a feasible first basis.  The phase-1 objective is one more row (d
-    times the reduced costs, then minus d times the infeasibility), updated
-    by the same pivots and left out of every ratio test; the cost row (d
-    times the reduced costs of c, then minus d times the cost) rides along
-    the same way.  Every step is a row operation, so the artificial block
-    holds d times S, the product of the row operations so far, in every
-    row: S rhs' is d times the basic solution for any other right side rhs',
-    the cost row included.
+    The tableau is kept as integers times 1/d, with d the last pivot.  Every
+    pivot is one fraction-free ``_step`` (``linalg._pivot``), which
+    raises InvariantError unless d stays positive, so reduced
+    costs keep their signs and ratio tests compare cross products.  Every
+    pivot chooses by Bland's smallest-subscript rule, which guarantees
+    termination (Bland 1977).  A row whose right side is negative starts
+    negated, so the artificials give a feasible first basis.  The phase-1
+    objective is one more row (d times the reduced costs, then minus d
+    times the infeasibility), updated by the same pivots and left out of
+    every ratio test; the cost row (d times the reduced costs of c, then
+    minus d times the cost) rides along the same way.  Every step is a row
+    operation, so the artificial block holds d times S, the product of the
+    row operations so far, in every row: S rhs' is d times the basic
+    solution for any other right side rhs', the cost row included.
     """
 
     __slots__ = ("rows", "basis", "d", "v", "r")
@@ -237,6 +238,17 @@ class _Simplex:
         if cost is not None:
             rows.append([*cost, *[0] * (r + 1)])
         self.rows, self.basis, self.d, self.v, self.r = rows, [v + i for i in range(r)], 1, v, r
+
+    def _step(self, i: int, j: int) -> None:
+        """Pivots column j into the basis on row i, negated first when its
+        entry is negative; InvariantError unless the new d is positive."""
+        rows = self.rows
+        if rows[i][j] < 0:
+            rows[i] = [-x for x in rows[i]]
+        _pivot(rows, i, j, self.d, 0)
+        self.d, self.basis[i] = rows[i][j], j
+        if self.d <= 0:
+            raise InvariantError("a pivot entry must be positive")
 
     def _minimize(self, stop: int) -> bool:
         """The primal simplex on the objective row r over the columns before
@@ -261,9 +273,7 @@ class _Simplex:
                         leaving = i
             if leaving is None:
                 return False
-            _pivot(rows, leaving, entering, self.d, 0)
-            self.d = rows[leaving][entering]
-            basis[leaving] = entering
+            self._step(leaving, entering)
 
     def phase_one(self) -> bool:
         """Minimizes the infeasibility; True when the set is nonempty."""
@@ -273,9 +283,8 @@ class _Simplex:
 
     def phase_two(self) -> bool:
         """After a feasible phase 1: drops its row, pivots each artificial
-        still basic (at level 0) out on a nonzero entry of its row, negating
-        the row first when that entry is negative (its right side is 0, so
-        d stays positive), and minimizes the cost over the columns of M.
+        still basic (at level 0, so its row may be negated) out on a nonzero
+        entry of its row, and minimizes the cost over the columns of M.
         False when the cost is unbounded below.  An artificial is left basic
         only on a row that is 0 over every column of M, which happens iff M
         has rank below r."""
@@ -284,11 +293,7 @@ class _Simplex:
         for i in range(self.r):
             j = next((j for j in range(v) if rows[i][j]), None) if basis[i] >= v else None
             if j is not None:
-                if rows[i][j] < 0:
-                    rows[i] = [-x for x in rows[i]]
-                _pivot(rows, i, j, self.d, 0)
-                self.d = rows[i][j]
-                basis[i] = j
+                self._step(i, j)
         return self._minimize(v)
 
     def reoptimize(self, i: int, sign: int) -> bool:
@@ -304,21 +309,19 @@ class _Simplex:
         entries row_j < 0 of M's columns, ties to the smallest j;
         artificials never enter.  No entering column means the row reads
         (nonnegative terms) = (negative value), so the set is empty.  The
-        row is negated before the pivot, so the pivot entry and d are
-        positive.
+        pivot entry is negative, so its row is negated before the pivot.
         """
         rows, basis, v, r = self.rows, self.basis, self.v, self.r
         column = v + i
         for row in rows:
             row[-1] = sign * row[column]
-        cost = rows[r]
         while True:
             leaving = min(
                 (k for k in range(r) if rows[k][-1] < 0), key=basis.__getitem__, default=None
             )
             if leaving is None:
                 return True
-            row = rows[leaving]
+            row, cost = rows[leaving], rows[r]
             entering = None
             for j in range(v):
                 a = row[j]
@@ -327,13 +330,7 @@ class _Simplex:
                     entering = j
             if entering is None:
                 return False
-            rows[leaving] = [-x for x in row]
-            _pivot(rows, leaving, entering, self.d, 0)
-            cost = rows[r]
-            self.d = rows[leaving][entering]
-            if self.d <= 0:
-                raise InvariantError("a dual pivot entry must be positive")
-            basis[leaving] = entering
+            self._step(leaving, entering)
 
     def optimum(self) -> tuple[int, int]:
         """The least cost as a numerator and a positive denominator."""
@@ -578,6 +575,8 @@ def derive_box(a: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
     each x_j with a_ij > 0 by its one slack, b_i - sum of a_it u_t over
     a_it < 0, over a_ij; each bound is tightened in place.
     """
+    if len(b) != a.rows:
+        raise DimensionError("right-hand side length must match row count")
     upper: list[int | None] = [None] * a.cols
     for _ in range(a.cols + 1):
         before = list(upper)

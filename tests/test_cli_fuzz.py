@@ -99,7 +99,7 @@ def _parsed_matrix(path: Path, parse) -> IntMatrix | None:
     return parsed if isinstance(parsed, IntMatrix) else parsed[0]
 
 
-@settings(max_examples=250, deadline=None)
+@settings(max_examples=250)
 @given(case=cases())
 def test_any_file_ends_in_a_documented_exit(tmp_path_factory, case):
     argv, parse, data = case

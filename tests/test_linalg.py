@@ -151,7 +151,7 @@ class TestDet:
             m = M([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
             assert det(m) == cofactor_det(m.entries)
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(matrices(max_rows=5, square=True))
     def test_matches_cofactor_oracle(self, m):
         assert det(m) == cofactor_det(m.entries)
@@ -192,7 +192,7 @@ class TestAdjugate:
                 with pytest.raises(SingularMatrixError):
                     inverse(m)
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(matrices(max_rows=5, square=True))
     def test_defining_identity(self, m):
         d = det(m)
@@ -252,7 +252,7 @@ class TestFindInvertibleRows:
         with pytest.raises(RankError):
             find_invertible_rows(M([[1, 2], [2, 4]]))
 
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120)
     @given(st.data())
     def test_matches_greedy_rank_scan(self, data):
         """Keep row i iff the rank of the kept rows rises, checked by the
@@ -326,7 +326,7 @@ class TestTableau:
                 entries[i] = [0] * cols
         return entries
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(st.data())
     def test_greedy_rows_match_oracles(self, data):
         entries = self.draw_entries(data)
@@ -341,7 +341,7 @@ class TestTableau:
         else:
             self.check(entries, kept, tableau(M(entries)))
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(st.data())
     def test_prescribed_rows_match_oracles(self, data):
         """Any order of any row set; the first basis row often has a zero
@@ -488,7 +488,7 @@ class TestSwapped:
         TestTableau.check(entries, rows, new)
         return new
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(st.data())
     def test_chained_swaps_match_oracles(self, data):
         entries = TestTableau.draw_entries(data)
@@ -632,7 +632,7 @@ class TestPackedWidths:
                 entries.append(data.draw(st.lists(entry, min_size=cols, max_size=cols)))
         return entries
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(st.data())
     def test_64_bit_inputs_with_wider_minors(self, data):
         """Entries near 2^40 fit one word, but 2 x 2 minors do not."""
@@ -640,14 +640,14 @@ class TestPackedWidths:
         entry = st.one_of(near, near.map(lambda x: -x), st.integers(-3, 3))
         self.check(self.draw_rows(data, entry, data.draw(st.integers(3, 6))))
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.data())
     def test_inputs_wider_than_64_bits(self, data):
         wide = st.integers(2**64, 2**90)
         entry = st.one_of(wide, wide.map(lambda x: -x), st.just(0))
         self.check(self.draw_rows(data, entry, data.draw(st.integers(2, 5))))
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.integers(3, 6), st.integers(0, 10**6), st.integers(4, 12), st.integers(8, 30))
     def test_scrambled_lower_bound_instances(self, delta, seed, steps, bits):
         """A unimodular scramble keeps every |full-rank minor| at delta and
@@ -820,7 +820,7 @@ class TestCertify:
             with pytest.raises(InvariantError):
                 _certify(a, (0, 1), M([[1, 0], [0, 1]]), 1)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(matrices(max_rows=6, max_cols=4, bound=50), st.data())
     def test_random_single_corruption(self, a, data):
         try:
@@ -852,7 +852,7 @@ def _words(image: int, count: int, width: int) -> tuple[int, ...]:
 
 
 class TestBoxImages:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(matrices(max_rows=4, max_cols=5, bound=5), st.data())
     def test_matches_product_scan(self, a, data):
         """_box_halves: every head joined with every tail gives the points
@@ -912,7 +912,7 @@ class TestHnf:
             assert_hnf_shape(h)
             assert_same_column_lattice(a, h, u)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(matrices(max_rows=6, max_cols=4))
     def test_properties(self, a):
         h, u = hnf(a)
@@ -930,7 +930,7 @@ class TestRank:
     def test_dependent_rows(self):
         assert rank(M([[1, 2], [2, 4], [0, 1]])) == 2
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(matrices(max_rows=6, max_cols=6))
     def test_matches_fraction_oracle(self, a):
         assert rank(a) == fraction_rank(a.entries)

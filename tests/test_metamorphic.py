@@ -54,7 +54,7 @@ def instances(draw) -> IntMatrix:
 SCRAMBLES = st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 6), st.sampled_from((1, 2, 20, 70)))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.data())
 def test_check_delta_keeps_its_maximum(data):
     """Under a row permutation with negations the maximum is the same, and
@@ -73,7 +73,7 @@ def test_check_delta_keeps_its_maximum(data):
     assert max_abs_full_rank_subdet(scrambled) == (largest, rows)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.data())
 def test_atleast2_keeps_its_verdict(data):
     """A row permutation and A -> A U give the same verdict."""
@@ -100,7 +100,7 @@ def above_threshold(draw) -> tuple[IntMatrix, int]:
     return random_delta_modular(delta, draw(st.integers(n, n + 4)), n, seed), delta
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(above_threshold(), st.data())
 def test_solve_above_the_threshold_finds_norm_one(case, data):
     """On A, on a row permutation of A with negations and on A U (steps of
@@ -143,7 +143,7 @@ def _support(a, b, c, box):
     return report.optimal_value, report.optimizer_count, report.min_support, report.passed
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(programs(), st.data())
 def test_support_under_a_column_permutation(program, data):
     a, b, c, box = program
@@ -154,7 +154,7 @@ def test_support_under_a_column_permutation(program, data):
     )
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(programs(), st.data())
 def test_support_under_invertible_row_operations(program, data):
     """Seeded steps on the rows of [A | b], each invertible over the

@@ -33,7 +33,7 @@ def row_lists(draw, max_rows=8, max_cols=4, bound=3):
     return rows
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(row_lists())
 def test_minors_are_every_subset_in_order_with_its_determinant(rows):
     k = len(rows[0])
@@ -43,7 +43,7 @@ def test_minors_are_every_subset_in_order_with_its_determinant(rows):
         assert value == cofactor_det([rows[i] for i in subset])
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(row_lists())
 def test_max_abs_full_rank_subdet_keeps_the_first_witness(rows):
     assume(fraction_rank(rows) == len(rows[0]))
@@ -71,7 +71,7 @@ def _explicit_kernel_identity(a: IntMatrix, w: IntMatrix) -> bool:
     return all(lhs * g_w == rhs * g_a for lhs, rhs in pairs)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(row_lists(), st.randoms(use_true_random=False))
 def test_kernel_identity_pairs_each_column_set_with_its_complement(rows, rng):
     """A is the transpose of the drawn rows.  The kernel basis W is used as

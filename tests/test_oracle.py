@@ -120,7 +120,7 @@ class TestBruteForceSvp:
         with pytest.raises(BudgetExceededError):
             brute_force_svp(IntMatrix.identity(40), 1)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(full_rank_entries(), st.integers(1, 2))
     def test_matches_plain_scan(self, entries, k):
         """Whole result (z, y, norm) against the plain lexicographic scan."""
@@ -200,7 +200,7 @@ class TestShortestIsAtLeast2:
         with pytest.raises(InvariantError):
             shortest_is_at_least_2(a)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(full_rank_entries())
     def test_matches_plain_scan(self, entries):
         """Decision and witness against the written-out Fraction scan."""
@@ -268,7 +268,7 @@ class TestLayeredSvp:
         assert result == brute_force_svp(a, enum_bound(a))
         return result
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(full_rank_entries(bound=6))
     def test_matches_box_scan(self, entries):
         a = M(entries)
@@ -350,13 +350,13 @@ class TestPackedScan:
     """The word-parallel range test of _kept, through both norm scans and
     on its own, against written-out scans in tests/oracles.py."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(wide_entries(), st.integers(1, 3))
     def test_layer_matches_written_out_layer(self, entries, r):
         a = M(entries)
         assert list(oracle._layer(tableau(a), r)) == list(layer_preimages(entries, r))
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(wide_entries(), st.integers(1, 2))
     def test_box_scan_matches_plain_scan(self, entries, k):
         result = brute_force_svp(M(entries), k)

@@ -12,6 +12,7 @@ from deltasvp.errors import (
     DimensionError,
     DomainError,
     EmptyPolyhedronError,
+    InvariantError,
     RankError,
     UnboundedPolyhedronError,
 )
@@ -138,7 +139,7 @@ class TestVertices:
             with pytest.raises(UnboundedPolyhedronError):
                 integer_points(p)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(st.data())
     def test_cone_programs_match_fraction_reference(self, data):
         """_box_optima at b = 0 raises UnboundedPolyhedronError iff the
@@ -189,7 +190,7 @@ class TestVertices:
                 pass  # integer_points gates its box only once P is decided
             return "vertices"
 
-        @settings(max_examples=100, deadline=None)
+        @settings(max_examples=100)
         @given(st.data())
         def check(data):
             n = data.draw(st.integers(1, 4))
@@ -231,7 +232,7 @@ class TestIntegerPoints:
         p = PolyhedronH(M([[2, 2], [-1, 0], [0, -1]]), (3, 0, 0))
         assert list(integer_points(p)) == [(0, 0), (0, 1), (1, 0)]
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(st.data())
     def test_matches_plain_scan(self, data):
         """A box [-r, r]^n cut by random half-spaces through or beyond the
@@ -264,7 +265,7 @@ class TestIntegerPoints:
         p = PolyhedronH(M(rows), tuple([1] * 6))
         assert list(integer_points(p)) == [(0, 0)]
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(st.data())
     def test_each_coordinate_can_be_the_clipped_one(self, data):
         """A box whose coordinate k has radius 3 and every other at most
@@ -302,7 +303,7 @@ class TestIntegerPoints:
 
 
 class TestLatticePoints:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(st.data())
     def test_masks_match_the_plain_loop(self, data):
         """Each point with the bitmask of its tight rows, against a plain
@@ -362,6 +363,11 @@ def cold_minimum(columns, rhs, cost):
     return Fraction(*simplex.optimum()) if simplex.phase_two() else None
 
 
+# -l1 - l2 = 0 and l1 + l3 = 1 with cost -l1: phase 1 ends with an
+# artificial basic at level 0, which phase 2 pivots out
+DRIVE_OUT = ([(-1, 1), (-1, 0), (0, 1)], [0, 1], (-1, 0, 0))
+
+
 class TestSimplexCostRow:
     """_Simplex with a cost row: the least cost over
     {M lambda = rhs, lambda >= 0}, None when unbounded below."""
@@ -370,8 +376,7 @@ class TestSimplexCostRow:
         """-l1 - l2 = 0 forces l1 = l2 = 0, so phase 1 ends with its
         artificial basic at level 0 and a row of negative entries; left
         there, phase 2 would raise l1 to 1 and the artificial with it."""
-        columns = [(-1, 1), (-1, 0), (0, 1)]
-        assert cold_minimum(columns, [0, 1], (-1, 0, 0)) == 0
+        assert cold_minimum(*DRIVE_OUT) == 0
 
     def test_unbounded_below(self):
         assert cold_minimum([(1,), (-1,)], [0], (0, -1)) is None
@@ -380,7 +385,7 @@ class TestSimplexCostRow:
         """Phase 1 reports an empty set, so no phase 2 runs on it."""
         assert not polyhedra._Simplex([(1,), (2,)], [-1], (0, 0)).phase_one()
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(st.data())
     def test_matches_the_vertex_minimum(self, data):
         """Up to 3 random rows in [-2, 2] and a row of ones with right side
@@ -401,6 +406,53 @@ class TestSimplexCostRow:
         assert polyhedra._Simplex(columns, rhs, None).phase_one() == (least is not None)
         if least is not None:
             assert cold_minimum(columns, rhs, cost) == least
+
+
+def spoil_pivot(monkeypatch, chosen, factor):
+    """Wraps polyhedra._pivot so that its call number chosen (from 1)
+    leaves its pivot entry times factor (0 spoils none); returns the list
+    of calls."""
+    real, calls = polyhedra._pivot, []
+
+    def pivot(work, r, c, prev, first):
+        real(work, r, c, prev, first)
+        calls.append((r, c))
+        if len(calls) == chosen:
+            work[r][c] *= factor
+
+    monkeypatch.setattr(polyhedra, "_pivot", pivot)
+    return calls
+
+
+@pytest.mark.parametrize("factor", [0, -1], ids=["zero", "negative"])
+class TestPivotInvariant:
+    """Every pivot of _Simplex keeps d positive or raises InvariantError,
+    on the primal, the drive-out and the dual path alike."""
+
+    def test_primal_pivot(self, monkeypatch, factor):
+        simplex = polyhedra._Simplex([(1,), (1,)], [1], None)
+        spoil_pivot(monkeypatch, 1, factor)
+        with pytest.raises(InvariantError, match="^a pivot entry must be positive$"):
+            simplex.phase_one()
+
+    def test_drive_out_pivot(self, monkeypatch, factor):
+        simplex = polyhedra._Simplex(*DRIVE_OUT)
+        assert simplex.phase_one()
+        assert max(simplex.basis) >= simplex.v  # an artificial is still basic
+        spoil_pivot(monkeypatch, 1, factor)
+        with pytest.raises(InvariantError, match="^a pivot entry must be positive$"):
+            simplex.phase_two()
+
+    def test_dual_pivot(self, monkeypatch, factor):
+        """The first pivot after the cold program of _box_optima (-e_1)."""
+        p = box_polyhedron(2)
+        with monkeypatch.context() as patch:
+            cold = spoil_pivot(patch, 0, factor)
+            simplex = polyhedra._Simplex(p.a.entries, [-1, 0], p.b)
+            assert simplex.phase_one() and simplex.phase_two()
+        spoil_pivot(monkeypatch, len(cold) + 1, factor)
+        with pytest.raises(InvariantError, match="^a pivot entry must be positive$"):
+            polyhedra._box_optima(p)
 
 
 @st.composite
@@ -484,13 +536,13 @@ def assert_box_programs_match_the_vertices(entries, b):
         assert shared == cold == [max(sum(map(mul, u, v)) for v in vertices) for u in units]
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(bounded_polyhedra())
 def test_bounding_box_programs_match_the_vertices(case):
     assert_box_programs_match_the_vertices(*case)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(degenerate_polyhedra())
 def test_bounding_box_programs_tie_and_still_match(case):
     assert_box_programs_match_the_vertices(*case)
@@ -659,7 +711,7 @@ class TestIntegerHull:
             assert hull(p) == convex_hull_2d(points)
             done += 1
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(caratheodory_polytopes())
     def test_matches_caratheodory_oracle(self, p):
         assert hull(p) == convex_hull_vertices(integer_points(p))
@@ -800,12 +852,12 @@ class TestHullWork:
             ((24, -13), 0),
         )
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(criterion_7_polytopes())
     def test_criterion_7_lps_only_where_needed(self, case):
         self.check_lps_only_where_needed(case[0])
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(caratheodory_polytopes())
     def test_caratheodory_lps_only_where_needed(self, p):
         self.check_lps_only_where_needed(p)
@@ -862,7 +914,7 @@ class TestFaceDimensionBound:
         assert report.bound == 0
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(criterion_7_polytopes())
 def test_face_dimensions_are_min_face_dimension(case):
     """verify facedim reads each vertex's face dimension off the hull
@@ -887,7 +939,7 @@ class TestFaceDimensionMetamorphic:
         report = verify_face_dimension_bound(p, delta)
         return sorted(dim for _, dim in report.entries), report.passed
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(criterion_7_polytopes(), st.data())
     def test_row_permutation(self, case, data):
         p, delta = case
@@ -895,7 +947,7 @@ class TestFaceDimensionMetamorphic:
         permuted = PolyhedronH(p.a.submatrix_rows(order), tuple(p.b[i] for i in order))
         assert self.summary(permuted, delta) == self.summary(p, delta)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(criterion_7_polytopes(), st.data())
     def test_unimodular_affine_map(self, case, data):
         p, delta = case
@@ -906,7 +958,7 @@ class TestFaceDimensionMetamorphic:
         assert self.summary(PolyhedronH(M(a), b), delta) == self.summary(p, delta)
 
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(criterion_7_polytopes(), st.data())
     def test_column_permutation(self, case, data):
         p, delta = case
@@ -1002,7 +1054,7 @@ class TestStandardFormIlp:
         ilp = StandardFormILP(M([[1, 1]]), (2,), (1, 1))
         assert solve_standard_form_ilp(ilp, (2, 2)) == [(0, 2), (1, 1), (2, 0)]
 
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120)
     @given(small_programs())
     def test_matches_plain_scan(self, program):
         """The whole optimizer list against a plain scan of the box, on
@@ -1065,7 +1117,7 @@ class TestValueToGo:
         assert [len(stage) for stage in stages] == [1, 4, 16, 2, 1]
         assert [set(stage) for stage in stages] == reachable_tails(entries, b, box)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(small_programs())
     def test_matches_plain_reach(self, program):
         entries, b, c, box = program
@@ -1074,7 +1126,7 @@ class TestValueToGo:
 
 
 class TestSupportBound:
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120)
     @given(small_programs(), st.integers(1, 3))
     def test_matches_plain_scan(self, program, delta):
         """Value, optimizer count and least support against the optimizers
@@ -1134,7 +1186,13 @@ class TestDeriveBox:
     def test_underivable(self):
         assert derive_box(M([[1, -1]]), (0,)) is None
 
-    @settings(max_examples=400, deadline=None)
+    @pytest.mark.parametrize("b", [(3,), (3, 1, 7)], ids=["short", "long"])
+    def test_right_side_length_must_match(self, b):
+        """A b of another length than the row count is refused, not cut."""
+        with pytest.raises(DimensionError, match="^right-hand side length must match row count$"):
+            derive_box(M([[1, 1], [1, -1]]), b)
+
+    @settings(max_examples=400)
     @given(equation_systems(4, 6))
     def test_matches_the_per_pair_reference(self, system):
         """One slack per row gives the bounds that recomputing it for
@@ -1142,7 +1200,7 @@ class TestDeriveBox:
         entries, b = system
         assert derive_box(M(entries), tuple(b)) == propagated_box(entries, b)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(equation_systems(3, 3))
     def test_every_solution_lies_in_the_box(self, system):
         """Each nonnegative solution that a plain scan of a cube reaching

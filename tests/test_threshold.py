@@ -562,7 +562,7 @@ class TestBelowThreshold:
     """solve_svp below the dimension threshold against the box scan it
     replaced, and under changes of basis of the same lattice."""
 
-    @settings(max_examples=250, deadline=None)
+    @settings(max_examples=250)
     @given(below_threshold_inputs())
     def test_same_vector_as_the_box_scan(self, case):
         a, delta = case
@@ -596,7 +596,7 @@ class TestBelowThreshold:
             (-1,), (-30, -50), 50
         )
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(st.integers(3, 7), st.integers(2, 4), st.integers(0, 2**32 - 1),
            st.integers(1, 6), st.sampled_from([1, 2, 8, 20, 70]))
     def test_scramble_keeps_the_norm(self, delta, n, seed, steps, bits):
@@ -694,7 +694,7 @@ class TestWalkingSwaps:
         assert all(x < y for x, y in zip(dets, dets[1:]))
         return trace
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(st.randoms(use_true_random=False))
     def test_walks_are_sound(self, rng):
         self.walk(*half_integral_walk(rng))
