@@ -26,7 +26,8 @@ and one division per packed row, with no new elimination or product.  The
 divisions are checked exact digit by digit, which carries the certificate
 over to the new tableau.
 The other eliminations, the polyhedral verifiers among them, use the list
-pivot ``_pivot``.
+pivot ``_pivot``.  Lattice bases are reduced by integral LLL, ``_lll``,
+whose Gram determinants and scaled Gram-Schmidt coefficients stay integers.
 Every maximal-minor scan reads its minors off one iterator, ``_minors``
 (each k-subset in lexicographic order, one forward elimination each), and
 every enumeration has one budget gate, ``_check_budget``, which refuses it
@@ -633,6 +634,72 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         return -old_r, -old_x, -old_y
     return old_r, old_x, old_y
+
+
+def _lll(columns: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """LLL reduction (delta = 3/4) of independent integer columns, all in
+    integers (Cohen 1993, "A Course in Computational Algebraic Number
+    Theory", Alg. 2.6.7, after Lenstra, Lenstra and Lovasz 1982).
+
+    Returns the reduced columns and the columns of a unimodular V with
+    columns @ V == reduced.  d[i] is the Gram determinant of the first i
+    columns, and lam[k][j] = d[j + 1] mu_kj is an integer; every division
+    below is exact.  Dependent columns (a zero one among them) come back
+    as given, with V = I.
+    """
+    n = len(columns)
+
+    def as_given() -> tuple[list[list[int]], list[list[int]]]:
+        return [list(c) for c in columns], [[int(i == j) for i in range(n)] for j in range(n)]
+
+    b, v = as_given()
+    d = [1, sum(x * x for x in b[0])] + [0] * (n - 1)
+    lam = [[0] * n for _ in range(n)]
+    if d[1] == 0:
+        return as_given()
+
+    def reduce(k: int, j: int) -> None:
+        # b_k -= q b_j with q the integer nearest mu_kj
+        if 2 * abs(lam[k][j]) > d[j + 1]:
+            q = (2 * lam[k][j] + d[j + 1]) // (2 * d[j + 1])
+            b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+            v[k] = [x - q * y for x, y in zip(v[k], v[j])]
+            lam[k][j] -= q * d[j + 1]
+            for i in range(j):
+                lam[k][i] -= q * lam[j][i]
+
+    k, top = 1, 0
+    while k < n:
+        if k > top:
+            top = k
+            for j in range(k + 1):
+                u = sum(map(mul, b[k], b[j]))
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                elif u == 0:
+                    return as_given()
+                else:
+                    d[k + 1] = u
+        reduce(k, k - 1)
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
+            # swap columns k - 1 and k and update the Gram data in place
+            b[k - 1], b[k], v[k - 1], v[k] = b[k], b[k - 1], v[k], v[k - 1]
+            lam[k - 1][: k - 1], lam[k][: k - 1] = lam[k][: k - 1], lam[k - 1][: k - 1]
+            pair = lam[k][k - 1]
+            between = (d[k - 1] * d[k + 1] + pair * pair) // d[k]
+            for i in range(k + 1, top + 1):
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - pair * t) // d[k]
+                lam[i][k - 1] = (between * t + pair * lam[i][k]) // d[k + 1]
+            d[k] = between
+            k = max(1, k - 1)
+        else:
+            for j in range(k - 2, -1, -1):
+                reduce(k, j)
+            k += 1
+    return b, v
 
 
 def _check_budget(count: int, budget: int, what: str) -> None:

@@ -14,10 +14,14 @@ basis before by the dual simplex (Lemke 1954), whose reduced costs, the
 slacks of P at a vertex, do not depend on the right side; the same
 programs decide that P is bounded and nonempty.  Lattice points come from
 a plain-integer scan of that box whose widest coordinate is clipped to P,
-which reads each point's tight rows off the slacks that clip it.  Each
-lattice point v is decided on its own, against the other lattice points
-of its minimal face F of P (for a face F of P, F meet P_I is a face of
-P_I): v is a vertex of the integer hull P_I when F holds no other point;
+which reads each point's tight rows off the slacks that clip it.  The box
+and the scan are taken in a basis of the lattice of A's columns that
+integral LLL (Lenstra, Lenstra and Lovasz 1982, in the all-integer form of
+Cohen 1993) reduces, so a unimodular change of coordinates cannot
+stretch them without limit; when that box exceeds the budget, the box as
+written is tried before a refusal.  Each lattice point v is decided on its own, against the other
+lattice points of its minimal face F of P (for a face F of P, F meet P_I
+is a face of P_I): v is a vertex of the integer hull P_I when F holds no other point;
 it leaves when it is the midpoint of two lattice points of P, which on a
 delta-modular P the paper's x +- z makes of every point on a face above
 the threshold; else it is a vertex when F is an edge, whose lattice
@@ -53,6 +57,7 @@ from .linalg import (
     DEFAULT_MINOR_BUDGET,
     IntMatrix,
     _check_budget,
+    _lll,
     _minors,
     _pivot,
     hnf,
@@ -122,6 +127,13 @@ def _box_optima(p: PolyhedronH) -> list[tuple[int, int]]:
     return optima
 
 
+def _integer_box(p: PolyhedronH) -> list[tuple[int, int]]:
+    """The least and the greatest integer value of each coordinate over P,
+    read off ``_box_optima``."""
+    optima = _box_optima(p)
+    return [(-(top // d), most // e) for (top, d), (most, e) in zip(optima[::2], optima[1::2])]
+
+
 def integer_points(
     p: PolyhedronH, budget: int = DEFAULT_POINT_BUDGET
 ) -> dict[tuple[int, ...], int]:
@@ -150,31 +162,55 @@ def integer_points(
     the programs run again at b = 0, on the cone {A x <= 0}, which is never
     empty, before EmptyPolyhedronError, so a recession direction comes first.
 
-    The coordinate with the most integer values (the last on a tie) is
-    clipped to P, and the box of the others is scanned: for each head x',
-    the column c of A at that coordinate and the slack b - A' x' clip it to
-    one integer interval (floor of slack / c where c > 0, ceiling where
-    c < 0; a row with c = 0 and negative slack empties it), and the rows
-    after the one that empties it are not read.  On a line that keeps
-    points, the slack of row i at t is slack_i - c_i t: a row with c_i = 0
-    is tight along the whole line when its slack is 0, and any other only
-    at t = slack_i / c_i, when c_i divides the slack.  The points are
-    sorted once at the end.  The budget covers the whole bounding box.
+    The scan runs in a reduced basis.  ``linalg._lll`` reduces the columns
+    of A to A V with V unimodular, so the lattice points of
+    P' = {y : A V y <= b} are the y with V y a lattice point of P, and
+    A V y = A x gives each row of P the same slack at y as at x = V y.  A
+    unimodular change of coordinates keeps the lattice points of P but can
+    stretch its box without limit, while the reduced columns are short and
+    nearly orthogonal whatever basis of their lattice A's columns are, so
+    the box of P' cannot be stretched that way.  It can still be the larger
+    box ([[1, 0], [1, 3], [-1, 0], [-1, -3]] x <= (0, 3, 0, 3) has a box of
+    1 x 3 and a reduced box of 5 x 3), so when the box of P' exceeds the
+    budget the programs run again on A itself, and that box is scanned or
+    refused with its own size: reduction never refuses an input that the
+    box as written admits.  Dependent columns come back with V = I, and
+    the box programs raise their typed error.
+
+    The coordinate of P' with the most integer values (the last on a tie)
+    is clipped to P', and the box of the others is scanned: for each head
+    y', the column c of A V at that coordinate k and the slack b - A' y'
+    clip it to one integer interval (floor of slack / c where c > 0,
+    ceiling where c < 0; a row with c = 0 and negative slack empties it),
+    and the rows after the one that empties it are not read.  On a line
+    that keeps points, the slack of row i at t is slack_i - c_i t: a row
+    with c_i = 0 is tight along the whole line when its slack is 0, and any
+    other only at t = slack_i / c_i, when c_i divides the slack.  The line
+    maps back to x = base + t V[:, k], with base the image of its head, and
+    the points are sorted once at the end, so neither the points nor their
+    masks depend on V.  The budget covers the whole bounding box.
     """
-    optima = _box_optima(p)
-    box = [(-(top // d), most // e) for (top, d), (most, e) in zip(optima[::2], optima[1::2])]
+    n = p.dim
+    reduced, v = _lll(list(zip(*p.a.entries)))
+    a = tuple(zip(*reduced))
+    box = _integer_box(PolyhedronH(IntMatrix._trusted(a), p.b))
+    if math.prod(hi - lo + 1 for lo, hi in box) > budget:
+        a, v = p.a.entries, IntMatrix.identity(n).entries
+        box = _integer_box(p)
     sizes = [hi - lo + 1 for lo, hi in box]
     _check_budget(math.prod(sizes), budget, "box scan")
-    k = max(range(p.dim), key=lambda i: (sizes[i], i))
+    k = max(range(n), key=lambda i: (sizes[i], i))
     ranges = [range(lo, hi + 1) for i, (lo, hi) in enumerate(box) if i != k]
-    column = p.a.column(k)
-    rows = [(c, bound, row[:k] + row[k + 1 :]) for c, bound, row in zip(column, p.b, p.a.entries)]
+    column = [row[k] for row in a]
+    rows = [(c, bound, row[:k] + row[k + 1 :]) for c, bound, row in zip(column, p.b, a)]
+    line = v[k]
+    heads = [tuple(col[i] for col in v[:k] + v[k + 1 :]) for i in range(n)]
     points = []
-    for x in product(*ranges):
+    for y in product(*ranges):
         lo, hi = box[k]
         slacks = []
         for c, bound, row in rows:
-            slack = bound - sum(map(mul, row, x))
+            slack = bound - sum(map(mul, row, y))
             if c > 0:
                 top = slack // c
                 if top < hi:
@@ -198,7 +234,11 @@ def integer_points(
                         flat |= 1 << i
                 elif slack % c == 0:
                     at[slack // c] = at.get(slack // c, 0) | 1 << i
-            points.extend((x[:k] + (t,) + x[k:], flat | at.get(t, 0)) for t in range(lo, hi + 1))
+            base = [sum(map(mul, head, y)) for head in heads]
+            points.extend(
+                (tuple(x + t * e for x, e in zip(base, line)), flat | at.get(t, 0))
+                for t in range(lo, hi + 1)
+            )
     return dict(sorted(points))
 
 
@@ -359,24 +399,30 @@ def _integer_hull(p: PolyhedronH, budget: int) -> dict[tuple[int, ...], int]:
     4. dim F >= 2: the integer phase-1 simplex over the other points of F
        decides whether v is their convex combination.
 
-    dim F is n minus the rank of v's tight rows, computed once per distinct
-    mask.  The budget covers (number of points)^2, the pairs the tests may
-    visit.
+    F's lattice points (v among them) and dim F, n minus the rank of v's
+    tight rows, are each computed once per distinct mask.  The budget
+    covers (number of points)^2, the pairs the tests may visit.
     """
     points = integer_points(p, budget)
     _check_budget(len(points) ** 2, budget, "integer hull scan")
+    faces: dict[int, list[tuple[int, ...]]] = {}
     dims: dict[int, int] = {}
     hull = {}
     for v, tight in points.items():
-        face = [q for q, mask in points.items() if mask & tight == tight and q != v]
+        face = faces.get(tight)
+        if face is None:
+            face = faces[tight] = [q for q, mask in points.items() if mask & tight == tight]
         twice = [2 * x for x in v]
-        if any(tuple(map(sub, twice, q)) in points for q in face):
+        if any(tuple(map(sub, twice, q)) in points for q in face if q != v):
             continue
         if tight not in dims:
             rows = [i for i in range(p.a.rows) if tight >> i & 1]
             dims[tight] = p.dim - (rank(p.a.submatrix_rows(rows)) if rows else 0)
-        columns = [q + (1,) for q in face]
-        if not face or dims[tight] < 2 or not _Simplex(columns, list(v) + [1], None).phase_one():
+        if (
+            len(face) == 1
+            or dims[tight] < 2
+            or not _Simplex([q + (1,) for q in face if q != v], list(v) + [1], None).phase_one()
+        ):
             hull[v] = dims[tight]
     return hull
 

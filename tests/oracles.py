@@ -449,6 +449,31 @@ def assert_same_column_lattice(a, h, u) -> None:
     assert plain_product(h.entries, u_inverse) == a.entries
 
 
+def assert_lll_reduced(columns, reduced, transform) -> None:
+    """reduced = columns times V, with transform the columns of V, |det V|
+    = 1, and the reduced columns LLL-reduced at delta = 3/4 by a Fraction
+    Gram-Schmidt: |mu_ij| <= 1/2 for j < i, and |b*_i|^2 >= (3/4 -
+    mu_{i,i-1}^2) |b*_{i-1}|^2."""
+    v = [tuple(row) for row in zip(*transform)]
+    assert [list(col) for col in zip(*plain_product(list(zip(*columns)), v))] == [
+        list(col) for col in reduced
+    ]
+    assert abs(cofactor_det(v)) == 1, "transform must be unimodular"
+    orthogonal, norms = [], []
+    for i, column in enumerate(reduced):
+        star = [Fraction(x) for x in column]
+        for j in range(i):
+            mu = sum(x * y for x, y in zip(column, orthogonal[j])) / norms[j]
+            assert abs(mu) <= Fraction(1, 2), "columns must be size-reduced"
+            star = [x - mu * y for x, y in zip(star, orthogonal[j])]
+            if j == i - 1:
+                assert norms[j] * (Fraction(3, 4) - mu * mu) <= sum(x * x for x in star), (
+                    "Lovasz condition must hold"
+                )
+        orthogonal.append(star)
+        norms.append(sum(x * x for x in star))
+
+
 def _in_convex_hull(v, others) -> bool:
     """True when v is a convex combination of the other points: phase 1
     of a Fraction simplex under Bland's rule on sum lambda_q q = v,

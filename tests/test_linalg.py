@@ -4,7 +4,7 @@ from dataclasses import replace
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from deltasvp.errors import (
@@ -34,6 +34,7 @@ from deltasvp.oracle import _box_halves
 
 from oracles import (
     assert_hnf_shape,
+    assert_lll_reduced,
     assert_same_column_lattice,
     cofactor_adjugate,
     cofactor_det,
@@ -918,6 +919,44 @@ class TestHnf:
         h, u = hnf(a)
         assert_hnf_shape(h)
         assert_same_column_lattice(a, h, u)
+
+
+class TestLll:
+    @settings(max_examples=120)
+    @given(st.data())
+    def test_matches_fraction_reference(self, data):
+        """Random full-column-rank integer columns, some with entries past
+        2^64 drawn directly and some skewed by a 70-bit unimodular scramble:
+        the reduced columns are the columns times V, |det V| = 1, and their
+        Fraction Gram-Schmidt is size-reduced and meets the Lovasz
+        condition at 3/4."""
+        n = data.draw(st.integers(1, 4))
+        m = data.draw(st.integers(n, 6))
+        bound = data.draw(st.sampled_from((3, 2**20, 2**70)))
+        entry = st.integers(-bound, bound)
+        rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+        assume(fraction_rank(rows) == n)
+        if n > 1 and data.draw(st.booleans()):
+            rows = unimodular_scramble(rows, data.draw(st.integers(0, 99)), 4, 70)
+        columns = [list(column) for column in zip(*rows)]
+        reduced, v = linalg._lll(columns)
+        assert_lll_reduced(columns, reduced, v)
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            [(0, 0)],
+            [(0, 0, 0), (1, 2, 3)],
+            [(1, 2, 3), (0, 0, 0)],
+            [(1, 2), (2, 4)],
+            # swapped and reduced before the third column shows the dependency
+            [(10, 1), (1, 0), (3, 3)],
+        ],
+    )
+    def test_dependent_columns_come_back_as_given(self, columns):
+        reduced, v = linalg._lll(columns)
+        assert reduced == [list(column) for column in columns]
+        assert v == [[int(i == j) for i in range(len(columns))] for j in range(len(columns))]
 
 
 class TestRank:

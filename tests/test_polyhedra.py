@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from operator import mul
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from deltasvp import polyhedra
+from deltasvp import linalg, polyhedra
 from deltasvp.errors import (
     BudgetExceededError,
     DimensionError,
@@ -217,6 +218,10 @@ class TestVertices:
         assert outcomes == {"vertices", "unbounded", "empty"}
 
 
+#: catalog polytope hull/41, whose reduced box is larger than its box as written
+HULL_41 = PolyhedronH(M([[1, 0], [1, 3], [-1, 0], [-1, -3]]), (0, 3, 0, 3))
+
+
 class TestIntegerPoints:
     def test_right_side_length_validated(self):
         with pytest.raises(DimensionError, match="^right-hand side length must match row count$"):
@@ -300,6 +305,27 @@ class TestIntegerPoints:
         with pytest.raises(BudgetExceededError) as info:
             integer_points(p, 14)
         assert str(info.value) == "box scan of size 15 exceeds budget 14"
+
+    def test_reduced_box_of_hull_41_is_larger_than_the_box_as_written(self):
+        """The columns (1, 1, -1, -1) and (0, 3, 0, -3) of catalog polytope
+        hull/41 reduce to (1, 1, -1, -1) and (-2, 1, 2, -1): a box of 5 x 3
+        points, where the box as written has 1 x 3."""
+        reduced, v = linalg._lll([HULL_41.a.column(0), HULL_41.a.column(1)])
+        assert (reduced, v) == ([[1, 1, -1, -1], [-2, 1, 2, -1]], [[1, 0], [-2, 1]])
+        q = PolyhedronH(M(list(zip(*reduced))), HULL_41.b)
+        assert [hi - lo + 1 for lo, hi in polyhedra._integer_box(q)] == [5, 3]
+        assert [hi - lo + 1 for lo, hi in polyhedra._integer_box(HULL_41)] == [1, 3]
+
+    def test_reduced_box_past_the_budget_falls_back_to_the_box_as_written(self):
+        """At a budget of 3, below hull/41's reduced box of 15 points, the
+        scan falls back to the box as written and answers; at 2 both boxes
+        are refused, with the size of the box as written."""
+        p = HULL_41
+        expected = {(0, -1): 0b1101, (0, 0): 0b0101, (0, 1): 0b0111}
+        assert integer_points(p, 3) == expected == integer_points(p)
+        with pytest.raises(BudgetExceededError) as info:
+            integer_points(p, 2)
+        assert str(info.value) == "box scan of size 3 exceeds budget 2"
 
 
 class TestLatticePoints:
@@ -956,6 +982,45 @@ class TestFaceDimensionMetamorphic:
         t = data.draw(st.lists(st.integers(-2, 2), min_size=p.dim, max_size=p.dim))
         b = tuple(bound + sum(x * y for x, y in zip(row, t)) for row, bound in zip(a, p.b))
         assert self.summary(PolyhedronH(M(a), b), delta) == self.summary(p, delta)
+
+    @staticmethod
+    def mapped_report(p, delta, scramble, t):
+        """The report on P' = {x : A U x <= b + A U t}, U the unimodular
+        matrix of unimodular_scramble(A, *scramble), with each vertex x'
+        of P' moved back to U (x' - t), its point of P."""
+        u = unimodular_scramble(IntMatrix.identity(p.dim).entries, *scramble)
+        a = unimodular_scramble(p.a.entries, *scramble)
+        b = tuple(bound + sum(map(mul, row, t)) for row, bound in zip(a, p.b))
+        report = verify_face_dimension_bound(PolyhedronH(M(a), b), delta)
+        moved = sorted(
+            (tuple(sum(x * (y - s) for x, y, s in zip(row, v, t)) for row in u), dim)
+            for v, dim in report.entries
+        )
+        return replace(report, entries=tuple(moved))
+
+    def test_scramble_whose_box_is_past_the_budget(self):
+        """A criterion-7 polytope with 4 lattice points in a box of 1,120,
+        whose scramble stretches the box as written to 351 x 269 x 118 =
+        11,141,442 points, past DEFAULT_POINT_BUDGET: the scan runs in the
+        reduced basis, so the mapped P gets the report of P."""
+        entries = [[0, -3, 7], [-1, 4, -9], [1, 0, 0], [0, 4, -9], [0, 3, -7], [1, -4, 9]]
+        entries += [[-1, 0, 0], [0, -4, 9]]
+        p = PolyhedronH(M(entries), (0, 0, 0, 0, 3, 0, 1, 1))
+        report = verify_face_dimension_bound(p, 1)
+        assert len(report.entries) == 4 and report.passed
+        assert self.mapped_report(p, 1, (3551, 3, 2), (0, 0, 0)) == report
+
+    @settings(max_examples=40)
+    @given(criterion_7_polytopes(), st.data())
+    def test_larger_scrambles_keep_the_report(self, case, data):
+        """Up to 6 column operations of up to 4 bits each, and a shift:
+        no refusal, and the same vertices, face dimensions and verdict."""
+        p, delta = case
+        steps, bits = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
+        scramble = (data.draw(st.integers(0, 2**16)), steps, bits)
+        t = tuple(data.draw(st.lists(st.integers(-2, 2), min_size=p.dim, max_size=p.dim)))
+        report = verify_face_dimension_bound(p, delta)
+        assert self.mapped_report(p, delta, scramble, t) == report
 
 
     @settings(max_examples=40)
